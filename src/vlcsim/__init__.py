@@ -7,7 +7,7 @@ through scripted, seed-reproducible scenarios.
 
 from .channel import (ChannelMatrix, FrontEnd, NO_SIGNAL_DBM, Obstacle, Scene,
                       channel_matrix, lambertian_order, los_gain, rssi_per_chain,
-                      subcarrier_frequencies)
+                      scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
 from .errors import NoLinkError, UnderdeterminedError, ValidationError
 from .mimo import (MimoConfig, PostSnr, extra_diversity_gain, mrc_combine,
                    selection_combine, zf_decode)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelMatrix", "FrontEnd", "NO_SIGNAL_DBM", "Obstacle", "Scene",
     "channel_matrix", "lambertian_order", "los_gain", "rssi_per_chain",
-    "subcarrier_frequencies",
+    "scene_paths", "subcarrier_frequencies", "wideband_rssi_dbm",
     "NoLinkError", "UnderdeterminedError", "ValidationError",
     "MimoConfig", "PostSnr", "extra_diversity_gain", "mrc_combine",
     "selection_combine", "zf_decode",

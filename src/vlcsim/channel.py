@@ -268,18 +268,6 @@ class ChannelMatrix:
     def n_subcarriers(self) -> int:
         return len(self.subcarrier_freqs)
 
-    def select_rows(self, rows) -> "ChannelMatrix":
-        """Sub-channel restricted to the given receive chains."""
-        rows = list(rows)
-        return ChannelMatrix(
-            n_tx=self.n_tx, n_rx=len(rows),
-            subcarrier_freqs=self.subcarrier_freqs,
-            entries=self.entries[:, rows, :],
-            path_gains=self.path_gains[rows, :],
-            path_delays=self.path_delays[rows, :],
-            tx_ids=self.tx_ids,
-            rx_ids=tuple(self.rx_ids[r] for r in rows) if self.rx_ids else ())
-
     def column_sum(self, amplitude_weights=None) -> np.ndarray:
         """Effective per-chain channel when all TX radiate one common signal.
 
@@ -292,12 +280,13 @@ class ChannelMatrix:
         return np.tensordot(self.entries, w, axes=([2], [0]))
 
 
-def channel_matrix(scene: Scene, frame_index: int, subcarrier_freqs) -> ChannelMatrix:
-    """Evaluate all TX->RX paths of a scene at one frame index.
+def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Path gains and delays of all TX->RX paths of a scene at one frame index.
 
-    Paths covered by an obstacle active at `frame_index` get zero gain. The
-    receiver conversion gain is folded into the path power gain so the matrix
-    maps TX electrical power to RX electrical power.
+    Both arrays are (n_rx, n_tx). Paths covered by an obstacle active at
+    `frame_index` get zero gain. The receiver conversion gain is folded into
+    the path power gain, which thus maps TX electrical power to RX electrical
+    power.
     """
     txs, rxs = scene.transmitters, scene.receivers
     gains = np.zeros((len(rxs), len(txs)))
@@ -310,18 +299,30 @@ def channel_matrix(scene: Scene, frame_index: int, subcarrier_freqs) -> ChannelM
                 g = 0.0
             gains[i, j] = g * conv
             delays[i, j] = tau
+    return gains, delays
+
+
+def channel_matrix(scene: Scene, frame_index: int, subcarrier_freqs) -> ChannelMatrix:
+    """Per-subcarrier channel of a scene at one frame index (see `scene_paths`)."""
+    gains, delays = scene_paths(scene, frame_index)
     return ChannelMatrix.from_paths(gains, delays, subcarrier_freqs,
-                                    tx_ids=[tx.id for tx in txs],
-                                    rx_ids=[rx.id for rx in rxs])
+                                    tx_ids=[tx.id for tx in scene.transmitters],
+                                    rx_ids=[rx.id for rx in scene.receivers])
+
+
+def wideband_rssi_dbm(path_gains, tx_power_dbm) -> np.ndarray:
+    """Wideband received power per RX chain in dBm (incoherent power sum).
+
+    `path_gains` is the (n_rx, n_tx) power gain matrix. A chain whose paths
+    are all blocked reads NO_SIGNAL_DBM (-inf).
+    """
+    p_mw = dbm_to_mw(np.asarray(tx_power_dbm, dtype=float))
+    n_tx = np.shape(path_gains)[1]
+    if p_mw.shape != (n_tx,):
+        raise ValueError(f"need one TX power per transmit element ({n_tx}), got shape {p_mw.shape}")
+    return mw_to_dbm(path_gains @ p_mw)
 
 
 def rssi_per_chain(cm: ChannelMatrix, tx_power_dbm) -> np.ndarray:
-    """Wideband received power per RX chain in dBm (incoherent power sum).
-
-    A chain whose paths are all blocked reads NO_SIGNAL_DBM (-inf).
-    """
-    p_mw = dbm_to_mw(np.asarray(tx_power_dbm, dtype=float))
-    if p_mw.shape != (cm.n_tx,):
-        raise ValueError(f"need one TX power per transmit element ({cm.n_tx}), got shape {p_mw.shape}")
-    per_chain_mw = cm.path_gains @ p_mw
-    return mw_to_dbm(per_chain_mw)
+    """Wideband received power per RX chain of a channel matrix, in dBm."""
+    return wideband_rssi_dbm(cm.path_gains, tx_power_dbm)

@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -44,26 +45,43 @@ class RunConfig:
     overrides: dict
 
 
-def _parse_int_list(text):
-    return [int(p) for p in str(text).split(",") if p != ""]
+def _parse_list(parse):
+    def parse_list(text):
+        values = [parse(p) for p in str(text).split(",") if p != ""]
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+    return parse_list
 
 
-def _parse_float_list(text):
-    return [float(p) for p in str(text).split(",") if p != ""]
+def _positive(parse):
+    def parse_positive(text):
+        value = parse(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"must be a finite number > 0, got {value}")
+        return value
+    return parse_positive
 
+
+_parse_int_list = _parse_list(int)
+_parse_float_list = _parse_list(float)
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 # Allowed --set keys per scenario, with their parsers.
 _OVERRIDE_KEYS = {
-    "siso-sweep": {"payload_bytes": int, "count": int, "n_distances": int,
-                   "d_min": float, "d_max": float, "mcs": _parse_int_list},
-    "blockage-timeline": {"payload_bytes": int, "n_frames": int, "mcs_index": int},
-    "mrc-fsr-point": {"payload_bytes": int, "count": int,
+    "siso-sweep": {"payload_bytes": _positive_int, "count": _positive_int,
+                   "n_distances": _positive_int, "d_min": _positive_float,
+                   "d_max": _positive_float, "mcs": _parse_int_list},
+    "blockage-timeline": {"payload_bytes": _positive_int, "n_frames": _positive_int,
+                          "mcs_index": int},
+    "mrc-fsr-point": {"payload_bytes": _positive_int, "count": _positive_int,
                       "fsr_a": float, "fsr_b": float},
-    "handover-sweep": {"n_angles": int},
-    "mimo-area-grid": {"payload_bytes": int, "count": int,
+    "handover-sweep": {"n_angles": _positive_int},
+    "mimo-area-grid": {"payload_bytes": _positive_int, "count": _positive_int,
                        "imbalance_db": float, "mcs": _parse_int_list},
     "csi-report": {"bits": int, "bandwidth_mhz": int},
-    "oracle-check": {"payload_bytes": int, "n_frames": int,
+    "oracle-check": {"payload_bytes": _positive_int, "n_frames": _positive_int,
                      "mcs": _parse_int_list, "offsets_db": _parse_float_list},
 }
 
@@ -277,8 +295,8 @@ def main(argv=None) -> int:
                          f"(allowed: {', '.join(sorted(allowed))})")
         try:
             overrides[key] = allowed[key](value)
-        except ValueError:
-            parser.error(f"--set {key}: cannot parse '{value}'")
+        except ValueError as exc:
+            parser.error(f"--set {key}: cannot use '{value}': {exc}")
     if args.scene is not None and args.scenario not in _TAKES_SCENE:
         parser.error(f"scenario {args.scenario} does not take a scene file")
     out_dir = args.out or os.environ.get("VLCSIM_OUT") or "vlcsim-out"
@@ -289,6 +307,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid scene: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # A runner rejected the configuration (e.g. more streams than the link
+        # carries) before any output was written.
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

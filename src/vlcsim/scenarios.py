@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (DEFAULT_CENTER_FREQ_HZ, ChannelMatrix, Scene,
-                      channel_matrix, dbm_to_mw, mw_to_dbm, rssi_per_chain,
-                      subcarrier_frequencies)
+                      channel_matrix, dbm_to_mw, mw_to_dbm, scene_paths,
+                      subcarrier_frequencies, wideband_rssi_dbm)
 from .errors import NoLinkError
-from .mimo import mrc_combine, zf_decode
+from .mimo import MimoConfig, mrc_combine, zf_decode
 from .phy import FrameSpec, fsr, mcs
 from .presets import mimo_area_scene
 
@@ -83,9 +83,17 @@ def _realize(rng: np.random.Generator, probability: float, count: int) -> float:
     return float(rng.binomial(count, min(1.0, max(0.0, probability))) / count)
 
 
+def _check_streams(entry, scene: Scene) -> None:
+    """Reject an MCS whose stream count the scene's link cannot carry."""
+    try:
+        MimoConfig(n_tx=len(scene.transmitters), n_rx=len(scene.receivers),
+                   n_streams=entry.n_streams)
+    except ValueError as exc:
+        raise ValueError(f"MCS {entry.index}: {exc}") from None
+
+
 def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
-                   seed: int, bandwidth_mhz: int = 20,
-                   center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> list:
+                   seed: int) -> list:
     """FSR-vs-RSSI table: slide the receiver along the link axis.
 
     For each distance/MCS cell the analytic FSR is realized over
@@ -97,15 +105,16 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     tx, rx = txs[0], rxs[0]
     direction = rx.position - tx.position
     direction = direction / np.linalg.norm(direction)
-    freqs = subcarrier_frequencies(bandwidth_mhz, center_freq_hz)
     rng = np.random.default_rng(seed)
     entries = [mcs(i) for i in mcs_indices]
+    for entry in entries:
+        _check_streams(entry, scene)
     rows = []
     for d in distances:
         moved = dataclasses.replace(rx, position=tx.position + float(d) * direction)
         probe = Scene(front_ends=(tx, moved), noise_floor_dbm=scene.noise_floor_dbm)
-        cm = channel_matrix(probe, 0, freqs)
-        rssi = float(rssi_per_chain(cm, probe.tx_power_dbm)[0])
+        gains, _ = scene_paths(probe, 0)
+        rssi = float(wideband_rssi_dbm(gains, probe.tx_power_dbm)[0])
         snr_db = rssi - scene.noise_floor_dbm
         for entry in entries:
             p = fsr(entry, [snr_db] * entry.n_streams, frame)
@@ -127,24 +136,34 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
     a single-path block the combined RSSI equals the surviving path's RSSI.
     """
     entry = mcs(mcs_index)
-    freqs = subcarrier_frequencies(20)
-    rng = np.random.default_rng(seed)
+    _check_streams(entry, scene)
     noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
-    traces = []
-    for i in range(n_frames):
-        cm = channel_matrix(scene, i, freqs)
-        rssi = rssi_per_chain(cm, scene.tx_power_dbm)
-        snr_linear = dbm_to_mw(rssi) / noise_mw
-        _, combined_snr_db = mrc_combine(snr_linear)
-        p = fsr(entry, [combined_snr_db] * entry.n_streams, frame)
-        traces.append(FrameTrace(
-            frame_index=i,
-            per_chain_rssi_dbm=tuple(float(r) for r in rssi),
-            combined_rssi_dbm=_combined_rssi_dbm(rssi),
-            technique="MRC",
-            mcs_index=entry.index,
-            success=bool(rng.random() < p)))
-    return traces
+    # A frame's channel depends on its index only through which obstacles are
+    # active at that index, so every frame with the same active set has the
+    # same path gains, RSSI and FSR. Evaluating each distinct set once, at the
+    # first frame where it occurs, is therefore exact, and one vector draw
+    # yields the same Bernoulli stream as one scalar draw per frame.
+    frames = np.arange(n_frames)
+    intervals = np.array([obs.active_frames for obs in scene.obstacles],
+                         dtype=np.int64).reshape(-1, 2)
+    active = (frames[:, None] >= intervals[:, 0]) & (frames[:, None] < intervals[:, 1])
+    _, first_frames, state_of_frame = np.unique(
+        active, axis=0, return_index=True, return_inverse=True)
+    state_of_frame = state_of_frame.reshape(-1)
+    per_chain, combined, success_p = [], [], []
+    for first in first_frames:
+        gains, _ = scene_paths(scene, int(first))
+        rssi = wideband_rssi_dbm(gains, scene.tx_power_dbm)
+        _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
+        per_chain.append(tuple(float(r) for r in rssi))
+        combined.append(_combined_rssi_dbm(rssi))
+        success_p.append(fsr(entry, [combined_snr_db] * entry.n_streams, frame))
+    rng = np.random.default_rng(seed)
+    successes = rng.random(n_frames) < np.array(success_p)[state_of_frame]
+    return [FrameTrace(frame_index=i, per_chain_rssi_dbm=per_chain[k],
+                       combined_rssi_dbm=combined[k], technique="MRC",
+                       mcs_index=entry.index, success=ok)
+            for i, (k, ok) in enumerate(zip(state_of_frame.tolist(), successes.tolist()))]
 
 
 def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int,
@@ -170,14 +189,13 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
     if len(txs) != 1 or len(rxs) != 2:
         raise ValueError("the handover sweep needs one TX and two RX")
     tx = txs[0]
-    freqs = subcarrier_frequencies(20)
     rows = []
     for az in tx_azimuths_deg:
         a = math.radians(float(az))
         aimed = dataclasses.replace(tx, boresight=np.array([math.cos(a), math.sin(a), 0.0]))
         probe = Scene(front_ends=(aimed, *rxs), noise_floor_dbm=scene.noise_floor_dbm)
-        cm = channel_matrix(probe, 0, freqs)
-        rssi = rssi_per_chain(cm, probe.tx_power_dbm)
+        gains, _ = scene_paths(probe, 0)
+        rssi = wideband_rssi_dbm(gains, probe.tx_power_dbm)
         rows.append(HandoverRow(
             tx_azimuth_deg=float(az),
             rssi_a_dbm=float(rssi[0]), rssi_b_dbm=float(rssi[1]),

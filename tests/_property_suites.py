@@ -8,11 +8,13 @@ import math
 
 import numpy as np
 
-from vlcsim.channel import ChannelMatrix, FrontEnd, channel_matrix, Scene, \
-    los_gain, subcarrier_frequencies
+from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Scene, \
+    dbm_to_mw, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
 from vlcsim.mimo import mrc_combine, zf_decode
 from vlcsim.oracle import simulate_frame
 from vlcsim.phy import FrameSpec, fsr, mcs, mcs_table
+from vlcsim.scenarios import FrameTrace, HandoverRow, SisoSweepRow, \
+    run_blockage_timeline, run_handover_sweep, run_siso_sweep
 
 
 def _unit(v):
@@ -189,6 +191,123 @@ def scenario_reproducibility(seed: int = 109) -> None:
     frame = FrameSpec()
     assert run_blockage_timeline(scene, frame, seed) == \
         run_blockage_timeline(scene, frame, seed)
+
+
+def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
+    """TXs near the origin firing along +x, RXs 1-3 m away staring roughly back."""
+    txs = [FrontEnd(id=f"tx{j}", role="tx", position=rng.uniform(-0.3, 0.3, size=3),
+                    boresight=_unit(np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.3, 0.3, 3)),
+                    half_power_semi_angle=float(rng.uniform(15.0, 70.0)),
+                    tx_electrical_power_dbm=float(rng.uniform(-10.0, 10.0)))
+           for j in range(n_tx)]
+    rxs = []
+    for i in range(n_rx):
+        pos = np.array([rng.uniform(1.0, 3.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3)])
+        rxs.append(FrontEnd(id=f"rx{i}", role="rx", position=pos,
+                            boresight=_unit(-pos + rng.uniform(-0.4, 0.4, 3)),
+                            fov_half_angle=float(rng.uniform(20.0, 90.0)),
+                            active_area=float(rng.uniform(1e-5, 1e-3)),
+                            conversion_gain_db=float(rng.uniform(-5.0, 5.0))))
+    pairs = [(tx.id, rx.id) for tx in txs for rx in rxs]
+    # Interval ends drawn from one small pool, so intervals overlap, nest, touch,
+    # start at frame 0 and end past the last frame.
+    ends = [0, n_frames, n_frames + 7] + [int(x) for x in rng.integers(1, n_frames + 1, 3)]
+    obstacles = []
+    for _ in range(n_obstacles):
+        start, end = sorted(rng.choice(sorted(set(ends)), size=2, replace=False))
+        k = int(rng.integers(1, len(pairs) + 1))
+        blocked = [pairs[c] for c in rng.choice(len(pairs), size=k, replace=False)]
+        obstacles.append(Obstacle(blocked_pairs=frozenset(blocked),
+                                  active_frames=(int(start), int(end))))
+    return Scene(front_ends=(*txs, *rxs), obstacles=obstacles,
+                 noise_floor_dbm=float(rng.uniform(-75.0, -40.0)))
+
+
+def _reference_timeline(scene, frame, seed, mcs_index, n_frames):
+    """The blockage timeline evaluated frame by frame, one scalar draw per frame."""
+    entry = mcs(mcs_index)
+    freqs = subcarrier_frequencies(20)
+    rng = np.random.default_rng(seed)
+    noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
+    traces = []
+    for i in range(n_frames):
+        rssi = rssi_per_chain(channel_matrix(scene, i, freqs), scene.tx_power_dbm)
+        _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
+        p = fsr(entry, [combined_snr_db] * entry.n_streams, frame)
+        traces.append(FrameTrace(
+            frame_index=i, per_chain_rssi_dbm=tuple(float(r) for r in rssi),
+            combined_rssi_dbm=float(mw_to_dbm(np.sum(dbm_to_mw(rssi)))),
+            technique="MRC", mcs_index=entry.index, success=bool(rng.random() < p)))
+    return traces
+
+
+def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
+    """Evaluating once per active-obstacle set equals the frame-by-frame timeline."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        n_tx, n_rx = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        n_frames = int(rng.integers(1, 120))
+        scene = _random_link_scene(rng, n_tx, n_rx, int(rng.integers(0, 5)), n_frames)
+        mcs_index = int(rng.integers(0, 8)) + (8 if min(n_tx, n_rx) == 2 and rng.random() < 0.5 else 0)
+        frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)), count=1)
+        s = int(rng.integers(0, 2 ** 31))
+        assert run_blockage_timeline(scene, frame, s, mcs_index, n_frames) == \
+            _reference_timeline(scene, frame, s, mcs_index, n_frames)
+
+
+def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
+    """The RSSI-only SISO sweep equals one built on channel matrices."""
+    rng = np.random.default_rng(seed)
+    freqs = subcarrier_frequencies(20)
+    for _ in range(n_cases):
+        scene = _random_link_scene(rng, 1, 1)
+        tx, rx = scene.transmitters[0], scene.receivers[0]
+        direction = _unit(rx.position - tx.position)
+        distances = rng.uniform(0.1, 15.0, size=int(rng.integers(1, 20)))
+        mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 4)), replace=False)]
+        frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
+                          count=int(rng.integers(1, 500)))
+        s = int(rng.integers(0, 2 ** 31))
+        draws = np.random.default_rng(s)
+        expected = []
+        for d in distances:
+            moved = FrontEnd(id=rx.id, role="rx", position=tx.position + float(d) * direction,
+                             boresight=rx.boresight, fov_half_angle=rx.fov_half_angle,
+                             active_area=rx.active_area,
+                             conversion_gain_db=rx.conversion_gain_db)
+            probe = Scene(front_ends=(tx, moved), noise_floor_dbm=scene.noise_floor_dbm)
+            rssi = float(rssi_per_chain(channel_matrix(probe, 0, freqs),
+                                        probe.tx_power_dbm)[0])
+            snr_db = rssi - scene.noise_floor_dbm
+            for m in mcs_indices:
+                p = fsr(mcs(m), [snr_db], frame)
+                realized = float(draws.binomial(frame.count, min(1.0, max(0.0, p))) / frame.count)
+                expected.append(SisoSweepRow(float(d), rssi, snr_db, m, p, realized))
+        expected.sort(key=lambda r: (r.rssi_dbm, r.mcs_index))
+        assert run_siso_sweep(scene, mcs_indices, distances, frame, s) == expected
+
+
+def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
+    """The RSSI-only handover sweep equals one built on channel matrices."""
+    rng = np.random.default_rng(seed)
+    freqs = subcarrier_frequencies(20)
+    for _ in range(n_cases):
+        scene = _random_link_scene(rng, 1, 2)
+        tx = scene.transmitters[0]
+        azimuths = rng.uniform(-90.0, 90.0, size=int(rng.integers(1, 30)))
+        expected = []
+        for az in azimuths:
+            a = math.radians(float(az))
+            aimed = FrontEnd(id=tx.id, role="tx", position=tx.position,
+                             boresight=np.array([math.cos(a), math.sin(a), 0.0]),
+                             half_power_semi_angle=tx.half_power_semi_angle,
+                             tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
+            probe = Scene(front_ends=(aimed, *scene.receivers),
+                          noise_floor_dbm=scene.noise_floor_dbm)
+            rssi = rssi_per_chain(channel_matrix(probe, 0, freqs), probe.tx_power_dbm)
+            expected.append(HandoverRow(float(az), float(rssi[0]), float(rssi[1]),
+                                        float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
+        assert run_handover_sweep(scene, azimuths) == expected
 
 
 ALL_SUITES = (

@@ -155,3 +155,31 @@ def test_siso_sweep_scenario_small(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     reliable = summary["aggregates"]["first_rssi_dbm_with_fsr_0p99"]
     assert reliable["0"] < reliable["7"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "blockage-timeline", "--set", "n_frames=0"],
+    ["--scenario", "handover-sweep", "--set", "n_angles=0"],
+    ["--scenario", "handover-sweep", "--set", "n_angles=-3"],
+    ["--scenario", "siso-sweep", "--set", "n_distances=0"],
+    ["--scenario", "siso-sweep", "--set", "d_min=-1"],
+    ["--scenario", "siso-sweep", "--set", "d_max=nan"],
+    ["--scenario", "siso-sweep", "--set", "mcs="],
+    ["--scenario", "blockage-timeline", "--set", "mcs_index=9"],
+    ["--scenario", "siso-sweep", "--set", "mcs=0,8"],
+    ["--scenario", "mrc-fsr-point", "--set", "count=0"],
+    ["--scenario", "mrc-fsr-point", "--set", "fsr_a=1.5"],
+    ["--scenario", "csi-report", "--set", "bits=1"],
+], ids=["blockage-0-frames", "handover-0-angles", "handover-negative-angles",
+        "siso-0-distances", "siso-negative-d_min", "siso-nan-d_max", "siso-no-mcs",
+        "blockage-2-streams-on-1-tx", "siso-2-streams-on-1x1", "mrc-0-count",
+        "mrc-fsr-out-of-range", "csi-1-bit"])
+def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("vlcsim: error: ")
+    assert not out.exists()

@@ -1,0 +1,132 @@
+"""Golden outputs: SHA-256 of `<scenario>.csv` and `summary.json` per scenario.
+
+Each case runs the CLI in-process at a fixed seed and a small size and
+compares both output files byte for byte, by digest, with the values recorded
+below. A digest may change only with a stated change of behaviour, never for
+a speed-up or a refactor.
+
+Scene paths are passed relative to the working directory because
+`summary.json` records the `--scene` string as given.
+"""
+
+import hashlib
+import pathlib
+
+import pytest
+
+from vlcsim.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Three obstacles with overlapping, nested and adjacent intervals, one starting
+# at frame 0 and one ending past the run's last frame.
+MULTI_OBSTACLE_SCENE = (ROOT / "scenes" / "simo_blockage.cfg").read_text().split(
+    "[obstacle")[0] + """[obstacle early]
+blocks = tx_a->rx_a
+frames = 0 40
+
+[obstacle long]
+blocks = tx_a->rx_b
+frames = 30 200
+
+[obstacle nested]
+blocks = tx_a->rx_a, tx_a->rx_b
+frames = 90 120
+
+[obstacle adjacent]
+blocks = tx_a->rx_a
+frames = 200 500
+"""
+
+CASES = {
+    "siso-preset": ["--scenario", "siso-sweep", "--seed", "3",
+                    "--set", "n_distances=300", "--set", "count=200"],
+    "siso-scene": ["--scenario", "siso-sweep", "--scene", "scenes/siso.cfg", "--seed", "4",
+                   "--set", "n_distances=200", "--set", "mcs=0,3,7",
+                   "--set", "d_min=0.5", "--set", "d_max=20"],
+    "blockage-scene": ["--scenario", "blockage-timeline", "--scene",
+                       "scenes/simo_blockage.cfg", "--seed", "5"],
+    "blockage-preset-mcs4": ["--scenario", "blockage-timeline", "--seed", "7",
+                             "--set", "n_frames=400", "--set", "mcs_index=4",
+                             "--set", "payload_bytes=1500"],
+    "blockage-multi": ["--scenario", "blockage-timeline", "--scene", "multi.cfg",
+                       "--seed", "9", "--set", "n_frames=300", "--set", "mcs_index=3"],
+    "mrc-point": ["--scenario", "mrc-fsr-point", "--seed", "11"],
+    "handover-preset": ["--scenario", "handover-sweep", "--seed", "3",
+                        "--set", "n_angles=300"],
+    "handover-scene": ["--scenario", "handover-sweep", "--scene", "scenes/handover.cfg",
+                       "--set", "n_angles=201"],
+    "area-grid": ["--scenario", "mimo-area-grid", "--seed", "2", "--set", "count=300"],
+    "csi-preset": ["--scenario", "csi-report"],
+    "csi-scene": ["--scenario", "csi-report", "--scene", "scenes/csi_miso.cfg",
+                  "--set", "bits=8", "--set", "bandwidth_mhz=20"],
+    "oracle": ["--scenario", "oracle-check", "--seed", "3", "--set", "n_frames=20",
+               "--set", "mcs=0,9"],
+}
+
+# [csv sha256, summary.json sha256] per case.
+DIGESTS = {
+    "siso-preset": [
+        "64c2f0e53c65182a8a413b35d57f6a2a8491f75b97b7d8e3a23427638ddb1e63",
+        "087309211f93caead4f313925e97d017449326ca4d70b12de108987d4cbf15c1"],
+    "siso-scene": [
+        "ac306b4c901c72ce374bdd96479f532e6c56b9a6f0ffbe68ef010759cbdc8404",
+        "2654f58d4e2667b67f59e848b51194c965497628171de144e56bce9ba417bf40"],
+    "blockage-scene": [
+        "fd2f3a977728588726a9752146eb4c0b27daf4be28338d361c4cd0e52564ecd9",
+        "bdfda77a9429a87202e32e6b3c09d392a493492a8d18e173668e97e0ad19c614"],
+    "blockage-preset-mcs4": [
+        "ab7f65740340ef877221108680bc2413f953e01c893946b686a2fbaba8e30f89",
+        "5d68d468370d1cfcf75e92a309d714b54aaf5baa9070db6a8f1d08ccf5340a51"],
+    "blockage-multi": [
+        "3d34e00544c2f1e183348bce810199134dd697c8f55504848c54835211209601",
+        "4ebae290ac479fb4fef81ac53b478432a99df2bc89340ceb9ac44d71c27ffa0b"],
+    "mrc-point": [
+        "f8e30da34dcbf87196a0799e4ad4b47b269612ae9dd5dc5bec8d2348371ee542",
+        "1ad3bd52bec19d714109a6504eef4d935be74c3e53b0dcdd36c2561a9ce2b89c"],
+    "handover-preset": [
+        "36bb4dbc9a74d8cd199149d7caca9dc90be780d347dc6f05cd0d19f85fb99029",
+        "eeea197f1d5be96735bd3a4060019e75010a2c8497412609693a79873a61e194"],
+    "handover-scene": [
+        "23e4c3d3fd5a580db551487041dfb866a2bec835d323eb152270f8acce5958f5",
+        "0d996e8cbd3cf353b9e794f954e16e9a8d527047e122ebf8afbbbea1fda02cd4"],
+    "area-grid": [
+        "511684feb80f49f1048303852fc6af4293cde7d948ae5279ff8ed605a8ff0444",
+        "94372f59e1db62f6a4897ac398cbfdfe15649231684a9753c4dae27a40fe706b"],
+    "csi-preset": [
+        "b0e13e42ebeb05daeb379c2304b0ad1aa3139a438ae41305771a2022fa3a0409",
+        "3d3e0d5e72c5427d71c3bafd584226c0c292ae4ad037ed0f52fe8999405da033"],
+    "csi-scene": [
+        "7f5166793449a5843f8d6b4a51a0d3840ec53b8f13046c8e6d8b260b2f63e28f",
+        "e7450064fcae4543ffdc40f4d34ae461d60799b7d2ec9170ee797fb6db18960b"],
+    "oracle": [
+        "7ea06e3ae4051730eb199caeb9991234a1507c4867580bab22042dd3584f0733",
+        "6207c5a534e02526fcc63a89f896eaf6c489e0c9e6962e07c9ce46e912c60e4a"],
+}
+
+
+def run_case(name, tmp_path, monkeypatch):
+    """Run one case from a working directory that holds `scenes/` and `multi.cfg`."""
+    work = tmp_path / "work"
+    (work / "scenes").mkdir(parents=True)
+    for cfg in (ROOT / "scenes").glob("*.cfg"):
+        (work / "scenes" / cfg.name).write_text(cfg.read_text())
+    (work / "multi.cfg").write_text(MULTI_OBSTACLE_SCENE)
+    monkeypatch.chdir(work)
+    out = tmp_path / "out"
+    argv = CASES[name]
+    assert main(argv + ["--out", str(out)]) == 0
+    scenario = argv[argv.index("--scenario") + 1]
+    return [hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in (f"{scenario}.csv", "summary.json")]
+
+
+def test_every_scenario_is_covered():
+    scenarios = {argv[argv.index("--scenario") + 1] for argv in CASES.values()}
+    assert len(scenarios) == 7
+    assert DIGESTS.keys() == CASES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
+    assert run_case(name, tmp_path, monkeypatch) == DIGESTS[name]

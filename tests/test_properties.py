@@ -37,3 +37,15 @@ def test_one_live_branch_keeps_frames_flowing():
 
 def test_scenario_rerun_is_identical():
     suites.scenario_reproducibility()
+
+
+def test_blockage_timeline_per_state_evaluation_is_exact():
+    suites.blockage_timeline_exactness(60)
+
+
+def test_siso_sweep_without_channel_matrices_is_exact():
+    suites.siso_sweep_exactness(60)
+
+
+def test_handover_sweep_without_channel_matrices_is_exact():
+    suites.handover_sweep_exactness(60)
