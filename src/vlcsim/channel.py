@@ -97,8 +97,12 @@ class FrontEnd:
             raise ValidationError(f"front-end '{self.id}': role must be 'tx' or 'rx', got '{self.role}'")
         if self.position.shape != (3,) or self.boresight.shape != (3,):
             raise ValidationError(f"front-end '{self.id}': position and boresight must be 3-vectors")
+        if not all(map(math.isfinite, self.position.tolist())):
+            raise ValidationError(
+                f"front-end '{self.id}': position must be finite, got {self.position.tolist()}")
         norm = float(np.linalg.norm(self.boresight))
-        if abs(norm - 1.0) > 1e-9:
+        # `not <=` so that a NaN component (hence a NaN norm) fails too.
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValidationError(
                 f"front-end '{self.id}': boresight must be a unit vector (norm within 1e-9), got norm {norm:.12g}")
         if self.role == "tx":
@@ -109,16 +113,23 @@ class FrontEnd:
                     f"front-end '{self.id}': half_power_semi_angle must be in (0, 90) degrees, "
                     f"got {self.half_power_semi_angle}")
             if self.tx_electrical_power_dbm is None or not math.isfinite(self.tx_electrical_power_dbm):
-                raise ValidationError(f"front-end '{self.id}': tx_electrical_power_dbm is required for a TX")
+                raise ValidationError(
+                    f"front-end '{self.id}': tx_electrical_power_dbm must be a finite number for a TX, "
+                    f"got {self.tx_electrical_power_dbm}")
         else:
             if self.fov_half_angle is None:
                 raise ValidationError(f"front-end '{self.id}': fov_half_angle is required for an RX")
             if not 0.0 < self.fov_half_angle <= 90.0:
                 raise ValidationError(
                     f"front-end '{self.id}': fov_half_angle must be in (0, 90] degrees, got {self.fov_half_angle}")
-            if self.active_area is None or self.active_area <= 0.0:
+            if self.active_area is None or not (0.0 < self.active_area < math.inf):
                 raise ValidationError(
-                    f"front-end '{self.id}': active_area must be > 0 m^2, got {self.active_area}")
+                    f"front-end '{self.id}': active_area must be a finite number > 0 m^2, "
+                    f"got {self.active_area}")
+            if not math.isfinite(self.conversion_gain_db):
+                raise ValidationError(
+                    f"front-end '{self.id}': conversion_gain_db must be finite, "
+                    f"got {self.conversion_gain_db}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +170,8 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "front_ends", tuple(self.front_ends))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        if not math.isfinite(self.noise_floor_dbm):
+            raise ValidationError(f"scene: noise_floor_dbm must be finite, got {self.noise_floor_dbm}")
         ids = [fe.id for fe in self.front_ends]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"scene: front-end ids must be unique, got {ids}")

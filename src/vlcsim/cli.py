@@ -218,7 +218,12 @@ def run(config: RunConfig) -> int:
     scene = None
     scene_text = None
     if config.scene is not None:
-        diagnostics = validate_scene_file(config.scene)
+        try:
+            diagnostics = validate_scene_file(config.scene)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"cannot read scene: {config.scene}: {reason}", file=sys.stderr)
+            return 1
         if diagnostics:
             for d in diagnostics:
                 print(f"invalid scene: {d}", file=sys.stderr)

@@ -83,38 +83,38 @@ def _stream_snr_per_subcarrier(entries, tx_power_per_stream, noise_per_chain):
     """ZF per-stream SNR for every subcarrier.
 
     Returns (snr_linear with shape (K, n_streams), condition numbers (K,),
-    solvable mask (K,)). `entries` has shape (K, n_rx, n_streams).
+    solvable mask (K,)). `entries` has shape (K, n_rx, n_streams). All K
+    subcarriers go through one stacked Gram, condition number and inverse;
+    singular subcarriers are masked out before the inversion and keep SNR 0.
     """
     n_subc, n_rx, n_streams = entries.shape
     p = np.broadcast_to(np.asarray(tx_power_per_stream, dtype=float), (n_streams,))
     n0 = np.broadcast_to(np.asarray(noise_per_chain, dtype=float), (n_rx,))
+    h_herm = entries.conj().transpose(0, 2, 1)
+    gram = h_herm @ entries
+    cond = np.linalg.cond(gram)
+    ok = np.isfinite(cond) & ~(cond > SINGULARITY_CONDITION_CUTOFF)
     snr = np.zeros((n_subc, n_streams))
-    cond = np.full(n_subc, np.inf)
-    ok = np.zeros(n_subc, dtype=bool)
-    for k in range(n_subc):
-        h = entries[k]
-        gram = h.conj().T @ h
-        c = np.linalg.cond(gram)
-        cond[k] = c
-        if not np.isfinite(c) or c > SINGULARITY_CONDITION_CUTOFF:
-            continue
-        w = np.linalg.inv(gram) @ h.conj().T
+    if np.any(ok):
+        w = np.linalg.inv(gram[ok]) @ h_herm[ok]
         # ZF filter output noise: each stream collects |w|^2-weighted chain noise.
         noise_out = (np.abs(w) ** 2) @ n0
-        snr[k] = p / noise_out
-        ok[k] = True
+        snr[ok] = p / noise_out
     return snr, cond, ok
+
+
+def _per_stream_snr_db(snr, ok) -> tuple:
+    """Subcarrier-collapsed SNR (dB) of each stream over the solvable subcarriers."""
+    if not np.any(ok):
+        return (NO_SIGNAL_DBM,) * snr.shape[1]
+    return tuple(collapse_subcarrier_snr_db(linear_to_db(snr[ok, s]))
+                 for s in range(snr.shape[1]))
 
 
 def _collapsed_min_stream_snr_db(entries, tx_power_per_stream=1.0, noise_per_chain=1.0):
     """Subcarrier-collapsed per-stream SNRs (dB) and their minimum."""
     snr, _, ok = _stream_snr_per_subcarrier(entries, tx_power_per_stream, noise_per_chain)
-    if not np.any(ok):
-        n_streams = entries.shape[2]
-        return (NO_SIGNAL_DBM,) * n_streams, NO_SIGNAL_DBM
-    per_stream = tuple(
-        collapse_subcarrier_snr_db(linear_to_db(snr[ok, s]))
-        for s in range(entries.shape[2]))
+    per_stream = _per_stream_snr_db(snr, ok)
     return per_stream, min(per_stream)
 
 
@@ -143,12 +143,7 @@ def zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain) -> PostSn
     total_rx_mw = float(np.sum(cm.path_gains @ p))
     combined_rssi = float(mw_to_dbm(total_rx_mw))
 
-    if not solvable or not np.any(ok):
-        per_stream = (NO_SIGNAL_DBM,) * n_streams
-    else:
-        per_stream = tuple(
-            collapse_subcarrier_snr_db(linear_to_db(snr[ok, s]))
-            for s in range(n_streams))
+    per_stream = _per_stream_snr_db(snr, ok) if solvable else (NO_SIGNAL_DBM,) * n_streams
     return PostSnr(per_stream_snr_db=per_stream, combined_rssi_dbm=combined_rssi,
                    solvable=solvable, condition_number=cond_scalar)
 

@@ -80,6 +80,8 @@ def _combined_rssi_dbm(per_chain_rssi_dbm) -> float:
 
 
 def _realize(rng: np.random.Generator, probability: float, count: int) -> float:
+    if math.isnan(probability):
+        raise ValueError("frame success probability is NaN")
     return float(rng.binomial(count, min(1.0, max(0.0, probability))) / count)
 
 

@@ -30,6 +30,7 @@ comma-separated list of tx->rx pairs.
 """
 
 import configparser
+import math
 
 import numpy as np
 
@@ -58,8 +59,8 @@ def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
             raise ValidationError(f"front-end '{fe_id}': missing required key '{key}'")
     boresight = _vector(sec["boresight"], "boresight", fe_id)
     norm = np.linalg.norm(boresight)
-    if norm == 0:
-        raise ValidationError(f"front-end '{fe_id}': boresight must be nonzero")
+    if not 0.0 < norm < math.inf:
+        raise ValidationError(f"front-end '{fe_id}': boresight must be nonzero and finite, got '{sec['boresight']}'")
 
     def opt(key):
         return float(sec[key]) if key in sec else None
@@ -157,6 +158,11 @@ def validate_scene_text(text: str) -> list[str]:
                 raise ValidationError(f"scene file: unknown section '[{section}]'")
         except (ValidationError, ValueError) as exc:
             diagnostics.append(str(exc))
+    if diagnostics:
+        # The scene-wide checks would only echo a section's failure: a rejected
+        # front-end leaves the scene short of a TX or RX, or an obstacle
+        # pointing at an unknown id.
+        return diagnostics
     try:
         Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
               noise_floor_dbm=noise_floor)

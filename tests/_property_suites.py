@@ -10,7 +10,8 @@ import numpy as np
 
 from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Scene, \
     dbm_to_mw, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
-from vlcsim.mimo import mrc_combine, zf_decode
+from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, _stream_snr_per_subcarrier, \
+    mrc_combine, zf_decode
 from vlcsim.oracle import simulate_frame
 from vlcsim.phy import FrameSpec, fsr, mcs, mcs_table
 from vlcsim.scenarios import FrameTrace, HandoverRow, SisoSweepRow, \
@@ -308,6 +309,77 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
             expected.append(HandoverRow(float(az), float(rssi[0]), float(rssi[1]),
                                         float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
         assert run_handover_sweep(scene, azimuths) == expected
+
+
+def _reference_stream_snr(entries, tx_power_per_stream, noise_per_chain):
+    """The ZF kernel as one cond and one inv per subcarrier, in a Python loop."""
+    n_subc, n_rx, n_streams = entries.shape
+    p = np.broadcast_to(np.asarray(tx_power_per_stream, dtype=float), (n_streams,))
+    n0 = np.broadcast_to(np.asarray(noise_per_chain, dtype=float), (n_rx,))
+    snr = np.zeros((n_subc, n_streams))
+    cond = np.full(n_subc, np.inf)
+    ok = np.zeros(n_subc, dtype=bool)
+    for k in range(n_subc):
+        h = entries[k]
+        gram = h.conj().T @ h
+        c = np.linalg.cond(gram)
+        cond[k] = c
+        if not np.isfinite(c) or c > SINGULARITY_CONDITION_CUTOFF:
+            continue
+        w = np.linalg.inv(gram) @ h.conj().T
+        # ZF filter output noise: each stream collects |w|^2-weighted chain noise.
+        noise_out = (np.abs(w) ** 2) @ n0
+        snr[k] = p / noise_out
+        ok[k] = True
+    return snr, cond, ok
+
+
+def zf_batched_exactness(n_cases: int, seed: int = 113) -> None:
+    """The stacked ZF kernel equals the per-subcarrier loop bit for bit.
+
+    Cases cycle through channels whose subcarriers are all singular, all
+    regular, a random mix of singular, nearly singular and regular, and all
+    nearly singular (conditioned around the cutoff). Each is checked on a
+    contiguous array, on a strided view of a wider channel and on a row
+    subset of that view, which is what `extra_diversity_gain` passes.
+    """
+    rng = np.random.default_rng(seed)
+    masks = {"all": 0, "none": 0, "mixed": 0}
+    for case in range(n_cases):
+        n_subc = int(rng.choice([52, 108]))
+        n_rx, n_streams = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        scale = 10.0 ** rng.uniform(-4.0, 0.0)
+        shape = (n_subc, n_rx + 1, n_streams + 1)
+        entries = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        singular_share, near_share = ((1.0, 0.0), (0.0, 0.0),
+                                      tuple(rng.uniform(0.1, 0.5, 2)), (0.0, 1.0))[case % 4]
+        draw = rng.random(n_subc)
+        singular = draw < singular_share
+        near = ~singular & (draw < singular_share + near_share)
+        if n_streams == 1:
+            entries[singular] = 0.0
+        else:
+            # A second column proportional to the first is rank-deficient; a
+            # small perturbation of it puts the Gram condition number anywhere
+            # from far above to far below the cutoff.
+            rank1 = singular | near
+            eps = np.where(near[:, None], 10.0 ** rng.uniform(-7.0, -1.0, (n_subc, 1)), 0.0)
+            entries[rank1, :, 1] = (rng.uniform(0.2, 2.0) * entries[rank1, :, 0]
+                                    + eps[rank1] * entries[rank1, :, 2])
+        power = rng.uniform(0.1, 10.0, size=n_streams) if rng.random() < 0.5 else 1.0
+        noise = rng.uniform(0.1, 10.0, size=n_rx) if rng.random() < 0.5 else 1.0
+        view = entries[:, :, :n_streams]
+        rows = sorted(rng.choice(n_rx + 1, size=n_rx, replace=False))
+        for h in (np.ascontiguousarray(view[:, :n_rx]), view[:, :n_rx], view[:, rows, :]):
+            got = _stream_snr_per_subcarrier(h, power, noise)
+            want = _reference_stream_snr(h, power, noise)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w)
+            ok = want[2]
+            masks["all" if ok.all() else "none" if not ok.any() else "mixed"] += 1
+    if n_cases >= 8:
+        assert min(masks.values()) > 0, masks
 
 
 ALL_SUITES = (

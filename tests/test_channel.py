@@ -122,6 +122,33 @@ class TestFrontEndValidation:
         with pytest.raises(ValidationError, match="active_area"):
             make_rx(area=0.0)
 
+    @pytest.mark.parametrize("area", [math.nan, math.inf])
+    def test_active_area_finite(self, area):
+        with pytest.raises(ValidationError, match="active_area must be a finite number"):
+            make_rx(area=area)
+
+    @pytest.mark.parametrize("gain", [math.nan, -math.inf])
+    def test_conversion_gain_finite(self, gain):
+        with pytest.raises(ValidationError, match="conversion_gain_db must be finite"):
+            make_rx(conversion_gain_db=gain)
+
+    @pytest.mark.parametrize("make", [make_tx, make_rx])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_position_finite(self, make, bad):
+        with pytest.raises(ValidationError, match="position must be finite"):
+            make(position=(1.0, bad, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_boresight_finite(self, bad):
+        with pytest.raises(ValidationError, match="unit vector"):
+            FrontEnd(id="t", role="tx", position=np.zeros(3),
+                     boresight=np.array([1.0, bad, 0.0]),
+                     half_power_semi_angle=30.0, tx_electrical_power_dbm=0.0)
+
+    def test_tx_power_finite(self):
+        with pytest.raises(ValidationError, match="tx_electrical_power_dbm must be a finite"):
+            make_tx(power_dbm=math.nan)
+
 
 class TestSceneValidation:
     def test_needs_tx_and_rx(self):
@@ -137,6 +164,11 @@ class TestSceneValidation:
                        active_frames=(0, 10))
         with pytest.raises(ValidationError, match="rx_missing"):
             Scene(front_ends=(make_tx(), make_rx()), obstacles=(obs,))
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_noise_floor_finite(self, noise):
+        with pytest.raises(ValidationError, match="noise_floor_dbm must be finite"):
+            Scene(front_ends=(make_tx(), make_rx()), noise_floor_dbm=noise)
 
     def test_obstacle_interval_ordering(self):
         with pytest.raises(ValidationError, match="start"):

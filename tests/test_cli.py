@@ -60,6 +60,48 @@ def test_invalid_scene_exits_1_naming_field(tmp_path, capsys):
     assert "fov_half_angle" in err and "(0, 90]" in err
 
 
+def _not_utf8_file(directory):
+    path = directory / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00")
+    return path
+
+
+@pytest.mark.parametrize("make", [lambda d: d / "missing.cfg", lambda d: d, _not_utf8_file],
+                         ids=["missing", "directory", "not-utf8"])
+def test_unreadable_scene_exits_1_with_one_line(make, tmp_path, capsys):
+    scene = make(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--scenario", "siso-sweep", "--scene", str(scene), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot read scene: {scene}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("noise_floor_dbm", "nan", "noise_floor_dbm"),
+    ("noise_floor_dbm", "-inf", "noise_floor_dbm"),
+    ("active_area_m2", "nan", "active_area"),
+    ("active_area_m2", "inf", "active_area"),
+    ("conversion_gain_db", "nan", "conversion_gain_db"),
+    ("position_m", "2.0 nan 0.0", "position"),
+    ("boresight", "-1.0 inf 0.0", "boresight"),
+    ("boresight", "nan 0.0 0.0", "boresight"),
+    ("tx_power_dbm", "nan", "tx_electrical_power_dbm"),
+])
+def test_non_finite_scene_value_exits_1_with_one_line(key, value, field, tmp_path, capsys):
+    lines = (SCENES / "siso.cfg").read_text().splitlines()
+    # The last occurrence of a key belongs to the receiver where both have it.
+    at = max(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[at] = f"{key} = {value}"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["--scenario", "siso-sweep", "--scene", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid scene: ") and field in err[0]
+    assert not out.exists()
+
+
 def test_scene_file_accepted(tmp_path):
     out = tmp_path / "out"
     assert main(["--scenario", "blockage-timeline", "--seed", "7",

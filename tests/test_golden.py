@@ -57,6 +57,11 @@ CASES = {
     "handover-scene": ["--scenario", "handover-sweep", "--scene", "scenes/handover.cfg",
                        "--set", "n_angles=201"],
     "area-grid": ["--scenario", "mimo-area-grid", "--seed", "2", "--set", "count=300"],
+    # The 2x2 placement at the zero-forcing boundary: every subcarrier is
+    # singular at 0.01 dB; at 0.05 dB the Gram condition number is 4.8e5,
+    # just inside the 1e6 cutoff.
+    "area-grid-singular": ["--scenario", "mimo-area-grid", "--set", "imbalance_db=0.01"],
+    "area-grid-edge": ["--scenario", "mimo-area-grid", "--set", "imbalance_db=0.05"],
     "csi-preset": ["--scenario", "csi-report"],
     "csi-scene": ["--scenario", "csi-report", "--scene", "scenes/csi_miso.cfg",
                   "--set", "bits=8", "--set", "bandwidth_mhz=20"],
@@ -93,6 +98,12 @@ DIGESTS = {
     "area-grid": [
         "511684feb80f49f1048303852fc6af4293cde7d948ae5279ff8ed605a8ff0444",
         "94372f59e1db62f6a4897ac398cbfdfe15649231684a9753c4dae27a40fe706b"],
+    "area-grid-singular": [
+        "410a8a5eae8ec6776fdd431f3ae59244a2ddb3c4ab6f101dc7842cbcc2d5d201",
+        "cee63f7b45762310c2fbea69f0ff5fefd033a6d5b570af8a951ed9160e89f1dd"],
+    "area-grid-edge": [
+        "bebd0cda3261670f7b428386657515b25388207363a13f5f5422d774e46afe48",
+        "eec88a00da6e8d33ba33268f5d9f56c5ef63260e3e080ffc08162cf63f4a052d"],
     "csi-preset": [
         "b0e13e42ebeb05daeb379c2304b0ad1aa3139a438ae41305771a2022fa3a0409",
         "3d3e0d5e72c5427d71c3bafd584226c0c292ae4ad037ed0f52fe8999405da033"],

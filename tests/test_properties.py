@@ -49,3 +49,7 @@ def test_siso_sweep_without_channel_matrices_is_exact():
 
 def test_handover_sweep_without_channel_matrices_is_exact():
     suites.handover_sweep_exactness(60)
+
+
+def test_batched_zf_kernel_equals_per_subcarrier_loop():
+    suites.zf_batched_exactness(120)

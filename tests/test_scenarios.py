@@ -103,6 +103,10 @@ class TestMrcFsrPoint:
         bound = 1.0 - (1.0 - point.fsr_a) * (1.0 - point.fsr_b) - 0.02
         assert point.fsr_mrc >= bound
 
+    def test_nan_probability_is_not_realized_as_zero(self):
+        with pytest.raises(ValueError, match="NaN"):
+            run_mrc_fsr_point([math.nan, 10.0], FRAME, seed=1)
+
 
 class TestHandoverSweep:
     def test_combined_power_stays_flat(self, handover_rows):
