@@ -25,7 +25,6 @@ import numpy as np
 from . import presets, scenarios
 from .channel import ChannelMatrix, subcarrier_frequencies
 from .errors import ValidationError
-from .mimo import mrc_combine
 from .oracle import empirical_fsr, oracle_snr_for
 from .phy import FrameSpec, fsr, mcs, snr_for_fsr
 from .sceneconfig import load_scene, scene_to_text, validate_scene_file
@@ -54,6 +53,15 @@ def _parse_list(parse):
     return parse_list
 
 
+def _finite(parse):
+    def parse_finite(text):
+        value = parse(text)
+        if not math.isfinite(value):
+            raise ValueError(f"must be a finite number, got {value}")
+        return value
+    return parse_finite
+
+
 def _positive(parse):
     def parse_positive(text):
         value = parse(text)
@@ -64,7 +72,8 @@ def _positive(parse):
 
 
 _parse_int_list = _parse_list(int)
-_parse_float_list = _parse_list(float)
+_finite_float = _finite(float)
+_parse_finite_float_list = _parse_list(_finite_float)
 _positive_int = _positive(int)
 _positive_float = _positive(float)
 
@@ -76,13 +85,13 @@ _OVERRIDE_KEYS = {
     "blockage-timeline": {"payload_bytes": _positive_int, "n_frames": _positive_int,
                           "mcs_index": int},
     "mrc-fsr-point": {"payload_bytes": _positive_int, "count": _positive_int,
-                      "fsr_a": float, "fsr_b": float},
+                      "fsr_a": _finite_float, "fsr_b": _finite_float},
     "handover-sweep": {"n_angles": _positive_int},
     "mimo-area-grid": {"payload_bytes": _positive_int, "count": _positive_int,
-                       "imbalance_db": float, "mcs": _parse_int_list},
+                       "imbalance_db": _finite_float, "mcs": _parse_int_list},
     "csi-report": {"bits": int, "bandwidth_mhz": int},
     "oracle-check": {"payload_bytes": _positive_int, "n_frames": _positive_int,
-                     "mcs": _parse_int_list, "offsets_db": _parse_float_list},
+                     "mcs": _parse_int_list, "offsets_db": _parse_finite_float_list},
 }
 
 
@@ -132,10 +141,9 @@ def _run_mrc_point(seed, ov):
     snr_b = snr_for_fsr(entry, ov.get("fsr_b", presets.MRC_POINT_TARGET_FSR[1]))
     point = scenarios.run_mrc_fsr_point((snr_a, snr_b), frame, seed)
     header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
-    _, mrc_db = mrc_combine([10 ** (snr_a / 10), 10 ** (snr_b / 10)])
     csv_rows = [["A", snr_a, point.analytic_a, point.fsr_a],
                 ["B", snr_b, point.analytic_b, point.fsr_b],
-                ["MRC", mrc_db, point.analytic_mrc, point.fsr_mrc]]
+                ["MRC", point.mrc_snr_db, point.analytic_mrc, point.fsr_mrc]]
     return header, csv_rows, {"fsr_a": point.fsr_a, "fsr_b": point.fsr_b,
                               "fsr_mrc": point.fsr_mrc}
 

@@ -126,14 +126,43 @@ def _effective_channel(cm: ChannelMatrix, n_streams: int) -> np.ndarray:
     return cm.entries[:, :, :n_streams]
 
 
-def simulate_frame(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
-                   snr_db: float, seed: int,
-                   combining: str = "mrc") -> tuple[int, bool]:
-    """Simulate one frame end to end; returns (bit_errors, frame_ok).
+@dataclass(frozen=True, eq=False)
+class _Link:
+    """What every frame of one operating point shares: channel, noise level, equalizer.
 
-    Deterministic for a fixed seed. `combining` picks the single-stream
-    equalizer ("mrc" or "sc"); two streams always use ZF.
+    Complex products that einsum formed are kept as real and imaginary parts
+    and formed by `_cmul`, so they repeat einsum's arithmetic exactly.
     """
+
+    modulation: str
+    # h[k, i, s] * point for every constellation point, shape
+    # (n_streams, n_rx, K, n_points), and the flat offset of each (s, i, k) row.
+    rx_re: np.ndarray
+    rx_im: np.ndarray
+    offsets: np.ndarray
+    noise_scale: float  # sqrt(n0 / 2) per real dimension
+    combining: str  # "mrc" or "sc" for one stream, "zf" for two
+    weights: np.ndarray | None  # mrc: conjugate columns (n_rx, K, 1); zf: pinv as
+    # stacked real and imaginary parts, (2, n_rx, n_streams, K, 1)
+    denom: np.ndarray | None  # mrc/sc: (K, 1)
+    best: int  # sc: the chain with the most channel energy
+
+
+def _cmul(ar, ai, br, bi):
+    """Complex product from real parts, each real product rounded on its own.
+
+    This is the arithmetic of einsum's complex loops; numpy's complex
+    `multiply` may fuse multiply-adds and round differently.
+    """
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
+
+
+def _prepare(cm: ChannelMatrix, mcs: McsEntry, snr_db: float, combining: str) -> _Link:
+    """Check the operating point and do the per-channel work of a frame once."""
     n_streams = mcs.n_streams
     if cm.n_rx < n_streams:
         raise UnderdeterminedError(
@@ -143,43 +172,128 @@ def simulate_frame(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
     if combining not in ("mrc", "sc"):
         raise ValueError(f"combining must be 'mrc' or 'sc', got '{combining}'")
 
-    rng = np.random.default_rng(seed)
-    n_bits = frame.payload_bytes * 8
-    bits = rng.integers(0, 2, size=n_bits)
-    grid = modulate_payload(bits, mcs, cm.n_subcarriers)
-    x = grid.symbols  # (n_streams, K, T)
-    n_ofdm = x.shape[2]
+    bps = MODULATION_BITS[mcs.modulation]
+    patterns = (np.arange(1 << bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+    points = modulate(patterns.reshape(-1), mcs.modulation)  # by symbol index, MSB first
 
     h = _effective_channel(cm, n_streams)  # (K, n_rx, n_streams)
     # Mean per-chain received signal power for unit-energy streams; the noise
     # level is referenced to it so snr_db is the average receive SNR.
     p_ref = float(np.mean(np.sum(np.abs(h) ** 2, axis=2)))
     n0 = p_ref * 10.0 ** (-snr_db / 10.0)
-    noise = math.sqrt(n0 / 2.0) * (
-        rng.standard_normal((cm.n_rx, cm.n_subcarriers, n_ofdm))
-        + 1j * rng.standard_normal((cm.n_rx, cm.n_subcarriers, n_ofdm)))
-    # y[i, k, t] = sum_s h[k, i, s] x[s, k, t] + noise
-    y = np.einsum("kis,skt->ikt", h, x) + noise
+    columns = h.transpose(2, 1, 0)[..., None]
+    rx_re, rx_im = _cmul(columns.real, columns.imag, points.real, points.imag)
 
+    weights, denom, best = None, None, 0
     if n_streams == 1:
         hk = h[:, :, 0].T  # (n_rx, K)
         if combining == "sc":
             best = int(np.argmax(np.sum(np.abs(hk) ** 2, axis=1)))
             denom = hk[best]
             denom = np.where(np.abs(denom) > 0, denom, 1.0)
-            x_hat = (y[best] / denom[:, None])[None, :, :]
         else:
-            weights = hk.conj()
+            weights = hk.conj()[:, :, None]
             denom = np.sum(np.abs(hk) ** 2, axis=0)
             denom = np.where(denom > 0, denom, 1.0)
-            x_hat = (np.sum(weights[:, :, None] * y, axis=0) / denom[:, None])[None, :, :]
+        denom = denom[:, None]
     else:
-        w = np.linalg.pinv(h)  # (K, n_streams, n_rx)
-        x_hat = np.einsum("ksi,ikt->skt", w, y)
+        w = np.linalg.pinv(h).transpose(2, 1, 0)[..., None]  # (n_rx, n_streams, K, 1)
+        weights = np.stack([w.real, w.imag])
 
-    rx_bits = demodulate(x_hat.transpose(2, 0, 1).reshape(-1), mcs.modulation)
+    return _Link(modulation=mcs.modulation, rx_re=rx_re, rx_im=rx_im,
+                 offsets=np.arange(0, rx_re.size, points.size).reshape(columns.shape),
+                 noise_scale=math.sqrt(n0 / 2.0),
+                 combining=combining if n_streams == 1 else "zf",
+                 weights=weights, denom=denom, best=best)
+
+
+def _run_frame(link: _Link, frame: FrameSpec, seed: int) -> tuple[int, bool]:
+    """One frame at a prepared operating point; returns (bit_errors, frame_ok).
+
+    Arrays are dropped as soon as they are used up. A frame's peak heap size
+    decides whether the C allocator returns memory to the system after each
+    frame and faults it in again in the next; holding every array to the end
+    made a 2x2 BPSK frame fault in about 170 pages.
+    """
+    rng = np.random.default_rng(seed)
+    n_bits = frame.payload_bytes * 8
+    bits = rng.integers(0, 2, size=n_bits)
+
+    # The grid of `modulate_payload`: zero-padded bits, stream-major within
+    # each OFDM symbol, one symbol index (most significant bit first) per
+    # (time, stream, subcarrier).
+    bps = MODULATION_BITS[link.modulation]
+    n_streams, n_rx, n_sc, _ = link.rx_re.shape
+    per_sym = bps * n_streams * n_sc
+    n_ofdm = max(1, math.ceil(n_bits / per_sym))
+    index = np.zeros(n_ofdm * per_sym, dtype=np.intp)
+    index[:n_bits] = bits
+    if bps > 1:
+        groups = index.reshape(-1, bps)
+        index = groups[:, 0] << (bps - 1)
+        for b in range(1, bps):
+            index |= groups[:, b] << (bps - 1 - b)
+    index = index.reshape(n_ofdm, n_streams, 1, n_sc).transpose(1, 2, 3, 0)
+
+    # y[i, k, t] = sum_s h[k, i, s] x[s, k, t] + noise: each product is looked
+    # up in the table, the streams are summed in order, then the noise added.
+    at = np.empty((n_rx, n_sc, n_ofdm), dtype=np.intp)
+    for s in range(n_streams):
+        np.add(index[s], link.offsets[s], out=at)
+        if s == 0:
+            sig_re, sig_im = link.rx_re.take(at), link.rx_im.take(at)
+        else:
+            sig_re += link.rx_re.take(at)
+            sig_im += link.rx_im.take(at)
+    del index, at
+    y_re, y_im = rng.standard_normal((2, n_rx, n_sc, n_ofdm))
+    y_re *= link.noise_scale
+    y_im *= link.noise_scale
+    y_re += sig_re
+    y_im += sig_im
+    del sig_re, sig_im
+
+    if link.combining == "zf":
+        # x_hat[s, k, t] = sum_i w[k, s, i] y[i, k, t], the chains summed in order
+        w_re, w_im = link.weights
+        x_re, x_im = _cmul(w_re[0], w_im[0], y_re[0], y_im[0])
+        for i in range(1, n_rx):
+            p_re, p_im = _cmul(w_re[i], w_im[i], y_re[i], y_im[i])
+            x_re += p_re
+            x_im += p_im
+        del y_re, y_im, p_re, p_im
+        symbols = np.empty((n_ofdm, n_streams, n_sc), dtype=complex)
+        symbols.real = x_re.transpose(2, 0, 1)
+        symbols.imag = x_im.transpose(2, 0, 1)
+    else:
+        y = np.empty((n_rx, n_sc, n_ofdm), dtype=complex)
+        y.real = y_re
+        y.imag = y_im
+        del y_re, y_im
+        if link.combining == "sc":
+            x_hat = y[link.best] / link.denom
+        else:
+            x_hat = link.weights[0] * y[0]
+            for i in range(1, n_rx):
+                x_hat += link.weights[i] * y[i]
+            x_hat /= link.denom
+        del y
+        symbols = x_hat.T
+
+    rx_bits = demodulate(symbols.reshape(-1), link.modulation)
     bit_errors = int(np.count_nonzero(rx_bits[:n_bits] != bits))
     return bit_errors, bit_errors == 0
+
+
+def simulate_frame(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
+                   snr_db: float, seed: int,
+                   combining: str = "mrc") -> tuple[int, bool]:
+    """Simulate one frame end to end; returns (bit_errors, frame_ok).
+
+    Deterministic for a fixed seed. `combining` picks the single-stream
+    equalizer ("mrc" or "sc"); two streams always use ZF.
+    """
+    return _run_frame(_prepare(cm, mcs, snr_db, combining), frame, seed)
 
 
 def empirical_fsr(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
@@ -188,9 +302,10 @@ def empirical_fsr(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
     """Fraction of error-free frames over per-frame seeds seed, seed+1, ..."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    link = _prepare(cm, mcs, snr_db, combining)
     ok = 0
     for i in range(n_frames):
-        _, frame_ok = simulate_frame(cm, mcs, frame, snr_db, seed + i, combining=combining)
+        _, frame_ok = _run_frame(link, frame, seed + i)
         ok += frame_ok
     return ok / n_frames
 

@@ -142,6 +142,10 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
     phase: the gain ratio moves by `imbalance_db` while the row stays almost
     proportional to an untilted area-2 row.
     """
+    if not imbalance_db >= 0.0:
+        raise ValueError(
+            f"imbalance of {imbalance_db} dB is not reachable by tilting: the reachable "
+            "range is about [0, 0.59] dB")
     if imbalance_db == 0.0:
         return 0.0
     tx_a, tx_b = _area_tx("a"), _area_tx("b")

@@ -52,6 +52,7 @@ class MrcFsrPoint:
     analytic_a: float
     analytic_b: float
     analytic_mrc: float
+    mrc_snr_db: float
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,8 @@ def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int,
         fsr_a=_realize(rng, analytic_a, frame.count),
         fsr_b=_realize(rng, analytic_b, frame.count),
         fsr_mrc=_realize(rng, analytic_mrc, frame.count),
-        analytic_a=analytic_a, analytic_b=analytic_b, analytic_mrc=analytic_mrc)
+        analytic_a=analytic_a, analytic_b=analytic_b, analytic_mrc=analytic_mrc,
+        mrc_snr_db=mrc_db)
 
 
 def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:

@@ -12,8 +12,10 @@ from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Sc
     dbm_to_mw, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, _stream_snr_per_subcarrier, \
     mrc_combine, zf_decode
-from vlcsim.oracle import simulate_frame
-from vlcsim.phy import FrameSpec, fsr, mcs, mcs_table
+from vlcsim.errors import UnderdeterminedError
+from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate_payload, \
+    simulate_frame
+from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
 from vlcsim.scenarios import FrameTrace, HandoverRow, SisoSweepRow, \
     run_blockage_timeline, run_handover_sweep, run_siso_sweep
 
@@ -380,6 +382,130 @@ def zf_batched_exactness(n_cases: int, seed: int = 113) -> None:
             masks["all" if ok.all() else "none" if not ok.any() else "mixed"] += 1
     if n_cases >= 8:
         assert min(masks.values()) > 0, masks
+
+
+def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
+                     snr_db: float, seed: int,
+                     combining: str = "mrc") -> tuple[int, bool]:
+    """Simulate one frame end to end; returns (bit_errors, frame_ok).
+
+    Deterministic for a fixed seed. `combining` picks the single-stream
+    equalizer ("mrc" or "sc"); two streams always use ZF.
+    """
+    n_streams = mcs.n_streams
+    if cm.n_rx < n_streams:
+        raise UnderdeterminedError(
+            f"{cm.n_rx} receive chain(s) cannot carry {n_streams} streams")
+    if n_streams > cm.n_tx:
+        raise ValueError(f"{cm.n_tx} transmit element(s) cannot carry {n_streams} streams")
+    if combining not in ("mrc", "sc"):
+        raise ValueError(f"combining must be 'mrc' or 'sc', got '{combining}'")
+
+    rng = np.random.default_rng(seed)
+    n_bits = frame.payload_bytes * 8
+    bits = rng.integers(0, 2, size=n_bits)
+    grid = modulate_payload(bits, mcs, cm.n_subcarriers)
+    x = grid.symbols  # (n_streams, K, T)
+    n_ofdm = x.shape[2]
+
+    h = _effective_channel(cm, n_streams)  # (K, n_rx, n_streams)
+    # Mean per-chain received signal power for unit-energy streams; the noise
+    # level is referenced to it so snr_db is the average receive SNR.
+    p_ref = float(np.mean(np.sum(np.abs(h) ** 2, axis=2)))
+    n0 = p_ref * 10.0 ** (-snr_db / 10.0)
+    noise = math.sqrt(n0 / 2.0) * (
+        rng.standard_normal((cm.n_rx, cm.n_subcarriers, n_ofdm))
+        + 1j * rng.standard_normal((cm.n_rx, cm.n_subcarriers, n_ofdm)))
+    # y[i, k, t] = sum_s h[k, i, s] x[s, k, t] + noise
+    y = np.einsum("kis,skt->ikt", h, x) + noise
+
+    if n_streams == 1:
+        hk = h[:, :, 0].T  # (n_rx, K)
+        if combining == "sc":
+            best = int(np.argmax(np.sum(np.abs(hk) ** 2, axis=1)))
+            denom = hk[best]
+            denom = np.where(np.abs(denom) > 0, denom, 1.0)
+            x_hat = (y[best] / denom[:, None])[None, :, :]
+        else:
+            weights = hk.conj()
+            denom = np.sum(np.abs(hk) ** 2, axis=0)
+            denom = np.where(denom > 0, denom, 1.0)
+            x_hat = (np.sum(weights[:, :, None] * y, axis=0) / denom[:, None])[None, :, :]
+    else:
+        w = np.linalg.pinv(h)  # (K, n_streams, n_rx)
+        x_hat = np.einsum("ksi,ikt->skt", w, y)
+
+    rx_bits = demodulate(x_hat.transpose(2, 0, 1).reshape(-1), mcs.modulation)
+    bit_errors = int(np.count_nonzero(rx_bits[:n_bits] != bits))
+    return bit_errors, bit_errors == 0
+
+
+def _reference_fsr(cm: ChannelMatrix, mcs, frame: FrameSpec,
+                   snr_db: float, n_frames: int, seed: int,
+                   combining: str = "mrc") -> float:
+    """Fraction of error-free frames over per-frame seeds seed, seed+1, ..."""
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    ok = 0
+    for i in range(n_frames):
+        _, frame_ok = _reference_frame(cm, mcs, frame, snr_db, seed + i, combining=combining)
+        ok += frame_ok
+    return ok / n_frames
+
+
+def oracle_frame_exactness(n_cases: int, seed: int = 114) -> None:
+    """The prepared oracle frame equals the one-call-per-frame oracle exactly.
+
+    `_reference_frame` and `_reference_fsr` are the oracle's `simulate_frame`
+    and `empirical_fsr` as they were when every frame redid the per-channel
+    work and formed the signal and the ZF output with einsum. Cases cycle
+    through flat, random gain/delay and rank-deficient channels (every TX
+    column proportional to the first, or dead chains) with 1-3 chains and up
+    to 3 TX elements, at 20 and 40 MHz, MCS 0-15, MRC and SC, and payloads
+    that mostly need padding. Some SNRs are so high or infinite that on
+    rank-deficient ZF links the rounding of the arithmetic alone decides
+    bits, so a change of even one ulp in the signal or the equalizer shows.
+    Every tenth case also compares a short Monte-Carlo FSR.
+    """
+    rng = np.random.default_rng(seed)
+    seen = {"padded": 0, "rounding-decided": 0}
+    for case in range(n_cases):
+        entry = mcs(int(rng.integers(0, 16)))
+        n_streams = entry.n_streams
+        n_rx, n_tx = int(rng.integers(n_streams, 4)), int(rng.integers(n_streams, 4))
+        n_subc = 52 if rng.random() < 0.5 else 108
+        freqs = subcarrier_frequencies(20 if n_subc == 52 else 40)
+        kind = case % 3
+        if kind == 0:
+            gains, delays = np.eye(n_rx, n_tx), np.zeros((n_rx, n_tx))
+        else:
+            gains = rng.uniform(0.05, 1.5, size=(n_rx, n_tx))
+            delays = rng.uniform(0.0, 20e-9, size=(n_rx, n_tx))
+        ties = kind == 2 and rng.random() < 0.5
+        if kind == 2:
+            # Equal TX columns make two-stream ZF output exact midpoints
+            # between constellation levels, so rounding decides those bits.
+            gains = gains[:, :1] * (np.ones(n_tx) if ties else rng.uniform(0.5, 1.5, size=n_tx))
+            delays = np.repeat(delays[:, :1], n_tx, axis=1)
+            if n_rx > n_streams and rng.random() < 0.3:
+                gains[n_streams:] = 0.0
+        cm = ChannelMatrix.from_paths(gains, delays, freqs)
+        frame = FrameSpec(payload_bytes=int(rng.integers(1, 300)), count=1)
+        snr = float(rng.choice([rng.uniform(0.0, 30.0), 300.0, np.inf]))
+        combining = "sc" if rng.random() < 0.5 else "mrc"
+        s = int(rng.integers(0, 2 ** 31))
+        got = simulate_frame(cm, entry, frame, snr, s, combining=combining)
+        want = _reference_frame(cm, entry, frame, snr, s, combining=combining)
+        assert got == want, (case, entry.index, n_rx, n_tx, n_subc, kind, snr, combining)
+        per_sym = MODULATION_BITS[entry.modulation] * n_streams * n_subc
+        seen["padded"] += (frame.payload_bytes * 8) % per_sym != 0
+        seen["rounding-decided"] += ties and n_streams == 2 and snr > 100.0
+        if case % 10 == 0:
+            n = int(rng.integers(2, 6))
+            assert empirical_fsr(cm, entry, frame, snr, n, s, combining=combining) == \
+                _reference_fsr(cm, entry, frame, snr, n, s, combining=combining)
+    if n_cases >= 100:
+        assert min(seen.values()) > 0, seen
 
 
 ALL_SUITES = (

@@ -212,10 +212,20 @@ def test_siso_sweep_scenario_small(tmp_path):
     ["--scenario", "mrc-fsr-point", "--set", "count=0"],
     ["--scenario", "mrc-fsr-point", "--set", "fsr_a=1.5"],
     ["--scenario", "csi-report", "--set", "bits=1"],
+    ["--scenario", "oracle-check", "--set", "offsets_db=nan", "--set", "n_frames=2",
+     "--set", "mcs=0"],
+    ["--scenario", "oracle-check", "--set", "offsets_db=0,inf", "--set", "n_frames=2"],
+    ["--scenario", "mimo-area-grid", "--set", "imbalance_db=nan"],
+    ["--scenario", "mimo-area-grid", "--set", "imbalance_db=-inf"],
+    ["--scenario", "mimo-area-grid", "--set", "imbalance_db=-1"],
+    ["--scenario", "mrc-fsr-point", "--set", "fsr_a=nan"],
+    ["--scenario", "mrc-fsr-point", "--set", "fsr_b=-inf"],
 ], ids=["blockage-0-frames", "handover-0-angles", "handover-negative-angles",
         "siso-0-distances", "siso-negative-d_min", "siso-nan-d_max", "siso-no-mcs",
         "blockage-2-streams-on-1-tx", "siso-2-streams-on-1x1", "mrc-0-count",
-        "mrc-fsr-out-of-range", "csi-1-bit"])
+        "mrc-fsr-out-of-range", "csi-1-bit", "oracle-nan-offset", "oracle-inf-offset",
+        "area-nan-imbalance", "area-minus-inf-imbalance", "area-negative-imbalance",
+        "mrc-nan-fsr", "mrc-minus-inf-fsr"])
 def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -224,4 +234,28 @@ def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("vlcsim: error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("offsets_db", "nan"), ("offsets_db", "-1,inf"),
+                                       ("imbalance_db", "nan"), ("fsr_a", "inf")])
+def test_non_finite_set_value_names_the_key(key, value, tmp_path, capsys):
+    scenario = {"offsets_db": "oracle-check", "imbalance_db": "mimo-area-grid",
+                "fsr_a": "mrc-fsr-point"}[key]
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", scenario, "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"vlcsim: error: --set {key}: ")
+    assert "finite" in err[-1]
+
+
+def test_negative_imbalance_names_the_reachable_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "mimo-area-grid", "--set", "imbalance_db=-1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "f(a) and f(b)" not in err
+    assert "[0, 0.59] dB" in err.strip().splitlines()[-1]
     assert not out.exists()

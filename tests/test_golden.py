@@ -67,6 +67,9 @@ CASES = {
                   "--set", "bits=8", "--set", "bandwidth_mhz=20"],
     "oracle": ["--scenario", "oracle-check", "--seed", "3", "--set", "n_frames=20",
                "--set", "mcs=0,9"],
+    # 16- and 64-QAM constellations, 2-stream ZF and a padded last OFDM symbol.
+    "oracle-qam": ["--scenario", "oracle-check", "--seed", "5", "--set", "n_frames=10",
+                   "--set", "mcs=3,7,11,15", "--set", "payload_bytes=300"],
 }
 
 # [csv sha256, summary.json sha256] per case.
@@ -113,6 +116,9 @@ DIGESTS = {
     "oracle": [
         "7ea06e3ae4051730eb199caeb9991234a1507c4867580bab22042dd3584f0733",
         "6207c5a534e02526fcc63a89f896eaf6c489e0c9e6962e07c9ce46e912c60e4a"],
+    "oracle-qam": [
+        "854b52139f00b0ee146b3e5539b09dd2283423e7d9fb260300f320fb269e871c",
+        "091d5ec70b74b0d33d31e00c567c61beea28b1adbc6cdfd072dd2aee56e6a138"],
 }
 
 

@@ -53,3 +53,7 @@ def test_handover_sweep_without_channel_matrices_is_exact():
 
 def test_batched_zf_kernel_equals_per_subcarrier_loop():
     suites.zf_batched_exactness(120)
+
+
+def test_prepared_oracle_frame_equals_per_frame_oracle():
+    suites.oracle_frame_exactness(600)

@@ -9,6 +9,7 @@ from vlcsim import presets
 from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, channel_matrix,
                             los_gain, subcarrier_frequencies)
 from vlcsim.errors import NoLinkError
+from vlcsim.mimo import mrc_combine
 from vlcsim.phy import FrameSpec, mcs
 from vlcsim.scenarios import (TIMELINE_TOTAL_FRAMES, report_csi,
                               run_blockage_timeline, run_csi_report,
@@ -107,6 +108,11 @@ class TestMrcFsrPoint:
         with pytest.raises(ValueError, match="NaN"):
             run_mrc_fsr_point([math.nan, 10.0], FRAME, seed=1)
 
+    def test_reports_the_combined_snr(self):
+        point = run_mrc_fsr_point([3.0, 6.0], FRAME, seed=1)
+        assert point.mrc_snr_db == mrc_combine([10.0 ** 0.3, 10.0 ** 0.6])[1]
+        assert point.mrc_snr_db == pytest.approx(10 * math.log10(10 ** 0.3 + 10 ** 0.6))
+
 
 class TestHandoverSweep:
     def test_combined_power_stays_flat(self, handover_rows):
@@ -191,6 +197,11 @@ class TestMimoAreaGrid:
     def test_imbalance_only_for_double_area2(self):
         with pytest.raises(ValueError):
             presets.mimo_area_scene((1, 3), imbalance_db=0.5)
+
+    @pytest.mark.parametrize("imbalance_db", [-1.0, -1e-9, -math.inf, math.nan])
+    def test_negative_imbalance_rejected_with_reachable_range(self, imbalance_db):
+        with pytest.raises(ValueError, match=r"\[0, 0\.59\] dB"):
+            presets.area2_tilt_for_imbalance(imbalance_db)
 
     def test_unreachable_imbalance_rejected(self):
         with pytest.raises(ValueError, match="not reachable"):
