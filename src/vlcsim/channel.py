@@ -138,15 +138,12 @@ class Obstacle:
 
     blocked_pairs: frozenset
     active_frames: tuple[int, int]
-    kind: str = "full-path-block"
 
     def __post_init__(self):
         object.__setattr__(self, "blocked_pairs",
                            frozenset((str(t), str(r)) for t, r in self.blocked_pairs))
         start, end = self.active_frames
         object.__setattr__(self, "active_frames", (int(start), int(end)))
-        if self.kind != "full-path-block":
-            raise ValidationError(f"obstacle: unsupported kind '{self.kind}'")
         if not self.active_frames[0] < self.active_frames[1]:
             raise ValidationError(
                 f"obstacle: active_frames start must be < end, got {self.active_frames}")

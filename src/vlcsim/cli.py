@@ -27,7 +27,7 @@ from .channel import ChannelMatrix, subcarrier_frequencies
 from .errors import ValidationError
 from .oracle import empirical_fsr, oracle_snr_for
 from .phy import FrameSpec, fsr, mcs, snr_for_fsr
-from .sceneconfig import load_scene, scene_to_text, validate_scene_file
+from .sceneconfig import read_scene_file, scene_to_text
 
 SCENARIOS = ("siso-sweep", "blockage-timeline", "mrc-fsr-point", "handover-sweep",
              "mimo-area-grid", "csi-report", "oracle-check")
@@ -227,7 +227,7 @@ def run(config: RunConfig) -> int:
     scene_text = None
     if config.scene is not None:
         try:
-            diagnostics = validate_scene_file(config.scene)
+            scene, diagnostics = read_scene_file(config.scene)
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             print(f"cannot read scene: {config.scene}: {reason}", file=sys.stderr)
@@ -236,7 +236,6 @@ def run(config: RunConfig) -> int:
             for d in diagnostics:
                 print(f"invalid scene: {d}", file=sys.stderr)
             return 1
-        scene = load_scene(config.scene)
         scene_text = scene_to_text(scene)
 
     name, seed, ov = config.scenario, config.seed, config.overrides

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc, expit
 
+from ._numerics import brentq, erfc, expit
 from .channel import ChannelMatrix
 from .errors import UnderdeterminedError
 from .phy import FSR_SLOPE_DB, FrameSpec, McsEntry, MODULATION_BITS
@@ -82,10 +81,9 @@ def demodulate(symbols: np.ndarray, modulation: str) -> np.ndarray:
         return (symbols.real > 0).astype(np.int64)
     bps = MODULATION_BITS[modulation]
     axis_bits = bps // 2
-    scaled = symbols * _MOD_NORM[modulation]
-    i_bits = _demod_axis(scaled.real, axis_bits).reshape(-1, axis_bits)
-    q_bits = _demod_axis(scaled.imag, axis_bits).reshape(-1, axis_bits)
-    return np.concatenate([i_bits, q_bits], axis=1).reshape(-1)
+    # Interleaved I and Q values give the bits in modulate's order: I then Q per symbol.
+    scaled = (symbols * _MOD_NORM[modulation]).astype(complex, copy=False)
+    return _demod_axis(scaled.view(np.float64), axis_bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +309,8 @@ def empirical_fsr(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
 
 
 def q_function(x) -> np.ndarray:
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    z = np.asarray(x, dtype=float) / math.sqrt(2.0)
+    return 0.5 * np.array([erfc(v) for v in np.ravel(z).tolist()]).reshape(np.shape(z))
 
 
 def uncoded_bit_error_rate(modulation: str, snr_db) -> np.ndarray:
@@ -340,7 +339,7 @@ def oracle_waterfall(modulation: str, n_bits: int) -> tuple[float, float]:
     which is the one-time calibration that aligns oracle runs with the
     analytic ladder.
     """
-    lo_q, hi_q = float(expit(-1.0)), float(expit(1.0))
+    lo_q, hi_q = expit(-1.0), expit(1.0)
 
     def solve(target):
         return brentq(lambda s: float(uncoded_frame_success(modulation, s, n_bits)) - target,

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, logit
+
+from ._numerics import expit, logit
 
 FSR_SLOPE_DB = 0.4
 REFERENCE_PAYLOAD_BYTES = 1000
@@ -128,7 +129,7 @@ def fsr(entry: McsEntry, per_stream_snr_db, frame: FrameSpec,
     effective = float(np.min(snrs))
     if effective == float("-inf"):
         return 0.0
-    base = float(expit((effective - entry.snr_threshold_db) / FSR_SLOPE_DB))
+    base = expit((effective - entry.snr_threshold_db) / FSR_SLOPE_DB)
     if length_aware:
         return base ** (frame.payload_bytes / REFERENCE_PAYLOAD_BYTES)
     return base
@@ -140,7 +141,7 @@ def snr_for_fsr(entry: McsEntry, target_fsr: float,
     if not 0.0 < target_fsr < 1.0:
         raise ValueError(f"target FSR must be in (0, 1), got {target_fsr}")
     base = target_fsr ** (REFERENCE_PAYLOAD_BYTES / frame.payload_bytes)
-    return entry.snr_threshold_db + FSR_SLOPE_DB * float(logit(base))
+    return entry.snr_threshold_db + FSR_SLOPE_DB * logit(base)
 
 
 def collapse_subcarrier_snr_db(per_subcarrier_snr_db) -> float:

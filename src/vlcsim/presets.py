@@ -14,8 +14,8 @@ transmitter plane.
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._numerics import brentq
 from .channel import (DEFAULT_CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, FrontEnd,
                       Obstacle, Scene, los_gain)
 from .phy import mcs, snr_for_fsr

@@ -107,44 +107,23 @@ def _read_sections(text: str):
     return parser
 
 
-def parse_scene(text: str) -> Scene:
-    """Parse scene text; raises ValidationError naming the first offending field."""
-    parser = _read_sections(text)
-    noise_floor = DEFAULT_NOISE_FLOOR_DBM
-    front_ends, obstacles = [], []
-    for section in parser.sections():
-        sec = parser[section]
-        if section == "scene":
-            noise_floor = float(sec.get("noise_floor_dbm", DEFAULT_NOISE_FLOOR_DBM))
-        elif section.startswith("frontend "):
-            front_ends.append(_frontend_from_section(section.split(None, 1)[1], sec))
-        elif section.startswith("obstacle "):
-            obstacles.append(_obstacle_from_section(section.split(None, 1)[1], sec))
-        else:
-            raise ValidationError(
-                f"scene file: unknown section '[{section}]' (expected scene, frontend <id>, obstacle <name>)")
-    return Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
-                 noise_floor_dbm=noise_floor)
+# Appended to the unknown-section error that `parse_scene` raises; the
+# one-line diagnostics of `validate_scene_text` leave it out.
+_SECTION_HINT = " (expected scene, frontend <id>, obstacle <name>)"
 
 
-def load_scene(path) -> Scene:
-    with open(path) as f:
-        return parse_scene(f.read())
+def _build_scene(text: str) -> tuple[Scene | None, list[ValueError]]:
+    """The scene, or the errors of every offending object and no scene.
 
-
-def validate_scene_text(text: str) -> list[str]:
-    """All diagnostics for a scene file; empty list iff every invariant holds.
-
-    Collects one diagnostic per offending object instead of stopping at the
+    Collects one error per offending section instead of stopping at the
     first, so a config review sees everything at once.
     """
-    diagnostics = []
     try:
         parser = _read_sections(text)
     except ValidationError as exc:
-        return [str(exc)]
+        return None, [exc]
     noise_floor = DEFAULT_NOISE_FLOOR_DBM
-    front_ends, obstacles = [], []
+    front_ends, obstacles, errors = [], [], []
     for section in parser.sections():
         sec = parser[section]
         try:
@@ -155,25 +134,53 @@ def validate_scene_text(text: str) -> list[str]:
             elif section.startswith("obstacle "):
                 obstacles.append(_obstacle_from_section(section.split(None, 1)[1], sec))
             else:
-                raise ValidationError(f"scene file: unknown section '[{section}]'")
-        except (ValidationError, ValueError) as exc:
-            diagnostics.append(str(exc))
-    if diagnostics:
+                raise ValidationError(f"scene file: unknown section '[{section}]'{_SECTION_HINT}")
+        except ValueError as exc:
+            errors.append(exc)
+    if errors:
         # The scene-wide checks would only echo a section's failure: a rejected
         # front-end leaves the scene short of a TX or RX, or an obstacle
         # pointing at an unknown id.
-        return diagnostics
+        return None, errors
     try:
-        Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
-              noise_floor_dbm=noise_floor)
+        return Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
+                     noise_floor_dbm=noise_floor), []
     except ValidationError as exc:
-        diagnostics.append(str(exc))
-    return diagnostics
+        return None, [exc]
+
+
+def _check_scene_text(text: str) -> tuple[Scene | None, list[str]]:
+    """(scene, []) if every invariant holds, else (None, one diagnostic per offending object)."""
+    scene, errors = _build_scene(text)
+    return scene, [str(exc).removesuffix(_SECTION_HINT) for exc in errors]
+
+
+def parse_scene(text: str) -> Scene:
+    """Parse scene text; raises the error of the first offending field."""
+    scene, errors = _build_scene(text)
+    if errors:
+        raise errors[0]
+    return scene
+
+
+def load_scene(path) -> Scene:
+    with open(path) as f:
+        return parse_scene(f.read())
+
+
+def validate_scene_text(text: str) -> list[str]:
+    """All diagnostics for a scene file; empty list iff every invariant holds."""
+    return _check_scene_text(text)[1]
+
+
+def read_scene_file(path) -> tuple[Scene | None, list[str]]:
+    """Read a scene file once: (scene, []) if it is valid, else (None, its diagnostics)."""
+    with open(path) as f:
+        return _check_scene_text(f.read())
 
 
 def validate_scene_file(path) -> list[str]:
-    with open(path) as f:
-        return validate_scene_text(f.read())
+    return read_scene_file(path)[1]
 
 
 def _fmt_vec(v) -> str:

@@ -5,9 +5,11 @@ callers choose the case count.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from vlcsim import _numerics, oracle, presets
 from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Scene, \
     dbm_to_mw, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, _stream_snr_per_subcarrier, \
@@ -506,6 +508,114 @@ def oracle_frame_exactness(n_cases: int, seed: int = 114) -> None:
                 _reference_fsr(cm, entry, frame, snr, n, s, combining=combining)
     if n_cases >= 100:
         assert min(seen.values()) > 0, seen
+
+
+def _bits(values) -> np.ndarray:
+    """Bit patterns of floats, with every NaN as one pattern (its sign means nothing)."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+
+def _scipy_brentq(f, a, b, xtol):
+    from scipy.optimize import brentq
+    return brentq(f, a, b, xtol=xtol)
+
+
+def _scipy_q_function(x):
+    from scipy.special import erfc
+    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
+def _same_outcome(f, a, b, xtol):
+    """`_numerics.brentq` and scipy's give the same float, or the same error."""
+    outcomes = []
+    for solve in (_numerics.brentq, _scipy_brentq):
+        try:
+            outcomes.append(solve(f, a, b, xtol))
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, want = outcomes
+    assert type(got) is type(want) and got == want, (a, b, xtol, got, want)
+    return got
+
+
+def numerics_exactness(n_points: int, seed: int = 115) -> None:
+    """`vlcsim._numerics` reproduces scipy bit for bit.
+
+    scipy is the reference here only; the package does not import it. The
+    special functions are compared bit pattern for bit pattern over random
+    points, the branch edges, subnormals, infinities and NaN. `brentq` is
+    compared on the tilt solve of `presets`, on every waterfall solve of
+    `oracle` for a spread of payloads, and on random brackets, including
+    roots at an endpoint, brackets of one sign and NaN function values.
+    """
+    from scipy import special
+
+    rng = np.random.default_rng(seed)
+
+    def check(ours, reference, points):
+        points = np.asarray(points, dtype=float)
+        got = np.array([ours(x) for x in points.tolist()])
+        want = reference(points)
+        assert np.array_equal(_bits(got), _bits(want)), points[_bits(got) != _bits(want)][:5]
+
+    edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324]
+    check(_numerics.expit, special.expit, np.concatenate([
+        rng.uniform(-40.0, 40.0, n_points), rng.uniform(-800.0, 800.0, n_points),
+        [709.78, -709.78, -709.79, -745.2, 745.2], edges]))
+
+    near = np.array([0.3, 0.65])
+    check(_numerics.logit, special.logit, np.concatenate([
+        rng.uniform(0.0, 1.0, n_points), 10.0 ** rng.uniform(-300.0, 0.0, n_points // 4),
+        rng.uniform(0.29, 0.31, n_points // 4), rng.uniform(0.64, 0.66, n_points // 4),
+        near, np.nextafter(near, 0.0), np.nextafter(near, 1.0),
+        [1.0, np.nextafter(1.0, 0.0), -1.0, 2.0], edges]))
+
+    cuts = np.array([1.0, -1.0, 8.0, -8.0])
+    points = np.concatenate([
+        rng.uniform(-40.0, 40.0, n_points), rng.uniform(-9.0, 9.0, n_points),
+        rng.uniform(0.99, 1.01, n_points // 4), rng.uniform(7.99, 8.01, n_points // 4),
+        rng.uniform(26.0, 28.0, n_points // 4), -rng.uniform(0.99, 1.01, n_points // 4),
+        cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2 * cuts),
+        10.0 ** rng.uniform(-323.0, -300.0, 100), edges])
+    check(_numerics.erfc, special.erfc, points)
+    # oracle.q_function maps the scalar port and keeps shape and type (0-d -> scalar).
+    for x in (points[:24].reshape(2, 3, 4), points[:7], points[0], float(points[1]),
+              np.asarray(points[2]), points[:0]):
+        got, want = oracle.q_function(x), _scipy_q_function(x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    for imbalance in np.linspace(0.0, 0.59, 60)[1:]:
+        got = presets.area2_tilt_for_imbalance(float(imbalance))
+        with mock.patch.object(presets, "brentq", _scipy_brentq):
+            want = presets.area2_tilt_for_imbalance(float(imbalance))
+        assert type(got) is float and got == want, imbalance
+    assert _numerics.expit(1.0) == special.expit(1.0)
+    assert _numerics.expit(-1.0) == special.expit(-1.0)
+    for modulation in MODULATION_BITS:
+        for payload in (1, 2, 7, 40, 100, 333, 1000, 1500, 4095):
+            got = oracle.oracle_waterfall(modulation, payload * 8)
+            with mock.patch.multiple(oracle, brentq=_scipy_brentq, expit=special.expit,
+                                     q_function=_scipy_q_function):
+                want = oracle.oracle_waterfall(modulation, payload * 8)
+            assert got == want and all(type(v) is float for v in got), (modulation, payload)
+
+    shapes = (lambda x, r: x - r, lambda x, r: x ** 3 - r ** 3,
+              lambda x, r: math.tanh(4.0 * (x - r)), lambda x, r: math.exp(x) - math.exp(r),
+              lambda x, r: -1.0 if x < r else 1.0)
+    for case in range(max(n_points // 20, 50)):
+        r = float(rng.uniform(-3.0, 3.0))
+        f = lambda x, shape=shapes[case % len(shapes)], r=r: shape(x, r)
+        a, b = rng.uniform(-5.0, 5.0, 2).tolist()
+        xtol = float(10.0 ** rng.uniform(-14.0, -2.0))
+        _same_outcome(f, a, b, xtol)
+        assert _same_outcome(f, r, b, xtol) == r or case % len(shapes) > 1
+    assert _same_outcome(lambda x: x - 2.0, 0.0, 1.0, 1e-12)[0] is ValueError
+    assert _same_outcome(lambda x: math.nan if x > 0.5 else x - 0.3, 0.0, 1.0, 1e-12)[0] \
+        is ValueError
+    assert _same_outcome(lambda x: -1.0 if x < 1e-310 else 1.0, -1.0, 1.0, 5e-324)[0] \
+        is RuntimeError
 
 
 ALL_SUITES = (

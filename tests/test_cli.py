@@ -4,9 +4,13 @@ import csv
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import vlcsim
+from vlcsim import sceneconfig
 from vlcsim.cli import main
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -100,6 +104,40 @@ def test_non_finite_scene_value_exits_1_with_one_line(key, value, field, tmp_pat
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("invalid scene: ") and field in err[0]
     assert not out.exists()
+
+
+def test_unknown_section_is_one_short_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text((SCENES / "siso.cfg").read_text() + "\n[mystery]\nfoo = 1\n")
+    out = tmp_path / "out"
+    assert main(["--scenario", "siso-sweep", "--scene", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["invalid scene: scene file: unknown section '[mystery]'"]
+    assert not out.exists()
+
+
+def test_scene_file_is_read_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(sceneconfig, "open", counting_open, raising=False)
+    scene = str(SCENES / "simo_blockage.cfg")
+    assert main(["--scenario", "blockage-timeline", "--scene", scene,
+                 "--set", "n_frames=5", "--out", str(tmp_path / "out")]) == 0
+    assert opened == [scene]
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vlcsim.__file__)))
+    code = "import sys, vlcsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_scene_file_accepted(tmp_path):

@@ -7,11 +7,11 @@ import pytest
 
 from vlcsim.channel import ChannelMatrix, subcarrier_frequencies
 from vlcsim.errors import UnderdeterminedError
-from vlcsim.oracle import (OfdmGrid, demodulate, empirical_fsr, modulate,
-                           modulate_payload, oracle_snr_for, oracle_waterfall,
+from vlcsim.oracle import (_MOD_NORM, OfdmGrid, _demod_axis, demodulate, empirical_fsr,
+                           modulate, modulate_payload, oracle_snr_for, oracle_waterfall,
                            q_function, simulate_frame, uncoded_bit_error_rate,
                            uncoded_frame_success)
-from vlcsim.phy import FrameSpec, fsr, mcs
+from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs
 
 MODULATIONS = ("BPSK", "QPSK", "16QAM", "64QAM")
 
@@ -49,6 +49,27 @@ class TestModulation:
         for _, row in by_axis.items():
             for a, b in zip(row, row[1:]):
                 assert np.sum(bits[a] != bits[b]) == 1
+
+    @pytest.mark.parametrize("modulation", ["QPSK", "16QAM", "64QAM"])
+    def test_one_pass_demodulation_equals_per_axis_passes(self, modulation):
+        # The per-axis form the oracle used before it demodulated the
+        # interleaved I/Q values in one pass.
+        def per_axis(symbols):
+            axis_bits = MODULATION_BITS[modulation] // 2
+            scaled = np.asarray(symbols).reshape(-1) * _MOD_NORM[modulation]
+            i_bits = _demod_axis(scaled.real, axis_bits).reshape(-1, axis_bits)
+            q_bits = _demod_axis(scaled.imag, axis_bits).reshape(-1, axis_bits)
+            return np.concatenate([i_bits, q_bits], axis=1).reshape(-1)
+
+        rng = np.random.default_rng(17)
+        n = 1 << (MODULATION_BITS[modulation] // 2)
+        # Decision boundaries sit at even levels between the odd constellation levels.
+        levels = np.arange(-n - 1, n + 2) / _MOD_NORM[modulation]
+        on_boundary = levels[:, None] + 1j * levels[None, :]
+        noisy = (rng.normal(scale=1.5, size=5000) + 1j * rng.normal(scale=1.5, size=5000))
+        grid = noisy.reshape(50, 100).T  # a strided view
+        for symbols in (on_boundary, noisy, grid, noisy[:0]):
+            np.testing.assert_array_equal(demodulate(symbols, modulation), per_axis(symbols))
 
     def test_bit_count_must_divide(self):
         with pytest.raises(ValueError):

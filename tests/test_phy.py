@@ -129,6 +129,14 @@ class TestFsr:
             snr = snr_for_fsr(e, target)
             assert fsr(e, [snr], self.frame) == pytest.approx(target, abs=1e-9)
 
+    def test_exp_overflow_gives_zero(self):
+        # exp(-x) overflows a double below x = -709.78
+        assert fsr(mcs(0), [-1000.0], FrameSpec()) == 0.0
+
+    def test_snr_for_fsr_underflowing_base_is_minus_infinity(self):
+        # 1e-300 ** 1000 underflows to 0, whose logit is -inf
+        assert snr_for_fsr(mcs(0), 1e-300, FrameSpec(payload_bytes=1)) == -math.inf
+
     def test_snr_for_fsr_bounds(self):
         with pytest.raises(ValueError):
             snr_for_fsr(mcs(0), 1.0)

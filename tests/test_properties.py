@@ -57,3 +57,7 @@ def test_batched_zf_kernel_equals_per_subcarrier_loop():
 
 def test_prepared_oracle_frame_equals_per_frame_oracle():
     suites.oracle_frame_exactness(600)
+
+
+def test_numerics_equal_scipy_bit_for_bit():
+    suites.numerics_exactness(20000)

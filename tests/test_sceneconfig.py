@@ -5,8 +5,8 @@ import pytest
 
 from vlcsim import presets
 from vlcsim.errors import ValidationError
-from vlcsim.sceneconfig import (load_scene, parse_scene, scene_to_text,
-                                validate_scene_text)
+from vlcsim.sceneconfig import (load_scene, parse_scene, read_scene_file, scene_to_text,
+                                validate_scene_file, validate_scene_text)
 
 GOOD = """
 [scene]
@@ -62,6 +62,19 @@ class TestParse:
     def test_unknown_section_rejected(self):
         with pytest.raises(ValidationError, match="unknown section"):
             parse_scene(GOOD + "\n[mystery]\nfoo = 1\n")
+
+    def test_unknown_section_error_names_the_expected_sections(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(GOOD + "\n[mystery]\nfoo = 1\n")
+        assert str(exc.value) == ("scene file: unknown section '[mystery]' "
+                                  "(expected scene, frontend <id>, obstacle <name>)")
+
+    def test_first_error_is_raised_as_is(self):
+        # A number that does not parse stays the ValueError float() raised,
+        # even when a later section fails too.
+        text = GOOD.replace("noise_floor_dbm = -60", "noise_floor_dbm = loud") + "\n[mystery]\n"
+        with pytest.raises(ValueError, match="could not convert string to float: 'loud'"):
+            parse_scene(text)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError, match="sectioned key-value"):
@@ -128,6 +141,19 @@ class TestRoundTrip:
         path.write_text(GOOD)
         scene = load_scene(path)
         assert len(scene.receivers) == 2
+
+    def test_read_scene_file_returns_the_scene_or_the_diagnostics(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text(GOOD)
+        scene, diagnostics = read_scene_file(path)
+        assert diagnostics == [] and scene_to_text(scene) == scene_to_text(load_scene(path))
+        path.write_text(GOOD.replace("fov_half_angle_deg = 45", "fov_half_angle_deg = 120", 1)
+                        + "\n[mystery]\nfoo = 1\n")
+        scene, diagnostics = read_scene_file(path)
+        assert scene is None
+        assert diagnostics == validate_scene_file(path) == validate_scene_text(path.read_text())
+        assert diagnostics[-1] == "scene file: unknown section '[mystery]'"
+        assert len(diagnostics) == 2
 
 
 def test_shipped_example_scenes_are_valid():
