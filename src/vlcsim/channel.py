@@ -221,20 +221,46 @@ def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:
     if tx.role != "tx" or rx.role != "rx":
         raise ValueError(f"los_gain needs a TX and an RX, got roles '{tx.role}' and '{rx.role}'")
     v = rx.position - tx.position
-    d = float(np.linalg.norm(v))
-    if d < 1e-12:
-        raise ValueError(f"degenerate geometry: front-ends '{tx.id}' and '{rx.id}' are coincident")
+    d = path_length(tx, rx, v)
     delay = d / SPEED_OF_LIGHT_M_S
     cos_phi = float(np.dot(tx.boresight, v)) / d
     cos_psi = float(np.dot(rx.boresight, -v)) / d
-    if cos_phi <= 0.0:
-        return 0.0, delay
-    psi_deg = math.degrees(math.acos(min(1.0, max(-1.0, cos_psi))))
-    if psi_deg > rx.fov_half_angle + 1e-12:
+    if not within_fov(cos_psi, rx.fov_half_angle):
         return 0.0, delay
     m = lambertian_order(tx.half_power_semi_angle)
-    gain = (m + 1.0) * rx.active_area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
-    return gain, delay
+    return lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi), delay
+
+
+def path_length(tx: FrontEnd, rx: FrontEnd, v: np.ndarray) -> float:
+    """Length of the TX->RX vector `v`; ValueError if it is degenerate or not finite.
+
+    A length past about 1e154 m overflows inside the norm (or in forming `v`);
+    callers that may meet one run under `np.errstate(over="ignore")`, so that
+    the error comes without a numpy warning.
+    """
+    d = float(np.linalg.norm(v))
+    if not math.isfinite(d):
+        raise ValueError(f"geometry is not finite: '{rx.id}' is out of range of '{tx.id}' "
+                         f"(TX->RX vector {v.tolist()})")
+    if d < 1e-12:
+        raise ValueError(f"degenerate geometry: front-ends '{tx.id}' and '{rx.id}' are coincident")
+    return d
+
+
+def within_fov(cos_psi: float, fov_half_angle: float) -> bool:
+    """Whether a path arriving at incidence cos(psi) is inside the receiver FOV."""
+    psi_deg = math.degrees(math.acos(min(1.0, max(-1.0, cos_psi))))
+    return not psi_deg > fov_half_angle + 1e-12
+
+
+def lambertian_gain(m: float, area: float, d: float, cos_phi: float, cos_psi: float) -> float:
+    """The gain G of the module docstring for a path inside the receiver FOV.
+
+    Zero when the receiver sits behind the emitter plane (cos_phi <= 0).
+    """
+    if cos_phi <= 0.0:
+        return 0.0
+    return (m + 1.0) * area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,14 +327,15 @@ def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]
     txs, rxs = scene.transmitters, scene.receivers
     gains = np.zeros((len(rxs), len(txs)))
     delays = np.zeros_like(gains)
-    for i, rx in enumerate(rxs):
-        conv = float(db_to_linear(rx.conversion_gain_db))
-        for j, tx in enumerate(txs):
-            g, tau = los_gain(tx, rx)
-            if any(obs.blocks(tx.id, rx.id, frame_index) for obs in scene.obstacles):
-                g = 0.0
-            gains[i, j] = g * conv
-            delays[i, j] = tau
+    convs = [float(db_to_linear(rx.conversion_gain_db)) for rx in rxs]
+    with np.errstate(over="ignore"):
+        for i, (rx, conv) in enumerate(zip(rxs, convs)):
+            for j, tx in enumerate(txs):
+                g, tau = los_gain(tx, rx)
+                if any(obs.blocks(tx.id, rx.id, frame_index) for obs in scene.obstacles):
+                    g = 0.0
+                gains[i, j] = g * conv
+                delays[i, j] = tau
     return gains, delays
 
 
@@ -323,11 +350,12 @@ def channel_matrix(scene: Scene, frame_index: int, subcarrier_freqs) -> ChannelM
 def wideband_rssi_dbm(path_gains, tx_power_dbm) -> np.ndarray:
     """Wideband received power per RX chain in dBm (incoherent power sum).
 
-    `path_gains` is the (n_rx, n_tx) power gain matrix. A chain whose paths
-    are all blocked reads NO_SIGNAL_DBM (-inf).
+    `path_gains` is the (n_rx, n_tx) power gain matrix, or a stack of them
+    (..., n_rx, n_tx). A chain whose paths are all blocked reads
+    NO_SIGNAL_DBM (-inf).
     """
     p_mw = dbm_to_mw(np.asarray(tx_power_dbm, dtype=float))
-    n_tx = np.shape(path_gains)[1]
+    n_tx = np.shape(path_gains)[-1]
     if p_mw.shape != (n_tx,):
         raise ValueError(f"need one TX power per transmit element ({n_tx}), got shape {p_mw.shape}")
     return mw_to_dbm(path_gains @ p_mw)

@@ -104,17 +104,20 @@ def _flat_channel(n: int, bandwidth_mhz: int = 20) -> ChannelMatrix:
 def _run_siso_sweep(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
                       count=ov.get("count", 1000))
-    distances = np.geomspace(ov.get("d_min", 0.15), ov.get("d_max", 12.5),
-                             ov.get("n_distances", 64))
+    d_min, d_max = ov.get("d_min", 0.15), ov.get("d_max", 12.5)
+    if d_min > d_max:
+        raise ValueError(f"--set d_min={d_min} must not exceed d_max={d_max}")
+    distances = np.geomspace(d_min, d_max, ov.get("n_distances", 64))
     mcs_list = ov.get("mcs", list(range(8)))
     rows = scenarios.run_siso_sweep(scene, mcs_list, distances, frame, seed)
     header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic", "fsr_realized"]
     csv_rows = [[r.distance_m, r.rssi_dbm, r.snr_db, r.mcs_index,
                  r.fsr_analytic, r.fsr_realized] for r in rows]
-    first_reliable = {}
-    for m in mcs_list:
-        hits = [r.rssi_dbm for r in rows if r.mcs_index == m and r.fsr_realized >= 0.99]
-        first_reliable[str(m)] = min(hits) if hits else None
+    # Rows are sorted by RSSI, so an MCS's first reliable row has its lowest RSSI.
+    first_reliable = dict.fromkeys(map(str, mcs_list))
+    for r in rows:
+        if r.fsr_realized >= 0.99 and first_reliable[str(r.mcs_index)] is None:
+            first_reliable[str(r.mcs_index)] = r.rssi_dbm
     return header, csv_rows, {"first_rssi_dbm_with_fsr_0p99": first_reliable}
 
 

@@ -126,13 +126,20 @@ def fsr(entry: McsEntry, per_stream_snr_db, frame: FrameSpec,
     if snrs.shape != (entry.n_streams,):
         raise ValueError(
             f"MCS {entry.index} carries {entry.n_streams} stream(s), got {snrs.shape[0]} SNR value(s)")
-    effective = float(np.min(snrs))
-    if effective == float("-inf"):
+    payload_bytes = frame.payload_bytes if length_aware else REFERENCE_PAYLOAD_BYTES
+    return fsr_at(entry, float(np.min(snrs)), payload_bytes)
+
+
+def fsr_at(entry: McsEntry, snr_db: float, payload_bytes: int) -> float:
+    """`fsr` of a `payload_bytes` frame whose weakest stream sees `snr_db` (a float).
+
+    Plain float arithmetic: the logistic is `_numerics.expit` and the length
+    scaling Python `**`, so a caller may evaluate it point by point.
+    """
+    if snr_db == float("-inf"):
         return 0.0
-    base = expit((effective - entry.snr_threshold_db) / FSR_SLOPE_DB)
-    if length_aware:
-        return base ** (frame.payload_bytes / REFERENCE_PAYLOAD_BYTES)
-    return base
+    base = expit((snr_db - entry.snr_threshold_db) / FSR_SLOPE_DB)
+    return base ** (payload_bytes / REFERENCE_PAYLOAD_BYTES)
 
 
 def snr_for_fsr(entry: McsEntry, target_fsr: float,

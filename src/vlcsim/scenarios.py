@@ -5,18 +5,18 @@ probabilities are realized as Bernoulli draws from one seeded generator, and
 frames are emitted in index order with no gaps.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (DEFAULT_CENTER_FREQ_HZ, ChannelMatrix, Scene,
-                      channel_matrix, dbm_to_mw, mw_to_dbm, scene_paths,
-                      subcarrier_frequencies, wideband_rssi_dbm)
+from .channel import (DEFAULT_CENTER_FREQ_HZ, ChannelMatrix, Scene, channel_matrix,
+                      db_to_linear, dbm_to_mw, lambertian_gain, lambertian_order,
+                      mw_to_dbm, path_length, scene_paths, subcarrier_frequencies,
+                      wideband_rssi_dbm, within_fov)
 from .errors import NoLinkError
 from .mimo import MimoConfig, mrc_combine, zf_decode
-from .phy import FrameSpec, fsr, mcs
+from .phy import FrameSpec, fsr, fsr_at, mcs
 from .presets import mimo_area_scene
 
 TIMELINE_TOTAL_FRAMES = 350
@@ -80,10 +80,16 @@ def _combined_rssi_dbm(per_chain_rssi_dbm) -> float:
     return float(mw_to_dbm(np.sum(dbm_to_mw(np.asarray(per_chain_rssi_dbm)))))
 
 
-def _realize(rng: np.random.Generator, probability: float, count: int) -> float:
-    if math.isnan(probability):
+def _realize(rng: np.random.Generator, probabilities, count: int) -> list:
+    """Realized success rates: a binomial draw of `count` frames per probability.
+
+    One vector draw gives the same values as one scalar draw per probability,
+    in order, and leaves the generator in the same state.
+    """
+    p = np.array(probabilities, dtype=float)
+    if np.isnan(p).any():
         raise ValueError("frame success probability is NaN")
-    return float(rng.binomial(count, min(1.0, max(0.0, probability))) / count)
+    return [k / count for k in rng.binomial(count, np.clip(p, 0.0, 1.0)).tolist()]
 
 
 def _check_streams(entry, scene: Scene) -> None:
@@ -106,25 +112,34 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     if len(txs) != 1 or len(rxs) != 1:
         raise ValueError("the sweep needs exactly one TX and one RX")
     tx, rx = txs[0], rxs[0]
-    direction = rx.position - tx.position
-    direction = direction / np.linalg.norm(direction)
     rng = np.random.default_rng(seed)
     entries = [mcs(i) for i in mcs_indices]
     for entry in entries:
         _check_streams(entry, scene)
-    rows = []
-    for d in distances:
-        moved = dataclasses.replace(rx, position=tx.position + float(d) * direction)
-        probe = Scene(front_ends=(tx, moved), noise_floor_dbm=scene.noise_floor_dbm)
-        gains, _ = scene_paths(probe, 0)
-        rssi = float(wideband_rssi_dbm(gains, probe.tx_power_dbm)[0])
-        snr_db = rssi - scene.noise_floor_dbm
-        for entry in entries:
-            p = fsr(entry, [snr_db] * entry.n_streams, frame)
-            rows.append(SisoSweepRow(
-                distance_m=float(d), rssi_dbm=rssi, snr_db=snr_db,
-                mcs_index=entry.index, fsr_analytic=p,
-                fsr_realized=_realize(rng, p, frame.count)))
+    # Only the receiver position moves. Each point makes los_gain's own numpy
+    # and libm calls, so its gain is bit for bit that of a rebuilt scene.
+    m = lambertian_order(tx.half_power_semi_angle)
+    conv = float(db_to_linear(rx.conversion_gain_db))
+    distances = [float(d) for d in distances]
+    gains = []
+    with np.errstate(over="ignore"):
+        direction = rx.position - tx.position
+        direction = direction / path_length(tx, rx, direction)
+        for dist in distances:
+            v = (tx.position + dist * direction) - tx.position
+            d = path_length(tx, rx, v)
+            cos_phi = float(np.dot(tx.boresight, v)) / d
+            cos_psi = float(np.dot(rx.boresight, -v)) / d
+            g = (lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi)
+                 if within_fov(cos_psi, rx.fov_half_angle) else 0.0)
+            gains.append(g * conv)
+    rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 1, 1)), scene.tx_power_dbm)[:, 0].tolist()
+    snrs = [r - scene.noise_floor_dbm for r in rssi]
+    analytic = [fsr_at(entry, snr_db, frame.payload_bytes) for snr_db in snrs for entry in entries]
+    # One draw for every cell, in (distance, MCS) order, the order of `analytic`.
+    cells = zip(analytic, _realize(rng, analytic, frame.count))
+    rows = [SisoSweepRow(d, r, snr_db, entry.index, *next(cells))
+            for d, r, snr_db in zip(distances, rssi, snrs) for entry in entries]
     rows.sort(key=lambda r: (r.rssi_dbm, r.mcs_index))
     return rows
 
@@ -178,11 +193,10 @@ def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int,
     analytic_b = fsr(entry, [snr_b] * entry.n_streams, frame)
     _, mrc_db = mrc_combine([10.0 ** (snr_a / 10.0), 10.0 ** (snr_b / 10.0)])
     analytic_mrc = fsr(entry, [mrc_db] * entry.n_streams, frame)
-    rng = np.random.default_rng(seed)
+    fsr_a, fsr_b, fsr_mrc = _realize(np.random.default_rng(seed),
+                                     [analytic_a, analytic_b, analytic_mrc], frame.count)
     return MrcFsrPoint(
-        fsr_a=_realize(rng, analytic_a, frame.count),
-        fsr_b=_realize(rng, analytic_b, frame.count),
-        fsr_mrc=_realize(rng, analytic_mrc, frame.count),
+        fsr_a=fsr_a, fsr_b=fsr_b, fsr_mrc=fsr_mrc,
         analytic_a=analytic_a, analytic_b=analytic_b, analytic_mrc=analytic_mrc,
         mrc_snr_db=mrc_db)
 
@@ -193,18 +207,31 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
     if len(txs) != 1 or len(rxs) != 2:
         raise ValueError("the handover sweep needs one TX and two RX")
     tx = txs[0]
-    rows = []
-    for az in tx_azimuths_deg:
-        a = math.radians(float(az))
-        aimed = dataclasses.replace(tx, boresight=np.array([math.cos(a), math.sin(a), 0.0]))
-        probe = Scene(front_ends=(aimed, *rxs), noise_floor_dbm=scene.noise_floor_dbm)
-        gains, _ = scene_paths(probe, 0)
-        rssi = wideband_rssi_dbm(gains, probe.tx_power_dbm)
-        rows.append(HandoverRow(
-            tx_azimuth_deg=float(az),
-            rssi_a_dbm=float(rssi[0]), rssi_b_dbm=float(rssi[1]),
-            rssi_mrc_dbm=_combined_rssi_dbm(rssi)))
-    return rows
+    # The receivers stay put: each path's vector, length, incidence angle and
+    # FOV test are fixed, and only cos(phi) follows the boresight, with
+    # los_gain's own np.dot and Python ** per point.
+    m = lambertian_order(tx.half_power_semi_angle)
+    paths = []
+    with np.errstate(over="ignore"):
+        for rx in rxs:
+            v = rx.position - tx.position
+            d = path_length(tx, rx, v)
+            cos_psi = float(np.dot(rx.boresight, -v)) / d
+            paths.append((rx, v, d, cos_psi, within_fov(cos_psi, rx.fov_half_angle),
+                          float(db_to_linear(rx.conversion_gain_db))))
+    azimuths = [float(az) for az in tx_azimuths_deg]
+    gains = []
+    for az in azimuths:
+        a = math.radians(az)
+        boresight = np.array([math.cos(a), math.sin(a), 0.0])
+        for rx, v, d, cos_psi, seen, conv in paths:
+            g = (lambertian_gain(m, rx.active_area, d, float(np.dot(boresight, v)) / d, cos_psi)
+                 if seen else 0.0)
+            gains.append(g * conv)
+    rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 2, 1)), scene.tx_power_dbm)
+    combined = mw_to_dbm(np.sum(dbm_to_mw(rssi), axis=1))
+    return [HandoverRow(tx_azimuth_deg=az, rssi_a_dbm=rssi_a, rssi_b_dbm=rssi_b, rssi_mrc_dbm=mrc)
+            for az, (rssi_a, rssi_b), mrc in zip(azimuths, rssi.tolist(), combined.tolist())]
 
 
 def run_mimo_area_grid(placements, mcs_indices, frame: FrameSpec, seed: int,
@@ -218,9 +245,8 @@ def run_mimo_area_grid(placements, mcs_indices, frame: FrameSpec, seed: int,
     path gains; zero keeps the rows exactly proportional (unsolvable).
     """
     freqs = subcarrier_frequencies(bandwidth_mhz, center_freq_hz)
-    rng = np.random.default_rng(seed)
     entries = [mcs(i) for i in mcs_indices]
-    rows = []
+    cells = []
     for placement in placements:
         placement = tuple(placement)
         imbalance = area22_imbalance_db if placement == (2, 2) else 0.0
@@ -232,17 +258,14 @@ def run_mimo_area_grid(placements, mcs_indices, frame: FrameSpec, seed: int,
             if entry.n_streams != cm.n_tx:
                 raise ValueError(f"MCS {entry.index} carries {entry.n_streams} stream(s); "
                                  f"the grid transmits {cm.n_tx}")
-            p = fsr(entry, post.per_stream_snr_db, frame)
-            rows.append(AreaGridRow(
-                placement=f"{placement[0]},{placement[1]}",
-                imbalance_db=imbalance,
-                mcs_index=entry.index,
-                stream_snr_db=post.per_stream_snr_db,
-                solvable=post.solvable,
-                condition_number=post.condition_number,
-                fsr_analytic=p,
-                fsr_realized=_realize(rng, p, frame.count)))
-    return rows
+            cells.append((f"{placement[0]},{placement[1]}", imbalance, entry, post,
+                          fsr(entry, post.per_stream_snr_db, frame)))
+    realized = _realize(np.random.default_rng(seed), [p for *_, p in cells], frame.count)
+    return [AreaGridRow(placement=placement, imbalance_db=imbalance, mcs_index=entry.index,
+                        stream_snr_db=post.per_stream_snr_db, solvable=post.solvable,
+                        condition_number=post.condition_number, fsr_analytic=p,
+                        fsr_realized=q)
+            for (placement, imbalance, entry, post, p), q in zip(cells, realized)]
 
 
 @dataclass(frozen=True, eq=False)

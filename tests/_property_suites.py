@@ -4,6 +4,7 @@ Each suite draws its cases from one seeded generator and asserts internally;
 callers choose the case count.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -260,19 +261,51 @@ def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
             _reference_timeline(scene, frame, s, mcs_index, n_frames)
 
 
+def _zero_gain_receiver(rx, tx, kind):
+    """`rx` placed so that its path from `tx` has zero gain.
+
+    "behind": mirrored through the TX, and still facing it, behind the emitter
+    plane (cos phi < 0); "grazing": moved onto the emitter plane of a TX firing
+    along +z, so that cos phi is exactly 0; "outside": facing away, so psi is
+    beyond the FOV.
+    """
+    if kind == "behind":
+        return dataclasses.replace(rx, position=2.0 * tx.position - rx.position,
+                                   boresight=-rx.boresight)
+    if kind == "grazing":
+        return dataclasses.replace(rx, position=np.array([*rx.position[:2], tx.position[2]]))
+    return dataclasses.replace(rx, boresight=-rx.boresight)
+
+
+def _loud_receiver(rx, tx, rng):
+    """`rx` facing `tx`, with the conversion gain that puts its RSSI within 1 dB of 0 dBm.
+
+    Near 0 dBm the spacing of floats is finest, so a one-ulp change of a path
+    gain changes the RSSI too.
+    """
+    rx = dataclasses.replace(rx, boresight=_unit(tx.position - rx.position))
+    gain = los_gain(tx, rx)[0] * 10.0 ** (tx.tx_electrical_power_dbm / 10.0)
+    return dataclasses.replace(rx, conversion_gain_db=float(-10.0 * math.log10(gain)
+                                                            + rng.uniform(-1.0, 1.0)))
+
+
+def _repeats(rng, values):
+    """`values` with some of them repeated, in a shuffled order."""
+    return rng.permutation(np.concatenate([values, rng.choice(values, size=len(values))]))
+
+
 def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
-    """The RSSI-only SISO sweep equals one built on channel matrices."""
-    rng = np.random.default_rng(seed)
+    """The RSSI-only SISO sweep equals one built on channel matrices.
+
+    After the random links, a second set of cases adds zero-gain links (behind
+    or on the emitter plane, outside the FOV), links near 0 dBm, 1 and 1e5
+    frames per cell, and repeated distances.
+    """
     freqs = subcarrier_frequencies(20)
-    for _ in range(n_cases):
-        scene = _random_link_scene(rng, 1, 1)
+
+    def check(scene, distances, mcs_indices, frame, s):
         tx, rx = scene.transmitters[0], scene.receivers[0]
         direction = _unit(rx.position - tx.position)
-        distances = rng.uniform(0.1, 15.0, size=int(rng.integers(1, 20)))
-        mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 4)), replace=False)]
-        frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
-                          count=int(rng.integers(1, 500)))
-        s = int(rng.integers(0, 2 ** 31))
         draws = np.random.default_rng(s)
         expected = []
         for d in distances:
@@ -290,16 +323,56 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
                 expected.append(SisoSweepRow(float(d), rssi, snr_db, m, p, realized))
         expected.sort(key=lambda r: (r.rssi_dbm, r.mcs_index))
         assert run_siso_sweep(scene, mcs_indices, distances, frame, s) == expected
+        return expected
+
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        scene = _random_link_scene(rng, 1, 1)
+        distances = rng.uniform(0.1, 15.0, size=int(rng.integers(1, 20)))
+        mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 4)), replace=False)]
+        frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
+                          count=int(rng.integers(1, 500)))
+        s = int(rng.integers(0, 2 ** 31))
+        check(scene, distances, mcs_indices, frame, s)
+
+    rng = np.random.default_rng([seed, 1])
+    zero_rows = 0
+    for case in range(n_cases):
+        scene = _random_link_scene(rng, 1, 1)
+        kind = ("live", "loud", "behind", "grazing", "outside")[case % 5]
+        tx, rx = scene.transmitters[0], scene.receivers[0]
+        span = (0.1, 15.0)
+        if kind == "loud":
+            rx = _loud_receiver(rx, tx, rng)
+            span = tuple(float(np.linalg.norm(rx.position - tx.position)) * f for f in (0.9, 1.1))
+        elif kind != "live":
+            if kind == "grazing":
+                tx = dataclasses.replace(tx, boresight=np.array([0.0, 0.0, 1.0]))
+            rx = _zero_gain_receiver(rx, tx, kind)
+        scene = Scene(front_ends=(tx, rx), noise_floor_dbm=scene.noise_floor_dbm)
+        distances = _repeats(rng, rng.uniform(*span, size=int(rng.integers(1, 10))))
+        mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 4)), replace=False)]
+        frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
+                          count=(1, 100_000)[case // 5 % 2])
+        rows = check(scene, distances, mcs_indices, frame, int(rng.integers(0, 2 ** 31)))
+        zero = [r for r in rows if r.rssi_dbm == -math.inf]
+        assert all(r.fsr_analytic == 0.0 == r.fsr_realized for r in zero)
+        assert kind in ("live", "loud") or len(zero) == len(rows)
+        zero_rows += len(zero)
+    assert zero_rows > 0 or n_cases < 3
 
 
 def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
-    """The RSSI-only handover sweep equals one built on channel matrices."""
-    rng = np.random.default_rng(seed)
+    """The RSSI-only handover sweep equals one built on channel matrices.
+
+    After the random links, a second set of cases adds receivers with zero
+    gain (behind the emitter plane or outside the FOV, one or both) or near
+    0 dBm, and repeated azimuths that include exactly +-90 degrees.
+    """
     freqs = subcarrier_frequencies(20)
-    for _ in range(n_cases):
-        scene = _random_link_scene(rng, 1, 2)
+
+    def check(scene, azimuths):
         tx = scene.transmitters[0]
-        azimuths = rng.uniform(-90.0, 90.0, size=int(rng.integers(1, 30)))
         expected = []
         for az in azimuths:
             a = math.radians(float(az))
@@ -313,6 +386,40 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
             expected.append(HandoverRow(float(az), float(rssi[0]), float(rssi[1]),
                                         float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
         assert run_handover_sweep(scene, azimuths) == expected
+        return expected
+
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        scene = _random_link_scene(rng, 1, 2)
+        azimuths = rng.uniform(-90.0, 90.0, size=int(rng.integers(1, 30)))
+        check(scene, azimuths)
+
+    rng = np.random.default_rng([seed, 1])
+    seen = set()
+    for case in range(n_cases):
+        scene = _random_link_scene(rng, 1, 2)
+        tx, (rx_a, rx_b) = scene.transmitters[0], scene.receivers
+        kind = ("behind", "outside", "both outside", "live", "loud")[case % 5]
+        azimuths = rng.uniform(-90.0, 90.0, size=int(rng.integers(1, 15)))
+        if kind == "loud":
+            # Each receiver within 1 dB of 0 dBm when the boresight points at
+            # it, and azimuths within 3 degrees of those two.
+            aims = [math.atan2(*(rx.position - tx.position)[1::-1]) for rx in (rx_a, rx_b)]
+            rx_a, rx_b = (_loud_receiver(rx, dataclasses.replace(
+                tx, boresight=np.array([math.cos(a), math.sin(a), 0.0])), rng)
+                for rx, a in zip((rx_a, rx_b), aims))
+            azimuths = np.degrees(rng.choice(aims, size=azimuths.size)) \
+                + rng.uniform(-3.0, 3.0, size=azimuths.size)
+        elif kind != "live":
+            rx_a = _zero_gain_receiver(rx_a, tx, kind.split()[-1])
+        if kind == "both outside":
+            rx_b = _zero_gain_receiver(rx_b, tx, "outside")
+        scene = Scene(front_ends=(tx, rx_a, rx_b), noise_floor_dbm=scene.noise_floor_dbm)
+        azimuths = _repeats(rng, np.concatenate([[90.0, -90.0], azimuths]))
+        for row in check(scene, azimuths):
+            seen.update(name for name, value in zip(("a", "b", "mrc"), (
+                row.rssi_a_dbm, row.rssi_b_dbm, row.rssi_mrc_dbm)) if value == -math.inf)
+    assert seen == {"a", "b", "mrc"} or n_cases < 3
 
 
 def _reference_stream_snr(entries, tx_power_per_stream, noise_per_chain):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -296,4 +297,55 @@ def test_negative_imbalance_names_the_reachable_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "f(a) and f(b)" not in err
     assert "[0, 0.59] dB" in err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
+def test_descending_distance_range_names_both_keys(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "siso-sweep", "--set", "d_min=5", "--set", "d_max=1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("vlcsim: error: ")
+    assert "d_min" in err[-1] and "d_max" in err[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,reason", [
+    (["d_min=1e300", "d_max=1e301"], "geometry is not finite"),
+    (["d_min=1e-13"], "degenerate geometry"),
+], ids=["huge", "coincident"])
+def test_distances_without_finite_geometry_are_one_line(overrides, reason, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    argv = ["--scenario", "siso-sweep", "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line for line in err if line.startswith("vlcsim: error: ")] == [err[-1]]
+    assert reason in err[-1]
+    assert "Warning" not in "\n".join(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["handover-sweep", "blockage-timeline"])
+def test_scene_out_of_float_range_is_one_line(scenario, tmp_path, capsys):
+    text = (SCENES / "handover.cfg").read_text().replace(
+        "position_m = 2.165063509461097 1.2499999999999998 0.0", "position_m = 1e308 1e308 0.0")
+    scene = tmp_path / "far.cfg"
+    scene.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", scenario, "--scene", str(scene), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("vlcsim: error: geometry is not finite: ")
     assert not out.exists()

@@ -38,6 +38,61 @@ blocks = tx_a->rx_a
 frames = 200 500
 """
 
+# One link with a non-zero TX power, receiver conversion gain and noise floor,
+# and a receiver tilted off the link axis (cos(psi) < 1).
+SISO_GAIN_SCENE = """[scene]
+noise_floor_dbm = -62.5
+
+[frontend tx_a]
+role = tx
+position_m = 0.0 0.0 0.0
+boresight = 1.0 0.0 0.0
+half_power_semi_angle_deg = 20.0
+tx_power_dbm = 3.0
+
+[frontend rx_a]
+role = rx
+position_m = 2.0 0.0 0.0
+boresight = -0.8 0.6 0.0
+fov_half_angle_deg = 60.0
+active_area_m2 = 0.00005
+conversion_gain_db = 6.5
+"""
+
+# rx_a faces the transmitter at 30 degrees azimuth. rx_b sits at 100 degrees,
+# so as the boresight pans from 30 to -30 degrees rx_b leaves the beam: it
+# passes behind the emitter plane (phi = 90 degrees) at exactly 10 degrees,
+# which the 241-angle sweep hits, and reads -inf from there on.
+HANDOVER_EDGE_SCENE = """[scene]
+noise_floor_dbm = -55.0
+
+[frontend tx_a]
+role = tx
+position_m = 0.0 0.0 0.0
+boresight = 0.8660254037844387 0.49999999999999994 0.0
+half_power_semi_angle_deg = 45.0
+tx_power_dbm = -2.0
+
+[frontend rx_a]
+role = rx
+position_m = 2.165063509461097 1.2499999999999998 0.0
+boresight = -0.8660254037844387 -0.49999999999999994 0.0
+fov_half_angle_deg = 45.0
+active_area_m2 = 0.0001
+conversion_gain_db = -3.0
+
+[frontend rx_b]
+role = rx
+position_m = -0.26047226650039546 1.477211629518312 0.0
+boresight = 0.1736481776669303 -0.984807753012208 0.0
+fov_half_angle_deg = 70.0
+active_area_m2 = 0.0002
+conversion_gain_db = 4.0
+"""
+
+SCENE_FILES = {"multi.cfg": MULTI_OBSTACLE_SCENE, "siso_gain.cfg": SISO_GAIN_SCENE,
+               "handover_edge.cfg": HANDOVER_EDGE_SCENE}
+
 CASES = {
     "siso-preset": ["--scenario", "siso-sweep", "--seed", "3",
                     "--set", "n_distances=300", "--set", "count=200"],
@@ -56,6 +111,13 @@ CASES = {
                         "--set", "n_angles=300"],
     "handover-scene": ["--scenario", "handover-sweep", "--scene", "scenes/handover.cfg",
                        "--set", "n_angles=201"],
+    # MCS out of order, so the order of the Bernoulli draws matters.
+    "siso-gain-scene": ["--scenario", "siso-sweep", "--scene", "siso_gain.cfg", "--seed", "13",
+                        "--set", "mcs=7,0,3", "--set", "count=1",
+                        "--set", "payload_bytes=3000", "--set", "n_distances=120",
+                        "--set", "d_min=0.3", "--set", "d_max=25"],
+    "handover-edge-scene": ["--scenario", "handover-sweep", "--scene", "handover_edge.cfg",
+                            "--set", "n_angles=241"],
     "area-grid": ["--scenario", "mimo-area-grid", "--seed", "2", "--set", "count=300"],
     # The 2x2 placement at the zero-forcing boundary: every subcarrier is
     # singular at 0.01 dB; at 0.05 dB the Gram condition number is 4.8e5,
@@ -98,6 +160,12 @@ DIGESTS = {
     "handover-scene": [
         "23e4c3d3fd5a580db551487041dfb866a2bec835d323eb152270f8acce5958f5",
         "0d996e8cbd3cf353b9e794f954e16e9a8d527047e122ebf8afbbbea1fda02cd4"],
+    "siso-gain-scene": [
+        "f27457a249a7acce3b7a7c7439adcef9ef032ab59a996e6eb2a65ab52f21030f",
+        "7411b812616a41be4f589ddb531ad0044aaa8b55e9795de07840dfa8251ad505"],
+    "handover-edge-scene": [
+        "4fc530ab2ba31f93a32b1f127a976eb42ed872fb2f829fc5bc4b38361a2c60fe",
+        "2999168a7b11cc54ebd33b030e7228289d89468fcde54a10f0875c6069ec7a5b"],
     "area-grid": [
         "511684feb80f49f1048303852fc6af4293cde7d948ae5279ff8ed605a8ff0444",
         "94372f59e1db62f6a4897ac398cbfdfe15649231684a9753c4dae27a40fe706b"],
@@ -123,12 +191,13 @@ DIGESTS = {
 
 
 def run_case(name, tmp_path, monkeypatch):
-    """Run one case from a working directory that holds `scenes/` and `multi.cfg`."""
+    """Run one case from a working directory that holds `scenes/` and `SCENE_FILES`."""
     work = tmp_path / "work"
     (work / "scenes").mkdir(parents=True)
     for cfg in (ROOT / "scenes").glob("*.cfg"):
         (work / "scenes" / cfg.name).write_text(cfg.read_text())
-    (work / "multi.cfg").write_text(MULTI_OBSTACLE_SCENE)
+    for file_name, text in SCENE_FILES.items():
+        (work / file_name).write_text(text)
     monkeypatch.chdir(work)
     out = tmp_path / "out"
     argv = CASES[name]
