@@ -13,7 +13,7 @@ selectivity only appears when several transmitters superpose at one receiver.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,12 +279,9 @@ class ChannelMatrix:
     entries: np.ndarray
     path_gains: np.ndarray
     path_delays: np.ndarray
-    tx_ids: tuple = field(default=())
-    rx_ids: tuple = field(default=())
 
     @classmethod
-    def from_paths(cls, path_gains, path_delays, subcarrier_freqs,
-                   tx_ids=(), rx_ids=()) -> "ChannelMatrix":
+    def from_paths(cls, path_gains, path_delays, subcarrier_freqs) -> "ChannelMatrix":
         gains = np.asarray(path_gains, dtype=float)
         delays = np.asarray(path_delays, dtype=float)
         freqs = np.asarray(subcarrier_freqs, dtype=float)
@@ -297,8 +294,7 @@ class ChannelMatrix:
         phase = np.exp(-2j * np.pi * freqs[:, None, None] * delays[None, :, :])
         entries = amp[None, :, :] * phase
         return cls(n_tx=n_tx, n_rx=n_rx, subcarrier_freqs=freqs, entries=entries,
-                   path_gains=gains, path_delays=delays,
-                   tx_ids=tuple(tx_ids), rx_ids=tuple(rx_ids))
+                   path_gains=gains, path_delays=delays)
 
     @property
     def n_subcarriers(self) -> int:
@@ -342,9 +338,7 @@ def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]
 def channel_matrix(scene: Scene, frame_index: int, subcarrier_freqs) -> ChannelMatrix:
     """Per-subcarrier channel of a scene at one frame index (see `scene_paths`)."""
     gains, delays = scene_paths(scene, frame_index)
-    return ChannelMatrix.from_paths(gains, delays, subcarrier_freqs,
-                                    tx_ids=[tx.id for tx in scene.transmitters],
-                                    rx_ids=[rx.id for rx in scene.receivers])
+    return ChannelMatrix.from_paths(gains, delays, subcarrier_freqs)
 
 
 def wideband_rssi_dbm(path_gains, tx_power_dbm) -> np.ndarray:

@@ -71,17 +71,33 @@ def _positive(parse):
     return parse_positive
 
 
+def _within(parse, lo, hi):
+    def parse_within(text):
+        value = parse(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"must be in [{lo:g}, {hi:g}], got {value:g}")
+        return value
+    return parse_within
+
+
 _parse_int_list = _parse_list(int)
 _finite_float = _finite(float)
-_parse_finite_float_list = _parse_list(_finite_float)
 _positive_int = _positive(int)
-_positive_float = _positive(float)
+# The Lambertian gain of a receiver in the beam falls as 1/d^2 and underflows to
+# zero past about 1e153 m, where the row would read -inf RSSI.
+_sweep_distance = _within(_positive(float), 0.0, 1e6)
+# 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
+# quantizer takes, and past 16 bits the integer range means nothing.
+_csi_bits = _within(int, 2, 16)
+# The FSR waterfall spans a few dB, and an offset of some -3000 dB overflows the
+# oracle's noise power, so +-100 dB is ample.
+_parse_offsets_db = _parse_list(_within(_finite_float, -100.0, 100.0))
 
 # Allowed --set keys per scenario, with their parsers.
 _OVERRIDE_KEYS = {
     "siso-sweep": {"payload_bytes": _positive_int, "count": _positive_int,
-                   "n_distances": _positive_int, "d_min": _positive_float,
-                   "d_max": _positive_float, "mcs": _parse_int_list},
+                   "n_distances": _positive_int, "d_min": _sweep_distance,
+                   "d_max": _sweep_distance, "mcs": _parse_int_list},
     "blockage-timeline": {"payload_bytes": _positive_int, "n_frames": _positive_int,
                           "mcs_index": int},
     "mrc-fsr-point": {"payload_bytes": _positive_int, "count": _positive_int,
@@ -89,10 +105,25 @@ _OVERRIDE_KEYS = {
     "handover-sweep": {"n_angles": _positive_int},
     "mimo-area-grid": {"payload_bytes": _positive_int, "count": _positive_int,
                        "imbalance_db": _finite_float, "mcs": _parse_int_list},
-    "csi-report": {"bits": int, "bandwidth_mhz": int},
+    "csi-report": {"bits": _csi_bits, "bandwidth_mhz": int},
     "oracle-check": {"payload_bytes": _positive_int, "n_frames": _positive_int,
-                     "mcs": _parse_int_list, "offsets_db": _parse_finite_float_list},
+                     "mcs": _parse_int_list, "offsets_db": _parse_offsets_db},
 }
+
+
+def _cell_texts(cache: dict, values: tuple) -> tuple:
+    """`str` of each of `values`, formatted once per distinct tuple of values.
+
+    `csv.writer` writes a float as `str(value)`, so a cell pre-formatted here
+    writes the same bytes. 0.0 and -0.0 are equal keys that print differently,
+    so a tuple holding a zero is not cached and keeps its own text.
+    """
+    texts = cache.get(values)
+    if texts is None:
+        texts = tuple(map(str, values))
+        if 0.0 not in values:
+            cache[values] = texts
+    return texts
 
 
 def _flat_channel(n: int, bandwidth_mhz: int = 20) -> ChannelMatrix:
@@ -111,8 +142,11 @@ def _run_siso_sweep(scene, seed, ov):
     mcs_list = ov.get("mcs", list(range(8)))
     rows = scenarios.run_siso_sweep(scene, mcs_list, distances, frame, seed)
     header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic", "fsr_realized"]
-    csv_rows = [[r.distance_m, r.rssi_dbm, r.snr_db, r.mcs_index,
-                 r.fsr_analytic, r.fsr_realized] for r in rows]
+    # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
+    # sort need not keep them adjacent, so they are formatted by value.
+    texts = {}
+    csv_rows = [(*_cell_texts(texts, (d, rssi, snr)), m, p, q)
+                for d, rssi, snr, m, p, q in rows]
     # Rows are sorted by RSSI, so an MCS's first reliable row has its lowest RSSI.
     first_reliable = dict.fromkeys(map(str, mcs_list))
     for r in rows:
@@ -129,8 +163,10 @@ def _run_blockage(scene, seed, ov):
     n_chains = len(traces[0].per_chain_rssi_dbm)
     header = (["frame_index"] + [f"rssi_chain_{i}_dbm" for i in range(n_chains)]
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
-    csv_rows = [[t.frame_index, *t.per_chain_rssi_dbm, t.combined_rssi_dbm,
-                 t.technique, t.mcs_index, t.success] for t in traces]
+    # Frames of one obstacle state share their RSSI cells; format them once.
+    texts = {}
+    csv_rows = [(i, *_cell_texts(texts, (*per_chain, combined)), technique, m, ok)
+                for i, per_chain, combined, technique, m, ok in traces]
     return header, csv_rows, {
         "frames": len(traces),
         "success_rate": sum(t.success for t in traces) / len(traces)}
@@ -154,11 +190,10 @@ def _run_mrc_point(seed, ov):
 def _run_handover(scene, seed, ov):
     angles = presets.handover_angles(ov.get("n_angles", 61))
     rows = scenarios.run_handover_sweep(scene, angles)
+    # A HandoverRow's fields are the CSV columns, so the rows are written as they are.
     header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
-    csv_rows = [[r.tx_azimuth_deg, r.rssi_a_dbm, r.rssi_b_dbm, r.rssi_mrc_dbm]
-                for r in rows]
     mrc = [r.rssi_mrc_dbm for r in rows]
-    return header, csv_rows, {"mrc_excursion_db": max(mrc) - min(mrc)}
+    return header, rows, {"mrc_excursion_db": max(mrc) - min(mrc)}
 
 
 def _run_area_grid(seed, ov):

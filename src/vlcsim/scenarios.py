@@ -7,6 +7,9 @@ frames are emitted in index order with no gaps.
 
 import math
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +25,10 @@ from .presets import mimo_area_scene
 TIMELINE_TOTAL_FRAMES = 350
 
 
-@dataclass(frozen=True)
-class FrameTrace:
+# The link runners emit one row per frame, distance/MCS cell or angle, tens of
+# thousands per run, so their rows are named tuples: cheap to build, and the
+# CLI can write them as they are.
+class FrameTrace(NamedTuple):
     """Per-frame receiver record."""
 
     frame_index: int
@@ -34,8 +39,7 @@ class FrameTrace:
     success: bool
 
 
-@dataclass(frozen=True)
-class SisoSweepRow:
+class SisoSweepRow(NamedTuple):
     distance_m: float
     rssi_dbm: float
     snr_db: float
@@ -55,8 +59,7 @@ class MrcFsrPoint:
     mrc_snr_db: float
 
 
-@dataclass(frozen=True)
-class HandoverRow:
+class HandoverRow(NamedTuple):
     tx_azimuth_deg: float
     rssi_a_dbm: float
     rssi_b_dbm: float
@@ -137,10 +140,11 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     snrs = [r - scene.noise_floor_dbm for r in rssi]
     analytic = [fsr_at(entry, snr_db, frame.payload_bytes) for snr_db in snrs for entry in entries]
     # One draw for every cell, in (distance, MCS) order, the order of `analytic`.
-    cells = zip(analytic, _realize(rng, analytic, frame.count))
-    rows = [SisoSweepRow(d, r, snr_db, entry.index, *next(cells))
-            for d, r, snr_db in zip(distances, rssi, snrs) for entry in entries]
-    rows.sort(key=lambda r: (r.rssi_dbm, r.mcs_index))
+    realized = _realize(rng, analytic, frame.count)
+    cells = zip(product(zip(distances, rssi, snrs), entries), analytic, realized)
+    rows = [SisoSweepRow(d, r, snr_db, entry.index, p, q)
+            for ((d, r, snr_db), entry), p, q in cells]
+    rows.sort(key=itemgetter(1, 3))  # (rssi_dbm, mcs_index)
     return rows
 
 
@@ -178,9 +182,7 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
         success_p.append(fsr(entry, [combined_snr_db] * entry.n_streams, frame))
     rng = np.random.default_rng(seed)
     successes = rng.random(n_frames) < np.array(success_p)[state_of_frame]
-    return [FrameTrace(frame_index=i, per_chain_rssi_dbm=per_chain[k],
-                       combined_rssi_dbm=combined[k], technique="MRC",
-                       mcs_index=entry.index, success=ok)
+    return [FrameTrace(i, per_chain[k], combined[k], "MRC", entry.index, ok)
             for i, (k, ok) in enumerate(zip(state_of_frame.tolist(), successes.tolist()))]
 
 
@@ -220,17 +222,17 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
             paths.append((rx, v, d, cos_psi, within_fov(cos_psi, rx.fov_half_angle),
                           float(db_to_linear(rx.conversion_gain_db))))
     azimuths = [float(az) for az in tx_azimuths_deg]
+    # The boresight of each azimuth, one row each, from math.cos and math.sin.
+    boresights = np.array([(math.cos(a), math.sin(a), 0.0) for a in map(math.radians, azimuths)])
     gains = []
-    for az in azimuths:
-        a = math.radians(az)
-        boresight = np.array([math.cos(a), math.sin(a), 0.0])
+    for boresight in boresights:
         for rx, v, d, cos_psi, seen, conv in paths:
             g = (lambertian_gain(m, rx.active_area, d, float(np.dot(boresight, v)) / d, cos_psi)
                  if seen else 0.0)
             gains.append(g * conv)
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 2, 1)), scene.tx_power_dbm)
     combined = mw_to_dbm(np.sum(dbm_to_mw(rssi), axis=1))
-    return [HandoverRow(tx_azimuth_deg=az, rssi_a_dbm=rssi_a, rssi_b_dbm=rssi_b, rssi_mrc_dbm=mrc)
+    return [HandoverRow(az, rssi_a, rssi_b, mrc)
             for az, (rssi_a, rssi_b), mrc in zip(azimuths, rssi.tolist(), combined.tolist())]
 
 

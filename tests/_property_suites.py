@@ -4,13 +4,17 @@ Each suite draws its cases from one seeded generator and asserts internally;
 callers choose the case count.
 """
 
+import csv
 import dataclasses
+import io
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 
-from vlcsim import _numerics, oracle, presets
+from vlcsim import _numerics, cli, oracle, presets
 from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Scene, \
     dbm_to_mw, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, _stream_snr_per_subcarrier, \
@@ -21,6 +25,7 @@ from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulat
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
 from vlcsim.scenarios import FrameTrace, HandoverRow, SisoSweepRow, \
     run_blockage_timeline, run_handover_sweep, run_siso_sweep
+from vlcsim.sceneconfig import read_scene_file, scene_to_text
 
 
 def _unit(v):
@@ -420,6 +425,99 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
             seen.update(name for name, value in zip(("a", "b", "mrc"), (
                 row.rssi_a_dbm, row.rssi_b_dbm, row.rssi_mrc_dbm)) if value == -math.inf)
     assert seen == {"a", "b", "mrc"} or n_cases < 3
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
+    """The CLI's link CSVs equal `csv.writer` over one list per runner row.
+
+    Each case writes a random scene to a file, runs siso-sweep,
+    blockage-timeline or handover-sweep on it through `cli.main`, and compares
+    the CSV bytes with the rows of the runner called on the same scene, written
+    as the CLI used to write them. The cases include receivers outside the FOV
+    (every siso row -inf, so distances interleave after the sort), d_min ==
+    d_max, and obstacles that blank one or every chain.
+    """
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_path, out = os.path.join(tmp, "scene.cfg"), os.path.join(tmp, "out")
+        for case in range(n_cases):
+            kind = ("siso-sweep", "blockage-timeline", "handover-sweep")[case % 3]
+            dark = case // 3 % 3 == 1
+            s = int(rng.integers(0, 2 ** 31))
+            if kind == "siso-sweep":
+                scene = _random_link_scene(rng, 1, 1)
+                if dark:
+                    scene = Scene(front_ends=(scene.transmitters[0], _zero_gain_receiver(
+                        scene.receivers[0], scene.transmitters[0], "outside")),
+                        noise_floor_dbm=scene.noise_floor_dbm)
+                d_min, d_max = sorted(float(d) for d in rng.uniform(0.1, 15.0, size=2))
+                if case // 3 % 3 == 2:
+                    d_max = d_min
+                n = int(rng.integers(1, 25))
+                mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 5)),
+                                                          replace=False)]
+                frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
+                                  count=int(rng.integers(1, 300)))
+                settings = [f"d_min={d_min!r}", f"d_max={d_max!r}", f"n_distances={n}",
+                            f"mcs={','.join(map(str, mcs_indices))}",
+                            f"payload_bytes={frame.payload_bytes}", f"count={frame.count}"]
+            elif kind == "blockage-timeline":
+                n_tx, n_rx = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+                n = int(rng.integers(1, 150))
+                scene = _random_link_scene(rng, n_tx, n_rx, int(rng.integers(0, 5)), n)
+                mcs_index = int(rng.integers(0, 8)) + (
+                    8 if min(n_tx, n_rx) == 2 and rng.random() < 0.5 else 0)
+                payload = int(rng.integers(100, 3000))
+                settings = [f"n_frames={n}", f"mcs_index={mcs_index}",
+                            f"payload_bytes={payload}"]
+            else:
+                scene = _random_link_scene(rng, 1, 2)
+                if dark:
+                    tx, (rx_a, rx_b) = scene.transmitters[0], scene.receivers
+                    scene = Scene(front_ends=(tx, _zero_gain_receiver(rx_a, tx, "outside"),
+                                              rx_b), noise_floor_dbm=scene.noise_floor_dbm)
+                n = int(rng.integers(1, 40))
+                settings = [f"n_angles={n}"]
+            with open(scene_path, "w") as f:
+                f.write(scene_to_text(scene))
+            scene, diagnostics = read_scene_file(scene_path)
+            assert not diagnostics
+            argv = ["--scenario", kind, "--scene", scene_path, "--seed", str(s), "--out", out]
+            for item in settings:
+                argv += ["--set", item]
+            assert cli.main(argv) == 0
+
+            if kind == "siso-sweep":
+                rows = run_siso_sweep(scene, mcs_indices, np.geomspace(d_min, d_max, n),
+                                      frame, s)
+                header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic",
+                          "fsr_realized"]
+                lists = [[r.distance_m, r.rssi_dbm, r.snr_db, r.mcs_index, r.fsr_analytic,
+                          r.fsr_realized] for r in rows]
+                assert not dark or all(r.rssi_dbm == -math.inf for r in rows)
+            elif kind == "blockage-timeline":
+                traces = run_blockage_timeline(scene, FrameSpec(payload_bytes=payload, count=1),
+                                               s, mcs_index, n)
+                header = (["frame_index"]
+                          + [f"rssi_chain_{i}_dbm" for i in range(n_rx)]
+                          + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
+                lists = [[t.frame_index, *t.per_chain_rssi_dbm, t.combined_rssi_dbm,
+                          t.technique, t.mcs_index, t.success] for t in traces]
+            else:
+                rows = run_handover_sweep(scene, presets.handover_angles(n))
+                header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
+                lists = [[r.tx_azimuth_deg, r.rssi_a_dbm, r.rssi_b_dbm, r.rssi_mrc_dbm]
+                         for r in rows]
+            with open(os.path.join(out, f"{kind}.csv"), "rb") as f:
+                assert f.read() == _csv_bytes(header, lists), (kind, case)
 
 
 def _reference_stream_snr(entries, tx_power_per_stream, noise_per_chain):

@@ -1,17 +1,20 @@
 """CLI behavior: outputs, exit codes, determinism, overrides."""
 
 import csv
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import vlcsim
-from vlcsim import sceneconfig
+from vlcsim import cli, sceneconfig
 from vlcsim.cli import main
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -259,12 +262,17 @@ def test_siso_sweep_scenario_small(tmp_path):
     ["--scenario", "mimo-area-grid", "--set", "imbalance_db=-1"],
     ["--scenario", "mrc-fsr-point", "--set", "fsr_a=nan"],
     ["--scenario", "mrc-fsr-point", "--set", "fsr_b=-inf"],
+    ["--scenario", "csi-report", "--set", "bits=2000"],
+    ["--scenario", "csi-report", "--set", "bits=64"],
+    ["--scenario", "oracle-check", "--set", "offsets_db=-1e308", "--set", "n_frames=2"],
+    ["--scenario", "siso-sweep", "--set", "d_min=1e150", "--set", "d_max=1e154"],
 ], ids=["blockage-0-frames", "handover-0-angles", "handover-negative-angles",
         "siso-0-distances", "siso-negative-d_min", "siso-nan-d_max", "siso-no-mcs",
         "blockage-2-streams-on-1-tx", "siso-2-streams-on-1x1", "mrc-0-count",
         "mrc-fsr-out-of-range", "csi-1-bit", "oracle-nan-offset", "oracle-inf-offset",
         "area-nan-imbalance", "area-minus-inf-imbalance", "area-negative-imbalance",
-        "mrc-nan-fsr", "mrc-minus-inf-fsr"])
+        "mrc-nan-fsr", "mrc-minus-inf-fsr", "csi-2000-bits", "csi-64-bits",
+        "oracle-huge-offset", "siso-underflowing-distance"])
 def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -287,6 +295,28 @@ def test_non_finite_set_value_names_the_key(key, value, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith(f"vlcsim: error: --set {key}: ")
     assert "finite" in err[-1]
+
+
+@pytest.mark.parametrize("scenario,key,value", [
+    ("siso-sweep", "d_min", "1e150"), ("siso-sweep", "d_max", "1e154"),
+    ("csi-report", "bits", "2000"), ("oracle-check", "offsets_db", "0,-1e308")])
+def test_out_of_bound_set_value_names_the_key(scenario, key, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", scenario, "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"vlcsim: error: --set {key}: cannot use '{value}': must be in [")
+
+
+@pytest.mark.parametrize("scenario,setting", [
+    ("siso-sweep", "d_max=1e6"), ("csi-report", "bits=16"), ("csi-report", "bits=2"),
+    ("oracle-check", "offsets_db=-100,100")])
+def test_bound_values_are_accepted(scenario, setting, tmp_path):
+    small = {"siso-sweep": ["--set", "n_distances=3", "--set", "mcs=0"],
+             "oracle-check": ["--set", "n_frames=2", "--set", "mcs=0"]}.get(scenario, [])
+    out = tmp_path / "out"
+    assert main(["--scenario", scenario, "--set", setting, *small, "--out", str(out)]) == 0
+    assert len(read_csv(out / f"{scenario}.csv")) > 1
 
 
 def test_negative_imbalance_names_the_reachable_range(tmp_path, capsys):
@@ -312,14 +342,21 @@ def test_descending_distance_range_names_both_keys(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overrides,reason", [
-    (["d_min=1e300", "d_max=1e301"], "geometry is not finite"),
-    (["d_min=1e-13"], "degenerate geometry"),
+# The sweep distances are bounded to 1e6 m, so only a scene file can put the
+# link itself out of float range.
+@pytest.mark.parametrize("rx_position,overrides,reason", [
+    ("1e308 1e308 0.0", [], "geometry is not finite"),
+    (None, ["d_min=1e-13"], "degenerate geometry"),
 ], ids=["huge", "coincident"])
-def test_distances_without_finite_geometry_are_one_line(overrides, reason, tmp_path,
-                                                         capsys):
+def test_distances_without_finite_geometry_are_one_line(rx_position, overrides, reason,
+                                                         tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["--scenario", "siso-sweep", "--out", str(out)]
+    if rx_position is not None:
+        scene = tmp_path / "far.cfg"
+        scene.write_text((SCENES / "siso.cfg").read_text().replace(
+            "position_m = 2.0 0.0 0.0", f"position_m = {rx_position}"))
+        argv += ["--scene", str(scene)]
     for item in overrides:
         argv += ["--set", item]
     with warnings.catch_warnings():
@@ -349,3 +386,20 @@ def test_scene_out_of_float_range_is_one_line(scenario, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("vlcsim: error: geometry is not finite: ")
     assert not out.exists()
+
+
+def test_cached_cells_keep_the_sign_of_zero():
+    cache = {}
+    assert cli._cell_texts(cache, (0.0, -50.5)) == ("0.0", "-50.5")
+    assert cli._cell_texts(cache, (-0.0, -50.5)) == ("-0.0", "-50.5")
+    assert cli._cell_texts(cache, (0.0, -50.5)) == ("0.0", "-50.5")
+    assert cli._cell_texts(cache, (-50.5, -0.0)) == ("-50.5", "-0.0")
+    texts = cli._cell_texts(cache, (1.25, -math.inf))
+    assert cli._cell_texts(cache, (1.25, -math.inf)) is texts
+    # A pre-formatted cell is what csv.writer writes for the float itself.
+    values = [0.0, -0.0, np.float64(-0.0), -math.inf, 0.1 + 0.2, np.float64(1e-300)]
+    direct, formatted = io.StringIO(), io.StringIO()
+    csv.writer(direct).writerow(values)
+    csv.writer(formatted).writerow(cli._cell_texts({}, tuple(values)))
+    assert direct.getvalue() == formatted.getvalue() == \
+        "0.0,-0.0,-0.0,-inf,0.30000000000000004,1e-300\r\n"

@@ -90,8 +90,14 @@ active_area_m2 = 0.0002
 conversion_gain_db = 4.0
 """
 
+# The receiver faces away from the transmitter, so the link is outside its FOV
+# at every distance: every row reads -inf, and after the sort by RSSI the
+# distances interleave across the MCS.
+SISO_DARK_SCENE = (ROOT / "scenes" / "siso.cfg").read_text().replace(
+    "boresight = -1.0 0.0 0.0", "boresight = 1.0 0.0 0.0")
+
 SCENE_FILES = {"multi.cfg": MULTI_OBSTACLE_SCENE, "siso_gain.cfg": SISO_GAIN_SCENE,
-               "handover_edge.cfg": HANDOVER_EDGE_SCENE}
+               "handover_edge.cfg": HANDOVER_EDGE_SCENE, "siso_dark.cfg": SISO_DARK_SCENE}
 
 CASES = {
     "siso-preset": ["--scenario", "siso-sweep", "--seed", "3",
@@ -118,6 +124,14 @@ CASES = {
                         "--set", "d_min=0.3", "--set", "d_max=25"],
     "handover-edge-scene": ["--scenario", "handover-sweep", "--scene", "handover_edge.cfg",
                             "--set", "n_angles=241"],
+    "siso-dark-scene": ["--scenario", "siso-sweep", "--scene", "siso_dark.cfg", "--seed", "6",
+                        "--set", "n_distances=7", "--set", "mcs=5,2,0", "--set", "count=50"],
+    # d_min == d_max: every row of one MCS has the same distance and RSSI, and
+    # only the realized FSR tells them apart.
+    "siso-repeated-distance": ["--scenario", "siso-sweep", "--seed", "8",
+                               "--set", "d_min=1.75", "--set", "d_max=1.75",
+                               "--set", "n_distances=6", "--set", "mcs=4,1,6",
+                               "--set", "count=7"],
     "area-grid": ["--scenario", "mimo-area-grid", "--seed", "2", "--set", "count=300"],
     # The 2x2 placement at the zero-forcing boundary: every subcarrier is
     # singular at 0.01 dB; at 0.05 dB the Gram condition number is 4.8e5,
@@ -166,6 +180,12 @@ DIGESTS = {
     "handover-edge-scene": [
         "4fc530ab2ba31f93a32b1f127a976eb42ed872fb2f829fc5bc4b38361a2c60fe",
         "2999168a7b11cc54ebd33b030e7228289d89468fcde54a10f0875c6069ec7a5b"],
+    "siso-dark-scene": [
+        "007672e7a034f5eab911727396e29badad3e22ab091c734675c1191d89c86105",
+        "c554dcb2d1ae2de1bf734f31799157c1c880c7c7bd224835aab30b6573c4707f"],
+    "siso-repeated-distance": [
+        "88a344c83dacbae06697b8ca639424c36fc95d20dad1939c2b75af8e09d23468",
+        "1157edf3322ff5135beae9a6d0f6a03a1b244156afdea6ff27016462810edb4b"],
     "area-grid": [
         "511684feb80f49f1048303852fc6af4293cde7d948ae5279ff8ed605a8ff0444",
         "94372f59e1db62f6a4897ac398cbfdfe15649231684a9753c4dae27a40fe706b"],

@@ -51,6 +51,10 @@ def test_handover_sweep_without_channel_matrices_is_exact():
     suites.handover_sweep_exactness(60)
 
 
+def test_link_csv_equals_csv_writer_over_row_lists():
+    suites.link_csv_exactness(60)
+
+
 def test_batched_zf_kernel_equals_per_subcarrier_loop():
     suites.zf_batched_exactness(120)
 
