@@ -9,8 +9,7 @@ from .channel import (ChannelMatrix, FrontEnd, NO_SIGNAL_DBM, Obstacle, Scene,
                       channel_matrix, lambertian_order, los_gain, rssi_per_chain,
                       scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
 from .errors import NoLinkError, UnderdeterminedError, ValidationError
-from .mimo import (MimoConfig, PostSnr, extra_diversity_gain, mrc_combine,
-                   selection_combine, zf_decode)
+from .mimo import MimoConfig, PostSnr, extra_diversity_gain, mrc_combine, zf_decode
 from .oracle import empirical_fsr, oracle_snr_for, simulate_frame
 from .phy import FrameSpec, McsEntry, fsr, mcs, mcs_table, phy_rate, snr_for_fsr
 from .scenarios import (CsiReport, FrameTrace, report_csi, run_blockage_timeline,
@@ -25,8 +24,7 @@ __all__ = [
     "channel_matrix", "lambertian_order", "los_gain", "rssi_per_chain",
     "scene_paths", "subcarrier_frequencies", "wideband_rssi_dbm",
     "NoLinkError", "UnderdeterminedError", "ValidationError",
-    "MimoConfig", "PostSnr", "extra_diversity_gain", "mrc_combine",
-    "selection_combine", "zf_decode",
+    "MimoConfig", "PostSnr", "extra_diversity_gain", "mrc_combine", "zf_decode",
     "empirical_fsr", "oracle_snr_for", "simulate_frame",
     "FrameSpec", "McsEntry", "fsr", "mcs", "mcs_table", "phy_rate", "snr_for_fsr",
     "CsiReport", "FrameTrace", "report_csi", "run_blockage_timeline",

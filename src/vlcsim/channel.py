@@ -190,12 +190,6 @@ class Scene:
     def receivers(self) -> tuple:
         return tuple(fe for fe in self.front_ends if fe.role == "rx")
 
-    def front_end(self, fe_id: str) -> FrontEnd:
-        for fe in self.front_ends:
-            if fe.id == fe_id:
-                return fe
-        raise KeyError(fe_id)
-
     @property
     def tx_power_dbm(self) -> np.ndarray:
         return np.array([tx.tx_electrical_power_dbm for tx in self.transmitters])

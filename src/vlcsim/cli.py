@@ -18,30 +18,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import presets, scenarios
 from .channel import ChannelMatrix, subcarrier_frequencies
-from .errors import ValidationError
+from .errors import NoLinkError, ValidationError
 from .oracle import empirical_fsr, oracle_snr_for
 from .phy import FrameSpec, fsr, mcs, snr_for_fsr
 from .sceneconfig import read_scene_file, scene_to_text
-
-SCENARIOS = ("siso-sweep", "blockage-timeline", "mrc-fsr-point", "handover-sweep",
-             "mimo-area-grid", "csi-report", "oracle-check")
-
-_TAKES_SCENE = {"siso-sweep", "blockage-timeline", "handover-sweep", "csi-report"}
-
-
-@dataclass
-class RunConfig:
-    scenario: str
-    scene: str | None
-    seed: int
-    output_dir: str
-    overrides: dict
 
 
 def _parse_list(parse):
@@ -53,62 +40,40 @@ def _parse_list(parse):
     return parse_list
 
 
-def _finite(parse):
-    def parse_finite(text):
+def _number(parse, lo=-math.inf, hi=math.inf):
+    """Parser of one finite number in [lo, hi]."""
+    def parse_number(text):
         value = parse(text)
-        if not math.isfinite(value):
+        # Compared, not passed to math.isfinite, which overflows on a huge int.
+        if not -math.inf < value < math.inf:
             raise ValueError(f"must be a finite number, got {value}")
+        if not lo <= value <= hi:
+            raise ValueError(f"must be in [{lo:g}, {hi:g}], got {value}")
         return value
-    return parse_finite
+    return parse_number
 
 
 def _positive(parse):
     def parse_positive(text):
         value = parse(text)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"must be a finite number > 0, got {value}")
+        if not value > 0:
+            raise ValueError(f"must be > 0, got {value}")
         return value
     return parse_positive
 
 
-def _within(parse, lo, hi):
-    def parse_within(text):
-        value = parse(text)
-        if not lo <= value <= hi:
-            raise ValueError(f"must be in [{lo:g}, {hi:g}], got {value:g}")
-        return value
-    return parse_within
-
-
 _parse_int_list = _parse_list(int)
-_finite_float = _finite(float)
-_positive_int = _positive(int)
+_finite_float = _number(float)
+_positive_int = _number(int, lo=1)
+# 65535 octets is the largest PSDU the 16-bit 802.11n HT-SIG length field carries.
+_payload_bytes = _number(int, 1, 65535)
 # The Lambertian gain of a receiver in the beam falls as 1/d^2 and underflows to
 # zero past about 1e153 m, where the row would read -inf RSSI.
-_sweep_distance = _within(_positive(float), 0.0, 1e6)
-# 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
-# quantizer takes, and past 16 bits the integer range means nothing.
-_csi_bits = _within(int, 2, 16)
+_sweep_distance = _positive(_number(float, hi=1e6))
+_csi_bits = _number(int, *scenarios.CSI_BITS_RANGE)
 # The FSR waterfall spans a few dB, and an offset of some -3000 dB overflows the
 # oracle's noise power, so +-100 dB is ample.
-_parse_offsets_db = _parse_list(_within(_finite_float, -100.0, 100.0))
-
-# Allowed --set keys per scenario, with their parsers.
-_OVERRIDE_KEYS = {
-    "siso-sweep": {"payload_bytes": _positive_int, "count": _positive_int,
-                   "n_distances": _positive_int, "d_min": _sweep_distance,
-                   "d_max": _sweep_distance, "mcs": _parse_int_list},
-    "blockage-timeline": {"payload_bytes": _positive_int, "n_frames": _positive_int,
-                          "mcs_index": int},
-    "mrc-fsr-point": {"payload_bytes": _positive_int, "count": _positive_int,
-                      "fsr_a": _finite_float, "fsr_b": _finite_float},
-    "handover-sweep": {"n_angles": _positive_int},
-    "mimo-area-grid": {"payload_bytes": _positive_int, "count": _positive_int,
-                       "imbalance_db": _finite_float, "mcs": _parse_int_list},
-    "csi-report": {"bits": _csi_bits, "bandwidth_mhz": int},
-    "oracle-check": {"payload_bytes": _positive_int, "n_frames": _positive_int,
-                     "mcs": _parse_int_list, "offsets_db": _parse_offsets_db},
-}
+_parse_offsets_db = _parse_list(_number(float, -100.0, 100.0))
 
 
 def _cell_texts(cache: dict, values: tuple) -> tuple:
@@ -126,19 +91,11 @@ def _cell_texts(cache: dict, values: tuple) -> tuple:
     return texts
 
 
-def _flat_channel(n: int, bandwidth_mhz: int = 20) -> ChannelMatrix:
-    """Synthetic unit-gain n x n channel for oracle self-checks."""
-    return ChannelMatrix.from_paths(np.eye(n), np.zeros((n, n)),
-                                    subcarrier_frequencies(bandwidth_mhz))
-
-
 def _run_siso_sweep(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
                       count=ov.get("count", 1000))
-    d_min, d_max = ov.get("d_min", 0.15), ov.get("d_max", 12.5)
-    if d_min > d_max:
-        raise ValueError(f"--set d_min={d_min} must not exceed d_max={d_max}")
-    distances = np.geomspace(d_min, d_max, ov.get("n_distances", 64))
+    d_range = {key: ov[key] for key in ("d_min", "d_max") if key in ov}
+    distances = presets.siso_sweep_distances(ov.get("n_distances", 64), **d_range)
     mcs_list = ov.get("mcs", list(range(8)))
     rows = scenarios.run_siso_sweep(scene, mcs_list, distances, frame, seed)
     header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic", "fsr_realized"]
@@ -147,11 +104,10 @@ def _run_siso_sweep(scene, seed, ov):
     texts = {}
     csv_rows = [(*_cell_texts(texts, (d, rssi, snr)), m, p, q)
                 for d, rssi, snr, m, p, q in rows]
-    # Rows are sorted by RSSI, so an MCS's first reliable row has its lowest RSSI.
+    # Rows are sorted by RSSI, so walking them backwards the last reliable row
+    # of an MCS written is its reliable row of lowest RSSI.
     first_reliable = dict.fromkeys(map(str, mcs_list))
-    for r in rows:
-        if r.fsr_realized >= 0.99 and first_reliable[str(r.mcs_index)] is None:
-            first_reliable[str(r.mcs_index)] = r.rssi_dbm
+    first_reliable.update((str(m), rssi) for _, rssi, _, m, _, q in reversed(rows) if q >= 0.99)
     return header, csv_rows, {"first_rssi_dbm_with_fsr_0p99": first_reliable}
 
 
@@ -165,14 +121,13 @@ def _run_blockage(scene, seed, ov):
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
     # Frames of one obstacle state share their RSSI cells; format them once.
     texts = {}
-    csv_rows = [(i, *_cell_texts(texts, (*per_chain, combined)), technique, m, ok)
-                for i, per_chain, combined, technique, m, ok in traces]
-    return header, csv_rows, {
-        "frames": len(traces),
-        "success_rate": sum(t.success for t in traces) / len(traces)}
+    csv_rows = [(i, *_cell_texts(texts, (*per_chain, combined)), "MRC", m, ok)
+                for i, per_chain, combined, m, ok in traces]
+    return header, csv_rows, {"frames": len(traces),
+                              "success_rate": sum(t.success for t in traces) / len(traces)}
 
 
-def _run_mrc_point(seed, ov):
+def _run_mrc_point(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
                       count=ov.get("count", 1000))
     entry = mcs(0)
@@ -196,7 +151,7 @@ def _run_handover(scene, seed, ov):
     return header, rows, {"mrc_excursion_db": max(mrc) - min(mrc)}
 
 
-def _run_area_grid(seed, ov):
+def _run_area_grid(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
                       count=ov.get("count", 1000))
     mcs_list = ov.get("mcs", [8, 9, 10, 11, 12])
@@ -227,18 +182,14 @@ def _run_csi(scene, seed, ov):
     csv_rows, ripple = [], {}
     for name, sc in variants:
         report = scenarios.run_csi_report(sc, bits=bits, bandwidth_mhz=bw)
-        n_rx, n_tx, n_sc = report.re.shape
-        for i in range(n_rx):
-            for j in range(n_tx):
-                for k in range(n_sc):
-                    csv_rows.append([name, i, j, report.subcarrier_freqs[k],
-                                     int(report.re[i, j, k]), int(report.im[i, j, k]),
-                                     report.scale])
+        csv_rows += [[name, i, j, report.subcarrier_freqs[k], int(report.re[i, j, k]),
+                      int(report.im[i, j, k]), report.scale]
+                     for i, j, k in product(*map(range, report.re.shape))]
         ripple[name] = float(np.max(report.magnitude_ripple_db()))
     return header, csv_rows, {"magnitude_ripple_db": ripple}
 
 
-def _run_oracle_check(seed, ov):
+def _run_oracle_check(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000), count=1)
     n_frames = ov.get("n_frames", 1000)
     offsets = ov.get("offsets_db", [-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -247,7 +198,8 @@ def _run_oracle_check(seed, ov):
     csv_rows, max_err = [], 0.0
     for m in ov.get("mcs", [0, 1, 8, 9]):
         entry = mcs(m)
-        cm = _flat_channel(entry.n_streams)
+        n = entry.n_streams  # a unit-gain n x n channel
+        cm = ChannelMatrix.from_paths(np.eye(n), np.zeros((n, n)), subcarrier_frequencies(20))
         for off in offsets:
             snr = entry.snr_threshold_db + off
             analytic = fsr(entry, [snr] * entry.n_streams, frame)
@@ -259,71 +211,100 @@ def _run_oracle_check(seed, ov):
     return header, csv_rows, {"max_abs_err": max_err}
 
 
-def run(config: RunConfig) -> int:
-    """Execute one scenario and write `<scenario>.csv` plus `summary.json`."""
-    scene = None
-    scene_text = None
-    if config.scene is not None:
+class Scenario(NamedTuple):
+    """How one scenario runs and what it accepts."""
+
+    runner: Callable  # (scene or None, seed, overrides) -> (header, csv rows, aggregates)
+    keys: dict  # its --set keys, each with the parser that checks its value's bounds
+    takes_scene: bool = False
+    # The scene of a run without --scene; a lambda, so that a wrapper rebound
+    # on `presets` (bench/tracer.py) sees the call.
+    preset: Callable | None = None
+
+
+REGISTRY = {
+    "siso-sweep": Scenario(_run_siso_sweep, {
+        "payload_bytes": _payload_bytes, "count": _positive_int, "n_distances": _positive_int,
+        "d_min": _sweep_distance, "d_max": _sweep_distance, "mcs": _parse_int_list},
+        takes_scene=True, preset=lambda: presets.siso_scene()),
+    "blockage-timeline": Scenario(_run_blockage, {
+        "payload_bytes": _payload_bytes, "n_frames": _positive_int, "mcs_index": int},
+        takes_scene=True, preset=lambda: presets.simo_blockage_scene()),
+    "mrc-fsr-point": Scenario(_run_mrc_point, {
+        "payload_bytes": _payload_bytes, "count": _positive_int,
+        "fsr_a": _finite_float, "fsr_b": _finite_float}),
+    "handover-sweep": Scenario(_run_handover, {"n_angles": _positive_int},
+                               takes_scene=True, preset=lambda: presets.handover_scene()),
+    "mimo-area-grid": Scenario(_run_area_grid, {
+        "payload_bytes": _payload_bytes, "count": _positive_int,
+        "imbalance_db": _finite_float, "mcs": _parse_int_list}),
+    # Without --scene it reports both CSI presets.
+    "csi-report": Scenario(_run_csi, {"bits": _csi_bits, "bandwidth_mhz": int},
+                           takes_scene=True),
+    "oracle-check": Scenario(_run_oracle_check, {
+        "payload_bytes": _payload_bytes, "n_frames": _positive_int,
+        "mcs": _parse_int_list, "offsets_db": _parse_offsets_db}),
+}
+
+
+def run(name: str, scene_path: str | None, seed: int, output_dir: str,
+        overrides: dict) -> None:
+    """Execute one scenario and write `<scenario>.csv` plus `summary.json`.
+
+    An invalid scene raises ValidationError (one argument per diagnostic), an
+    unreadable scene file OSError and a configuration the runner rejects
+    ValueError, all before any output file is written.
+    """
+    scenario = REGISTRY[name]
+    scene = scene_text = None
+    if scene_path is not None:
         try:
-            scene, diagnostics = read_scene_file(config.scene)
+            scene, diagnostics = read_scene_file(scene_path)
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            print(f"cannot read scene: {config.scene}: {reason}", file=sys.stderr)
-            return 1
+            raise OSError(f"cannot read scene: {scene_path}: {reason}") from None
         if diagnostics:
-            for d in diagnostics:
-                print(f"invalid scene: {d}", file=sys.stderr)
-            return 1
+            raise ValidationError(*diagnostics)
         scene_text = scene_to_text(scene)
+    elif scenario.preset is not None:
+        scene = scenario.preset()
+    header, csv_rows, aggregates = scenario.runner(scene, seed, overrides)
 
-    name, seed, ov = config.scenario, config.seed, config.overrides
-    if name == "siso-sweep":
-        out = _run_siso_sweep(scene or presets.siso_scene(), seed, ov)
-    elif name == "blockage-timeline":
-        out = _run_blockage(scene or presets.simo_blockage_scene(), seed, ov)
-    elif name == "mrc-fsr-point":
-        out = _run_mrc_point(seed, ov)
-    elif name == "handover-sweep":
-        out = _run_handover(scene or presets.handover_scene(), seed, ov)
-    elif name == "mimo-area-grid":
-        out = _run_area_grid(seed, ov)
-    elif name == "csi-report":
-        out = _run_csi(scene, seed, ov)
-    else:
-        out = _run_oracle_check(seed, ov)
-    header, csv_rows, aggregates = out
-
-    os.makedirs(config.output_dir, exist_ok=True)
-    csv_path = os.path.join(config.output_dir, f"{name}.csv")
+    os.makedirs(output_dir, exist_ok=True)
+    csv_path = os.path.join(output_dir, f"{name}.csv")
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(csv_rows)
 
     config_blob = json.dumps(
-        {"scenario": name, "seed": seed, "overrides": ov, "scene": scene_text},
+        {"scenario": name, "seed": seed, "overrides": overrides, "scene": scene_text},
         sort_keys=True)
-    summary = {
-        "scenario": name,
-        "seed": seed,
-        "scene": config.scene or "preset",
-        "config_hash": hashlib.sha256(config_blob.encode()).hexdigest(),
-        "rows": len(csv_rows),
-        "aggregates": aggregates,
-    }
-    with open(os.path.join(config.output_dir, "summary.json"), "w") as f:
+    summary = {"scenario": name, "seed": seed, "scene": scene_path or "preset",
+               "config_hash": hashlib.sha256(config_blob.encode()).hexdigest(),
+               "rows": len(csv_rows), "aggregates": aggregates}
+    with open(os.path.join(output_dir, "summary.json"), "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
-    return 0
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds a generator from any non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got '{text}'")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vlcsim",
         description="Link-level MIMO VLC simulator: scripted scenarios, CSV/JSON outputs.")
-    parser.add_argument("--scenario", required=True, choices=SCENARIOS)
+    parser.add_argument("--scenario", required=True, choices=REGISTRY)
     parser.add_argument("--scene", help="scene config file (defaults to the scenario preset)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1)
     parser.add_argument("--out", default=None,
                         help="output directory (default: $VLCSIM_OUT or ./vlcsim-out)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -334,33 +315,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    allowed = _OVERRIDE_KEYS[args.scenario]
+    scenario = REGISTRY[args.scenario]
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
             parser.error(f"--set expects KEY=VALUE, got '{item}'")
         key, value = item.split("=", 1)
-        if key not in allowed:
+        if key not in scenario.keys:
             parser.error(f"unknown --set key '{key}' for scenario {args.scenario} "
-                         f"(allowed: {', '.join(sorted(allowed))})")
+                         f"(allowed: {', '.join(sorted(scenario.keys))})")
         try:
-            overrides[key] = allowed[key](value)
+            overrides[key] = scenario.keys[key](value)
         except ValueError as exc:
             parser.error(f"--set {key}: cannot use '{value}': {exc}")
-    if args.scene is not None and args.scenario not in _TAKES_SCENE:
+    if args.scene is not None and not scenario.takes_scene:
         parser.error(f"scenario {args.scenario} does not take a scene file")
     out_dir = args.out or os.environ.get("VLCSIM_OUT") or "vlcsim-out"
-    config = RunConfig(scenario=args.scenario, scene=args.scene, seed=args.seed,
-                       output_dir=out_dir, overrides=overrides)
+    # Exit 1 for a bad scene or a file that cannot be read or written, 2 for a
+    # configuration the run cannot use (e.g. more streams than the link carries).
     try:
-        return run(config)
-    except ValidationError as exc:
-        print(f"invalid scene: {exc}", file=sys.stderr)
+        run(args.scenario, args.scene, args.seed, out_dir, overrides)
+    except (ValidationError, NoLinkError) as exc:
+        for diagnostic in exc.args:
+            print(f"invalid scene: {diagnostic}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(exc, file=sys.stderr)
         return 1
     except ValueError as exc:
-        # A runner rejected the configuration (e.g. more streams than the link
-        # carries) before any output was written.
         parser.error(str(exc))
+    return 0
 
 
 if __name__ == "__main__":

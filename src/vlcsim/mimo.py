@@ -1,4 +1,4 @@
-"""Receiver-side spatial processing: MRC, selection combining, zero-forcing.
+"""Receiver-side spatial processing: MRC and zero-forcing.
 
 Streams are direct-mapped (stream k feeds transmit element k, equal power,
 same MCS on every stream). With N_t transmit and N_r receive elements the
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, NO_SIGNAL_DBM, linear_to_db, mw_to_dbm
-from .errors import NoLinkError, UnderdeterminedError
+from .errors import UnderdeterminedError
 from .phy import collapse_subcarrier_snr_db
 
 # A subcarrier whose Gram matrix is worse conditioned than this is treated as
@@ -36,10 +36,6 @@ class MimoConfig:
             raise ValueError(
                 f"n_streams={self.n_streams} exceeds min(n_tx, n_rx)="
                 f"{min(self.n_tx, self.n_rx)}")
-
-    @classmethod
-    def max_streams(cls, n_tx: int, n_rx: int) -> int:
-        return min(n_tx, n_rx)
 
 
 @dataclass(frozen=True)
@@ -66,17 +62,6 @@ def mrc_combine(per_chain_snr_linear) -> tuple[float, float]:
     # fsum: correctly-rounded, hence independent of branch ordering
     combined = math.fsum(snrs)
     return combined, float(linear_to_db(combined))
-
-
-def selection_combine(per_chain_rssi_dbm) -> tuple[int, float]:
-    """Pick the chain with the highest RSSI; ties go to the lowest index."""
-    rssi = np.asarray(per_chain_rssi_dbm, dtype=float)
-    if rssi.size == 0:
-        raise ValueError("selection_combine needs at least one chain")
-    if np.all(rssi == NO_SIGNAL_DBM):
-        raise NoLinkError("all receive chains read no signal")
-    best = int(np.argmax(rssi))
-    return best, float(rssi[best])
 
 
 def _stream_snr_per_subcarrier(entries, tx_power_per_stream, noise_per_chain):

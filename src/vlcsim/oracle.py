@@ -86,32 +86,6 @@ def demodulate(symbols: np.ndarray, modulation: str) -> np.ndarray:
     return _demod_axis(scaled.view(np.float64), axis_bits)
 
 
-@dataclass(frozen=True, eq=False)
-class OfdmGrid:
-    """Modulated symbols per (stream, subcarrier, time); 52 or 108 subcarriers."""
-
-    n_subcarriers: int
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        if self.n_subcarriers not in (52, 108):
-            raise ValueError(f"n_subcarriers must be 52 or 108, got {self.n_subcarriers}")
-        if self.symbols.ndim != 3 or self.symbols.shape[1] != self.n_subcarriers:
-            raise ValueError("symbols must have shape (n_streams, n_subcarriers, n_symbols)")
-
-
-def modulate_payload(bits: np.ndarray, mcs: McsEntry, n_subcarriers: int) -> OfdmGrid:
-    """Spread payload bits over streams/subcarriers/time, zero-padding the tail."""
-    bps = MODULATION_BITS[mcs.modulation]
-    per_sym = bps * mcs.n_streams * n_subcarriers
-    n_ofdm = max(1, math.ceil(bits.size / per_sym))
-    padded = np.zeros(n_ofdm * per_sym, dtype=np.int64)
-    padded[:bits.size] = bits
-    syms = modulate(padded, mcs.modulation)
-    grid = syms.reshape(n_ofdm, mcs.n_streams, n_subcarriers).transpose(1, 2, 0)
-    return OfdmGrid(n_subcarriers=n_subcarriers, symbols=grid)
-
-
 def _effective_channel(cm: ChannelMatrix, n_streams: int) -> np.ndarray:
     """Per-stream channel seen by each chain, shape (K, n_rx, n_streams).
 
@@ -217,9 +191,9 @@ def _run_frame(link: _Link, frame: FrameSpec, seed: int) -> tuple[int, bool]:
     n_bits = frame.payload_bytes * 8
     bits = rng.integers(0, 2, size=n_bits)
 
-    # The grid of `modulate_payload`: zero-padded bits, stream-major within
-    # each OFDM symbol, one symbol index (most significant bit first) per
-    # (time, stream, subcarrier).
+    # The payload grid: zero-padded bits, stream-major within each OFDM
+    # symbol, one symbol index (most significant bit first) per (time,
+    # stream, subcarrier).
     bps = MODULATION_BITS[link.modulation]
     n_streams, n_rx, n_sc, _ = link.rx_re.shape
     per_sym = bps * n_streams * n_sc

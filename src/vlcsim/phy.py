@@ -20,7 +20,6 @@ used, which puts the 0.5-point 3 dB below each error-free anchor
 FSR = FSR_ref ** (payload_bytes / 1000).
 """
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,11 +61,6 @@ class McsEntry:
     data_rate_20mhz_mbps: float
     data_rate_40mhz_mbps: float
     snr_threshold_db: float
-
-    @property
-    def reliable_snr_db(self) -> float:
-        """SNR at which the reference frame reaches FSR >= 0.999."""
-        return self.snr_threshold_db + RELIABLE_DECODE_MARGIN_DB
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,7 @@ def phy_rate(entry: McsEntry, bandwidth_mhz: int) -> float:
     raise ValueError(f"bandwidth must be 20 or 40 MHz, got {bandwidth_mhz}")
 
 
-def fsr(entry: McsEntry, per_stream_snr_db, frame: FrameSpec,
-        length_aware: bool = True) -> float:
+def fsr(entry: McsEntry, per_stream_snr_db, frame: FrameSpec) -> float:
     """Frame success probability for the given per-stream post-processing SNRs.
 
     All streams run the same MCS, so the weakest stream limits the frame.
@@ -126,8 +119,7 @@ def fsr(entry: McsEntry, per_stream_snr_db, frame: FrameSpec,
     if snrs.shape != (entry.n_streams,):
         raise ValueError(
             f"MCS {entry.index} carries {entry.n_streams} stream(s), got {snrs.shape[0]} SNR value(s)")
-    payload_bytes = frame.payload_bytes if length_aware else REFERENCE_PAYLOAD_BYTES
-    return fsr_at(entry, float(np.min(snrs)), payload_bytes)
+    return fsr_at(entry, float(np.min(snrs)), frame.payload_bytes)
 
 
 def fsr_at(entry: McsEntry, snr_db: float, payload_bytes: int) -> float:
@@ -158,14 +150,3 @@ def collapse_subcarrier_snr_db(per_subcarrier_snr_db) -> float:
         raise ValueError("need at least one subcarrier SNR")
     return float(np.mean(arr))
 
-
-def export_mcs_csv(path) -> None:
-    """Write the ladder as CSV (index, modulation, code rate, streams, rates, threshold)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "modulation", "code_rate", "n_streams",
-                         "rate_20mhz_mbps", "rate_40mhz_mbps", "snr_threshold_db"])
-        for entry in mcs_table():
-            writer.writerow([entry.index, entry.modulation, str(entry.code_rate),
-                             entry.n_streams, entry.data_rate_20mhz_mbps,
-                             entry.data_rate_40mhz_mbps, entry.snr_threshold_db])

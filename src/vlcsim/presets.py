@@ -63,8 +63,12 @@ def siso_scene(distance_m: float = 2.0) -> Scene:
     ))
 
 
-def siso_sweep_distances(n_points: int = 64) -> np.ndarray:
-    return np.geomspace(0.15, 12.5, n_points)
+def siso_sweep_distances(n_points: int = 64, d_min: float = 0.15,
+                         d_max: float = 12.5) -> np.ndarray:
+    """`n_points` receiver distances (m), log-spaced from `d_min` to `d_max`."""
+    if d_min > d_max:
+        raise ValueError(f"d_min={d_min} must not exceed d_max={d_max}")
+    return np.geomspace(d_min, d_max, n_points)
 
 
 def simo_blockage_scene() -> Scene:

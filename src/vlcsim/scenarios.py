@@ -23,18 +23,20 @@ from .phy import FrameSpec, fsr, fsr_at, mcs
 from .presets import mimo_area_scene
 
 TIMELINE_TOTAL_FRAMES = 350
+# 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
+# quantizer takes, and past 16 bits the integer range means nothing.
+CSI_BITS_RANGE = (2, 16)
 
 
 # The link runners emit one row per frame, distance/MCS cell or angle, tens of
 # thousands per run, so their rows are named tuples: cheap to build, and the
 # CLI can write them as they are.
 class FrameTrace(NamedTuple):
-    """Per-frame receiver record."""
+    """Per-frame record of the MRC receiver."""
 
     frame_index: int
     per_chain_rssi_dbm: tuple
     combined_rssi_dbm: float
-    technique: str  # SISO | SC | MRC | ZF
     mcs_index: int
     success: bool
 
@@ -182,7 +184,7 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
         success_p.append(fsr(entry, [combined_snr_db] * entry.n_streams, frame))
     rng = np.random.default_rng(seed)
     successes = rng.random(n_frames) < np.array(success_p)[state_of_frame]
-    return [FrameTrace(i, per_chain[k], combined[k], "MRC", entry.index, ok)
+    return [FrameTrace(i, per_chain[k], combined[k], entry.index, ok)
             for i, (k, ok) in enumerate(zip(state_of_frame.tolist(), successes.tolist()))]
 
 
@@ -312,8 +314,9 @@ def report_csi(cm: ChannelMatrix, bits: int = 6, single_stream: bool = False,
     weighted by per-TX field amplitudes), which is what the receiver sees when
     one stream is sounded through every transmit element.
     """
-    if bits < 2:
-        raise ValueError(f"quantization needs at least 2 bits, got {bits}")
+    lo, hi = CSI_BITS_RANGE
+    if not lo <= bits <= hi:
+        raise ValueError(f"quantization takes {lo} to {hi} bits, got {bits}")
     if single_stream:
         h = cm.column_sum(amplitude_weights)[:, :, None]  # (K, n_rx, 1)
     else:

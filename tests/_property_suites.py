@@ -20,7 +20,7 @@ from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Sc
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, _stream_snr_per_subcarrier, \
     mrc_combine, zf_decode
 from vlcsim.errors import UnderdeterminedError
-from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate_payload, \
+from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
     simulate_frame
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
 from vlcsim.scenarios import FrameTrace, HandoverRow, SisoSweepRow, \
@@ -248,7 +248,7 @@ def _reference_timeline(scene, frame, seed, mcs_index, n_frames):
         traces.append(FrameTrace(
             frame_index=i, per_chain_rssi_dbm=tuple(float(r) for r in rssi),
             combined_rssi_dbm=float(mw_to_dbm(np.sum(dbm_to_mw(rssi)))),
-            technique="MRC", mcs_index=entry.index, success=bool(rng.random() < p)))
+            mcs_index=entry.index, success=bool(rng.random() < p)))
     return traces
 
 
@@ -510,7 +510,7 @@ def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
                           + [f"rssi_chain_{i}_dbm" for i in range(n_rx)]
                           + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
                 lists = [[t.frame_index, *t.per_chain_rssi_dbm, t.combined_rssi_dbm,
-                          t.technique, t.mcs_index, t.success] for t in traces]
+                          "MRC", t.mcs_index, t.success] for t in traces]
             else:
                 rows = run_handover_sweep(scene, presets.handover_angles(n))
                 header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
@@ -591,6 +591,17 @@ def zf_batched_exactness(n_cases: int, seed: int = 113) -> None:
         assert min(masks.values()) > 0, masks
 
 
+def _payload_symbols(bits, mcs, n_subcarriers):
+    """Payload bits spread over (stream, subcarrier, time), the tail zero-padded."""
+    bps = MODULATION_BITS[mcs.modulation]
+    per_sym = bps * mcs.n_streams * n_subcarriers
+    n_ofdm = max(1, math.ceil(bits.size / per_sym))
+    padded = np.zeros(n_ofdm * per_sym, dtype=np.int64)
+    padded[:bits.size] = bits
+    syms = modulate(padded, mcs.modulation)
+    return syms.reshape(n_ofdm, mcs.n_streams, n_subcarriers).transpose(1, 2, 0)
+
+
 def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
                      snr_db: float, seed: int,
                      combining: str = "mrc") -> tuple[int, bool]:
@@ -611,8 +622,7 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
     rng = np.random.default_rng(seed)
     n_bits = frame.payload_bytes * 8
     bits = rng.integers(0, 2, size=n_bits)
-    grid = modulate_payload(bits, mcs, cm.n_subcarriers)
-    x = grid.symbols  # (n_streams, K, T)
+    x = _payload_symbols(bits, mcs, cm.n_subcarriers)  # (n_streams, K, T)
     n_ofdm = x.shape[2]
 
     h = _effective_channel(cm, n_streams)  # (K, n_rx, n_streams)

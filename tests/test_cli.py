@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,8 @@ import vlcsim
 from vlcsim import cli, sceneconfig
 from vlcsim.cli import main
 
-SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
 
 
 def read_csv(path):
@@ -266,13 +268,14 @@ def test_siso_sweep_scenario_small(tmp_path):
     ["--scenario", "csi-report", "--set", "bits=64"],
     ["--scenario", "oracle-check", "--set", "offsets_db=-1e308", "--set", "n_frames=2"],
     ["--scenario", "siso-sweep", "--set", "d_min=1e150", "--set", "d_max=1e154"],
+    ["--scenario", "handover-sweep", "--seed", "-1"],
 ], ids=["blockage-0-frames", "handover-0-angles", "handover-negative-angles",
         "siso-0-distances", "siso-negative-d_min", "siso-nan-d_max", "siso-no-mcs",
         "blockage-2-streams-on-1-tx", "siso-2-streams-on-1x1", "mrc-0-count",
         "mrc-fsr-out-of-range", "csi-1-bit", "oracle-nan-offset", "oracle-inf-offset",
         "area-nan-imbalance", "area-minus-inf-imbalance", "area-negative-imbalance",
         "mrc-nan-fsr", "mrc-minus-inf-fsr", "csi-2000-bits", "csi-64-bits",
-        "oracle-huge-offset", "siso-underflowing-distance"])
+        "oracle-huge-offset", "siso-underflowing-distance", "negative-seed"])
 def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -299,7 +302,12 @@ def test_non_finite_set_value_names_the_key(key, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario,key,value", [
     ("siso-sweep", "d_min", "1e150"), ("siso-sweep", "d_max", "1e154"),
-    ("csi-report", "bits", "2000"), ("oracle-check", "offsets_db", "0,-1e308")])
+    ("csi-report", "bits", "2000"), ("oracle-check", "offsets_db", "0,-1e308"),
+    # Too large for a float, which math.isfinite would try to convert it to.
+    pytest.param("csi-report", "bits", "1" + "0" * 400, id="csi-report-bits-401-digits"),
+    # 65535 octets is the largest PSDU the 802.11n HT-SIG length field carries.
+    *[(name, "payload_bytes", "65536") for name, scenario in cli.REGISTRY.items()
+      if "payload_bytes" in scenario.keys]])
 def test_out_of_bound_set_value_names_the_key(scenario, key, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", scenario, "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
@@ -317,6 +325,48 @@ def test_bound_values_are_accepted(scenario, setting, tmp_path):
     out = tmp_path / "out"
     assert main(["--scenario", scenario, "--set", setting, *small, "--out", str(out)]) == 0
     assert len(read_csv(out / f"{scenario}.csv")) > 1
+
+
+def test_negative_seed_names_the_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "handover-sweep", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "vlcsim: error: argument --seed: expected a non-negative integer, got '-1'")
+
+
+def test_largest_payload_is_accepted(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--scenario", "oracle-check", "--set", "payload_bytes=65535",
+                 "--set", "n_frames=1", "--set", "mcs=0", "--set", "offsets_db=0",
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out / "oracle-check.csv")) == 2
+
+
+def test_scene_with_every_path_blocked_is_one_line(tmp_path, capsys):
+    scene = tmp_path / "blocked.cfg"
+    scene.write_text((SCENES / "siso.cfg").read_text()
+                     + "\n[obstacle cover]\nblocks = tx_a->rx_a\nframes = 0 5\n")
+    out = tmp_path / "out"
+    assert main(["--scenario", "csi-report", "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "invalid scene: every path is blocked; nothing to report"]
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["--scenario", "handover-sweep", "--set", "n_angles=3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(out) in err[0]
+
+
+def test_readme_lists_the_set_keys_of_every_scenario():
+    row = re.compile(r"^\| `([a-z-]+)` \| .* \| `([a-z_ ]+)` \|$")
+    table = {m[1]: m[2].split() for m in map(row.match, (ROOT / "README.md").read_text()
+                                              .splitlines()) if m}
+    assert table == {name: list(scenario.keys) for name, scenario in cli.REGISTRY.items()}
 
 
 def test_negative_imbalance_names_the_reachable_range(tmp_path, capsys):

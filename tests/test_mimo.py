@@ -1,4 +1,4 @@
-"""MRC, selection combining, zero-forcing post-SNR, and diversity gain."""
+"""MRC, zero-forcing post-SNR, and diversity gain."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from vlcsim.channel import ChannelMatrix
-from vlcsim.errors import NoLinkError, UnderdeterminedError
-from vlcsim.mimo import (MimoConfig, extra_diversity_gain, mrc_combine,
-                         selection_combine, zf_decode)
+from vlcsim.errors import UnderdeterminedError
+from vlcsim.mimo import MimoConfig, extra_diversity_gain, mrc_combine, zf_decode
 from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
 
 GAIN_3DB = 10.0 * math.log10(2.0)
@@ -49,26 +48,6 @@ class TestMrcCombine:
     def test_negative_is_contract_error(self):
         with pytest.raises(ValueError):
             mrc_combine([1.0, -0.1])
-
-
-class TestSelectionCombine:
-    def test_picks_strongest(self):
-        assert selection_combine([-50.0, -55.0]) == (0, -50.0)
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert selection_combine([-55.0, -55.0]) == (0, -55.0)
-
-    def test_blocked_chain_excluded(self):
-        idx, rssi = selection_combine([float("-inf"), -58.0])
-        assert (idx, rssi) == (1, -58.0)
-
-    def test_all_blocked_is_no_link(self):
-        with pytest.raises(NoLinkError):
-            selection_combine([float("-inf"), float("-inf")])
-
-    def test_empty_is_contract_error(self):
-        with pytest.raises(ValueError):
-            selection_combine([])
 
 
 class TestZfDecode:
@@ -174,6 +153,3 @@ class TestMimoConfig:
         MimoConfig(n_tx=2, n_rx=3, n_streams=2)
         with pytest.raises(ValueError):
             MimoConfig(n_tx=2, n_rx=1, n_streams=2)
-
-    def test_max_streams(self):
-        assert MimoConfig.max_streams(2, 3) == 2

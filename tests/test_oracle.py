@@ -7,10 +7,9 @@ import pytest
 
 from vlcsim.channel import ChannelMatrix, subcarrier_frequencies
 from vlcsim.errors import UnderdeterminedError
-from vlcsim.oracle import (_MOD_NORM, OfdmGrid, _demod_axis, demodulate, empirical_fsr,
-                           modulate, modulate_payload, oracle_snr_for, oracle_waterfall,
-                           q_function, simulate_frame, uncoded_bit_error_rate,
-                           uncoded_frame_success)
+from vlcsim.oracle import (_MOD_NORM, _demod_axis, demodulate, empirical_fsr, modulate,
+                           oracle_snr_for, oracle_waterfall, q_function, simulate_frame,
+                           uncoded_bit_error_rate, uncoded_frame_success)
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs
 
 MODULATIONS = ("BPSK", "QPSK", "16QAM", "64QAM")
@@ -74,19 +73,6 @@ class TestModulation:
     def test_bit_count_must_divide(self):
         with pytest.raises(ValueError):
             modulate(np.zeros(3, dtype=int), "QPSK")
-
-
-class TestOfdmGrid:
-    def test_subcarrier_count_validated(self):
-        with pytest.raises(ValueError):
-            OfdmGrid(n_subcarriers=64, symbols=np.zeros((1, 64, 2), complex))
-
-    def test_payload_layout(self):
-        bits = np.random.default_rng(0).integers(0, 2, size=8000)
-        grid = modulate_payload(bits, mcs(8), 52)
-        n_streams, n_sc, n_sym = grid.symbols.shape
-        assert (n_streams, n_sc) == (2, 52)
-        assert n_sym == math.ceil(8000 / (2 * 52))
 
 
 class TestSimulateFrame:

@@ -1,13 +1,11 @@
 """MCS ladder contents, rate lookups, and the analytic FSR waterfall."""
 
-import csv
 import math
 
 import pytest
 
 from vlcsim.phy import (FSR_SLOPE_DB, FrameSpec, collapse_subcarrier_snr_db,
-                        export_mcs_csv, fsr, mcs, mcs_table, phy_rate,
-                        snr_for_fsr)
+                        fsr, mcs, mcs_table, phy_rate, snr_for_fsr)
 
 # Independent rate oracle: data subcarriers x bits/symbol x code rate x
 # streams / symbol time. 20 MHz uses the 4 us (800 ns GI) symbol, 40 MHz the
@@ -116,11 +114,11 @@ class TestFsr:
             long = fsr(e, [snr], FrameSpec(payload_bytes=1000))
             assert long <= short + 1e-15
 
-    def test_length_aware_toggle(self):
+    def test_length_scaling(self):
         e = mcs(0)
         snr = e.snr_threshold_db + 1.0
-        ref = fsr(e, [snr], FrameSpec(payload_bytes=2000), length_aware=False)
-        scaled = fsr(e, [snr], FrameSpec(payload_bytes=2000), length_aware=True)
+        ref = fsr(e, [snr], FrameSpec(payload_bytes=1000))
+        scaled = fsr(e, [snr], FrameSpec(payload_bytes=2000))
         assert scaled == pytest.approx(ref ** 2.0, rel=1e-12)
 
     def test_snr_for_fsr_roundtrip(self):
@@ -162,12 +160,3 @@ def test_slope_spans_the_anchor_window():
     # the 0.001..0.999 transition must fit between 0 dB (fail) and 5 dB (pass)
     assert FSR_SLOPE_DB * (math.log(999.0) + math.log(99.0)) <= 5.0
 
-
-def test_export_csv(tmp_path):
-    path = tmp_path / "mcs.csv"
-    export_mcs_csv(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0][0] == "index"
-    assert len(rows) == 17
-    assert rows[16][1] == "64QAM" and rows[16][5] == "300.0"

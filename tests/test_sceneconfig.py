@@ -45,7 +45,7 @@ class TestParse:
         scene = parse_scene(GOOD)
         assert [fe.id for fe in scene.front_ends] == ["tx_a", "rx_a", "rx_b"]
         assert scene.noise_floor_dbm == -60.0
-        assert scene.front_end("rx_b").conversion_gain_db == 3.0
+        assert scene.receivers[1].conversion_gain_db == 3.0
         obs = scene.obstacles[0]
         assert obs.blocked_pairs == frozenset({("tx_a", "rx_b")})
         assert obs.active_frames == (100, 181)
@@ -53,7 +53,7 @@ class TestParse:
     def test_boresight_normalized(self):
         text = GOOD.replace("boresight = 1 0 0", "boresight = 2 0 0", 1)
         scene = parse_scene(text)
-        assert np.linalg.norm(scene.front_end("tx_a").boresight) == pytest.approx(1.0)
+        assert np.linalg.norm(scene.transmitters[0].boresight) == pytest.approx(1.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown key"):
