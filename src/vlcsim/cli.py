@@ -64,7 +64,21 @@ def _positive(parse):
 
 _parse_int_list = _parse_list(int)
 _finite_float = _number(float)
-_positive_int = _number(int, lo=1)
+# Run sizes are bounded, each far above what a study or the benchmark uses, so
+# that a mistyped size exits 2 rather than exhausting memory, running for hours
+# or overflowing numpy.
+# A cell's realized FSR is one binomial draw, whose count numpy takes as a C
+# long (32 bits on some platforms); a billion frames resolve an FSR to 1e-9.
+_count = _number(int, 1, 10**9)
+# One CSV row per frame or angle, held in memory until written: 1e5 timeline
+# frames are about 20 MB, and 1e5 angles are 0.0006 degrees apart.
+_n_rows = _number(int, 1, 10**5)
+# The default 0.15-12.5 m sweep spans 38 dB of path loss, so 1e4 distances are
+# 0.004 dB apart, a hundredth of the 0.4 dB FSR slope; each is a row per MCS.
+_n_distances = _number(int, 1, 10**4)
+# The Monte-Carlo FSR of 1e4 frames has a standard error of at most 0.005, a
+# twentieth of the oracle check's 0.1 tolerance; a frame takes about 0.5 ms.
+_n_oracle_frames = _number(int, 1, 10**4)
 # 65535 octets is the largest PSDU the 16-bit 802.11n HT-SIG length field carries.
 _payload_bytes = _number(int, 1, 65535)
 # The Lambertian gain of a receiver in the beam falls as 1/d^2 and underflows to
@@ -156,12 +170,10 @@ def _run_area_grid(scene, seed, ov):
                       count=ov.get("count", 1000))
     mcs_list = ov.get("mcs", [8, 9, 10, 11, 12])
     imbalance = ov.get("imbalance_db", 0.5)
-    rows = scenarios.run_mimo_area_grid(
-        [(1, 3), (2, 3), (1, 2), (2, 2)], mcs_list, frame, seed,
-        area22_imbalance_db=imbalance)
-    # The exactly-proportional (2, 2) contrast case, same seed stream.
-    rows += scenarios.run_mimo_area_grid([(2, 2)], mcs_list, frame, seed + 1,
-                                         area22_imbalance_db=0.0)
+    # The exactly-proportional (2, 2) contrast case follows, from the next seed.
+    rows = scenarios.run_mimo_area_grids(
+        [([(1, 3), (2, 3), (1, 2), (2, 2)], imbalance, seed), ([(2, 2)], 0.0, seed + 1)],
+        mcs_list, frame)
     header = ["placement", "imbalance_db", "mcs_index", "snr_stream_a_db",
               "snr_stream_b_db", "solvable", "condition_number",
               "fsr_analytic", "fsr_realized"]
@@ -182,8 +194,8 @@ def _run_csi(scene, seed, ov):
     csv_rows, ripple = [], {}
     for name, sc in variants:
         report = scenarios.run_csi_report(sc, bits=bits, bandwidth_mhz=bw)
-        csv_rows += [[name, i, j, report.subcarrier_freqs[k], int(report.re[i, j, k]),
-                      int(report.im[i, j, k]), report.scale]
+        freqs, re, im = (a.tolist() for a in (report.subcarrier_freqs, report.re, report.im))
+        csv_rows += [[name, i, j, freqs[k], re[i][j][k], im[i][j][k], report.scale]
                      for i, j, k in product(*map(range, report.re.shape))]
         ripple[name] = float(np.max(report.magnitude_ripple_db()))
     return header, csv_rows, {"magnitude_ripple_db": ripple}
@@ -224,25 +236,25 @@ class Scenario(NamedTuple):
 
 REGISTRY = {
     "siso-sweep": Scenario(_run_siso_sweep, {
-        "payload_bytes": _payload_bytes, "count": _positive_int, "n_distances": _positive_int,
+        "payload_bytes": _payload_bytes, "count": _count, "n_distances": _n_distances,
         "d_min": _sweep_distance, "d_max": _sweep_distance, "mcs": _parse_int_list},
         takes_scene=True, preset=lambda: presets.siso_scene()),
     "blockage-timeline": Scenario(_run_blockage, {
-        "payload_bytes": _payload_bytes, "n_frames": _positive_int, "mcs_index": int},
+        "payload_bytes": _payload_bytes, "n_frames": _n_rows, "mcs_index": int},
         takes_scene=True, preset=lambda: presets.simo_blockage_scene()),
     "mrc-fsr-point": Scenario(_run_mrc_point, {
-        "payload_bytes": _payload_bytes, "count": _positive_int,
+        "payload_bytes": _payload_bytes, "count": _count,
         "fsr_a": _finite_float, "fsr_b": _finite_float}),
-    "handover-sweep": Scenario(_run_handover, {"n_angles": _positive_int},
+    "handover-sweep": Scenario(_run_handover, {"n_angles": _n_rows},
                                takes_scene=True, preset=lambda: presets.handover_scene()),
     "mimo-area-grid": Scenario(_run_area_grid, {
-        "payload_bytes": _payload_bytes, "count": _positive_int,
+        "payload_bytes": _payload_bytes, "count": _count,
         "imbalance_db": _finite_float, "mcs": _parse_int_list}),
     # Without --scene it reports both CSI presets.
     "csi-report": Scenario(_run_csi, {"bits": _csi_bits, "bandwidth_mhz": int},
                            takes_scene=True),
     "oracle-check": Scenario(_run_oracle_check, {
-        "payload_bytes": _payload_bytes, "n_frames": _positive_int,
+        "payload_bytes": _payload_bytes, "n_frames": _n_oracle_frames,
         "mcs": _parse_int_list, "offsets_db": _parse_offsets_db}),
 }
 

@@ -88,19 +88,40 @@ def _stream_snr_per_subcarrier(entries, tx_power_per_stream, noise_per_chain):
     return snr, cond, ok
 
 
-def _per_stream_snr_db(snr, ok) -> tuple:
-    """Subcarrier-collapsed SNR (dB) of each stream over the solvable subcarriers."""
-    if not np.any(ok):
-        return (NO_SIGNAL_DBM,) * snr.shape[1]
-    return tuple(collapse_subcarrier_snr_db(linear_to_db(snr[ok, s]))
-                 for s in range(snr.shape[1]))
+def _stream_snr_db(snr, ok, counts) -> list:
+    """Subcarrier-collapsed SNR (dB) of each stream of each link of a stack.
+
+    Link i holds `counts[i]` solvable subcarriers; a link with none reads
+    NO_SIGNAL_DBM on every stream. The solvable rows of a link are one run of
+    `snr[ok]`, so each stream's run is a contiguous slice of its transpose,
+    the same values in the same order as the link's own `snr[ok, s]`.
+    """
+    db = linear_to_db(np.ascontiguousarray(snr[ok].T))
+    out, start = [], 0
+    for n in counts:
+        out.append(tuple(collapse_subcarrier_snr_db(row[start:start + n]) for row in db)
+                   if n else (NO_SIGNAL_DBM,) * snr.shape[1])
+        start += n
+    return out
 
 
 def _collapsed_min_stream_snr_db(entries, tx_power_per_stream=1.0, noise_per_chain=1.0):
     """Subcarrier-collapsed per-stream SNRs (dB) and their minimum."""
     snr, _, ok = _stream_snr_per_subcarrier(entries, tx_power_per_stream, noise_per_chain)
-    per_stream = _per_stream_snr_db(snr, ok)
+    per_stream, = _stream_snr_db(snr, ok, [np.count_nonzero(ok)])
     return per_stream, min(per_stream)
+
+
+def _median_of_smallest(ascending: list, n: int) -> float:
+    """`np.median` of the first `n` values of an ascending list; inf if n is 0.
+
+    With an even count it is the mean of the middle two, (a + b) / 2, which is
+    how np.mean sums and divides two floats.
+    """
+    if not n:
+        return float("inf")
+    half = n // 2
+    return ascending[half] if n % 2 else (ascending[half - 1] + ascending[half]) / 2
 
 
 def zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain) -> PostSnr:
@@ -112,25 +133,48 @@ def zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain) -> PostSn
     matrix exceeds the singularity cutoff are excluded; if they are the
     majority the whole link is reported unsolvable.
     """
-    n_streams = cm.n_tx
-    if cm.n_rx < n_streams:
+    return zf_decode_links((cm,), tx_power_per_stream, noise_per_chain)[0]
+
+
+def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
+    """`zf_decode` of each of several links of one shape, in one stacked kernel call.
+
+    The links' subcarriers go through one Gram, condition number and inverse
+    (LAPACK works matrix by matrix, so a taller stack gives the same bits);
+    each link then gets its own `PostSnr` from its slice of the stack.
+    """
+    cms = tuple(cms)
+    if not cms:
+        return []
+    shapes = {cm.entries.shape for cm in cms}
+    if len(shapes) != 1:
+        raise ValueError(f"links decoded together need one (subcarriers, n_rx, n_tx) shape, "
+                         f"got {sorted(shapes)}")
+    n_subc, n_rx, n_streams = shapes.pop()
+    if n_rx < n_streams:
         raise UnderdeterminedError(
-            f"{cm.n_rx} receive chain(s) cannot separate {n_streams} streams; "
+            f"{n_rx} receive chain(s) cannot separate {n_streams} streams; "
             "need at least as many measurements as unknowns")
-    snr, cond, ok = _stream_snr_per_subcarrier(cm.entries, tx_power_per_stream, noise_per_chain)
-    n_subc = cm.n_subcarriers
-    bad = int(n_subc - np.count_nonzero(ok))
-    solvable = bad * 2 <= n_subc
-    finite_cond = cond[np.isfinite(cond)]
-    cond_scalar = float(np.median(finite_cond)) if finite_cond.size else float("inf")
-
+    stack = np.concatenate([cm.entries for cm in cms])
+    snr, cond, ok = _stream_snr_per_subcarrier(stack, tx_power_per_stream, noise_per_chain)
+    n_links = len(cms)
+    counts = np.count_nonzero(ok.reshape(n_links, n_subc), axis=1).tolist()
+    per_stream = _stream_snr_db(snr, ok, counts)
+    # Each link's finite condition numbers sort first, so one sort gives every
+    # link's median.
+    cond = cond.reshape(n_links, n_subc)
+    n_finite = np.count_nonzero(np.isfinite(cond), axis=1).tolist()
+    cond = np.sort(cond, axis=1).tolist()
     p = np.broadcast_to(np.asarray(tx_power_per_stream, dtype=float), (n_streams,))
-    total_rx_mw = float(np.sum(cm.path_gains @ p))
-    combined_rssi = float(mw_to_dbm(total_rx_mw))
-
-    per_stream = _per_stream_snr_db(snr, ok) if solvable else (NO_SIGNAL_DBM,) * n_streams
-    return PostSnr(per_stream_snr_db=per_stream, combined_rssi_dbm=combined_rssi,
-                   solvable=solvable, condition_number=cond_scalar)
+    rssi = mw_to_dbm(np.sum(np.stack([cm.path_gains for cm in cms]) @ p, axis=1)).tolist()
+    posts = []
+    for n_ok, streams, link_cond, n, link_rssi in zip(counts, per_stream, cond, n_finite, rssi):
+        solvable = (n_subc - n_ok) * 2 <= n_subc
+        posts.append(PostSnr(
+            per_stream_snr_db=streams if solvable else (NO_SIGNAL_DBM,) * n_streams,
+            combined_rssi_dbm=link_rssi, solvable=solvable,
+            condition_number=_median_of_smallest(link_cond, n)))
+    return posts
 
 
 def extra_diversity_gain(cm: ChannelMatrix, n_streams: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numerics import brentq
 from .channel import (DEFAULT_CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, FrontEnd,
-                      Obstacle, Scene, los_gain)
+                      Obstacle, Scene, lambertian_gain, lambertian_order, within_fov)
 from .phy import mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
@@ -117,6 +117,7 @@ def handover_angles(n_points: int = 61, rx_azimuth_deg: float = 30.0) -> np.ndar
 # 2-stream BPSK threshold (ZF there burns roughly 28 dB of SNR).
 _AREA_TX_POWER_DBM = 18.5
 _AREA_TX_X = 0.5
+_AREA_TX_BORESIGHT = (0, 1, 0)
 _AREA_RAIL_Y = 2.0
 _AREA_RX_FOV_DEG = 30.0
 _AREA_RX_X = {1: -1.2, 2: 0.0, 3: 1.2}
@@ -125,17 +126,21 @@ _AREA_RX_Z = (0.1, -0.1)
 
 def _area_tx(side: str) -> FrontEnd:
     x = -_AREA_TX_X if side == "a" else _AREA_TX_X
-    return _tx(f"tx_{side}", (x, 0, 0), (0, 1, 0), power_dbm=_AREA_TX_POWER_DBM)
+    return _tx(f"tx_{side}", (x, 0, 0), _AREA_TX_BORESIGHT, power_dbm=_AREA_TX_POWER_DBM)
 
 
 def _area_rx(fe_id: str, x: float, z: float) -> FrontEnd:
     return _rx(fe_id, (x, _AREA_RAIL_Y, z), (0, -1, 0), fov=_AREA_RX_FOV_DEG)
 
 
-def _tilted_area_rx(fe_id: str, z: float, tilt_deg: float) -> FrontEnd:
+def _tilted_boresight(tilt_deg: float) -> tuple:
     a = math.radians(tilt_deg)
-    return _rx(fe_id, (_AREA_RX_X[2], _AREA_RAIL_Y, z),
-               (math.sin(a), -math.cos(a), 0.0), fov=_AREA_RX_FOV_DEG)
+    return math.sin(a), -math.cos(a), 0.0
+
+
+def _tilted_area_rx(fe_id: str, z: float, tilt_deg: float) -> FrontEnd:
+    return _rx(fe_id, (_AREA_RX_X[2], _AREA_RAIL_Y, z), _tilted_boresight(tilt_deg),
+               fov=_AREA_RX_FOV_DEG)
 
 
 def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> float:
@@ -152,12 +157,26 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
             "range is about [0, 0.59] dB")
     if imbalance_db == 0.0:
         return 0.0
-    tx_a, tx_b = _area_tx("a"), _area_tx("b")
+    # The probe only turns in place: each path's vector, length and radiance
+    # angle and the TX Lambertian order are fixed, so a step computes just the
+    # boresight and cos(psi), with los_gain's own calls and no front-ends.
+    m = lambertian_order(TX_SEMI_ANGLE_DEG)
+    tx_boresight = _unit(_AREA_TX_BORESIGHT)
+    rx_position = np.asarray((_AREA_RX_X[2], _AREA_RAIL_Y, z), float)
+    paths = []
+    for x in (-_AREA_TX_X, _AREA_TX_X):  # TX A, TX B
+        v = rx_position - np.asarray((x, 0, 0), float)
+        d = float(np.linalg.norm(v))
+        paths.append((-v, d, float(np.dot(tx_boresight, v)) / d))
 
     def skew(tilt):
-        probe = _tilted_area_rx("probe", z, tilt)
-        ga, _ = los_gain(tx_a, probe)
-        gb, _ = los_gain(tx_b, probe)
+        boresight = _unit(_tilted_boresight(tilt))
+        gains = []
+        for to_tx, d, cos_phi in paths:
+            cos_psi = float(np.dot(boresight, to_tx)) / d
+            gains.append(lambertian_gain(m, RX_AREA_M2, d, cos_phi, cos_psi)
+                         if within_fov(cos_psi, _AREA_RX_FOV_DEG) else 0.0)
+        ga, gb = gains
         return 10.0 * math.log10(ga / gb) + imbalance_db
 
     # Beyond ~15.5 degrees the TX A path leaves the receiver FOV entirely.
@@ -177,18 +196,33 @@ def mimo_area_scene(placement: tuple[int, int], imbalance_db: float = 0.0) -> Sc
     `imbalance_db` tilts the second receiver toward TX B so its two path gains
     differ by that many dB, which is what keeps the matrix barely invertible.
     """
-    if len(placement) != 2 or any(p not in (1, 2, 3) for p in placement):
-        raise ValueError(f"placement must be a pair from areas 1..3, got {placement}")
-    if imbalance_db and placement != (2, 2):
-        raise ValueError("an area-2 gain imbalance only applies to the (2, 2) placement")
-    rx = []
-    for idx, (area, z) in enumerate(zip(placement, _AREA_RX_Z)):
-        if idx == 1 and imbalance_db:
-            rx.append(_tilted_area_rx(f"rx_{'ab'[idx]}", z,
-                                      area2_tilt_for_imbalance(imbalance_db, z)))
-        else:
-            rx.append(_area_rx(f"rx_{'ab'[idx]}", _AREA_RX_X[area], z))
-    return Scene(front_ends=(_area_tx("a"), _area_tx("b"), *rx))
+    return next(mimo_area_scenes([(placement, imbalance_db)]))
+
+
+def mimo_area_scenes(links):
+    """Yield `mimo_area_scene(placement, imbalance_db)` of each pair in `links`.
+
+    The scenes share their two TX front-ends and every receiver they have in
+    common, so each front-end is built (and each tilt solved) once. A scene
+    is built when it is asked for.
+    """
+    txs = (_area_tx("a"), _area_tx("b"))
+    receivers = {}
+    for placement, imbalance_db in links:
+        if len(placement) != 2 or any(p not in (1, 2, 3) for p in placement):
+            raise ValueError(f"placement must be a pair from areas 1..3, got {placement}")
+        if imbalance_db and placement != (2, 2):
+            raise ValueError("an area-2 gain imbalance only applies to the (2, 2) placement")
+        rx = []
+        for idx, (area, z) in enumerate(zip(placement, _AREA_RX_Z)):
+            tilt_for = imbalance_db if idx == 1 else 0.0
+            if (idx, area, tilt_for) not in receivers:
+                fe_id = f"rx_{'ab'[idx]}"
+                receivers[idx, area, tilt_for] = (
+                    _tilted_area_rx(fe_id, z, area2_tilt_for_imbalance(tilt_for, z)) if tilt_for
+                    else _area_rx(fe_id, _AREA_RX_X[area], z))
+            rx.append(receivers[idx, area, tilt_for])
+        yield Scene(front_ends=(*txs, *rx))
 
 
 def csi_siso_scene() -> Scene:

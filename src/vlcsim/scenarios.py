@@ -18,9 +18,9 @@ from .channel import (DEFAULT_CENTER_FREQ_HZ, ChannelMatrix, Scene, channel_matr
                       mw_to_dbm, path_length, scene_paths, subcarrier_frequencies,
                       wideband_rssi_dbm, within_fov)
 from .errors import NoLinkError
-from .mimo import MimoConfig, mrc_combine, zf_decode
+from .mimo import MimoConfig, mrc_combine, zf_decode_links
 from .phy import FrameSpec, fsr, fsr_at, mcs
-from .presets import mimo_area_scene
+from .presets import mimo_area_scenes
 
 TIMELINE_TOTAL_FRAMES = 350
 # 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
@@ -68,8 +68,7 @@ class HandoverRow(NamedTuple):
     rssi_mrc_dbm: float
 
 
-@dataclass(frozen=True)
-class AreaGridRow:
+class AreaGridRow(NamedTuple):
     placement: str
     imbalance_db: float
     mcs_index: int
@@ -248,28 +247,49 @@ def run_mimo_area_grid(placements, mcs_indices, frame: FrameSpec, seed: int,
     placement applies `area22_imbalance_db` between the second receiver's two
     path gains; zero keeps the rows exactly proportional (unsolvable).
     """
+    return run_mimo_area_grids([(placements, area22_imbalance_db, seed)], mcs_indices, frame,
+                               bandwidth_mhz, center_freq_hz)
+
+
+def run_mimo_area_grids(grids, mcs_indices, frame: FrameSpec, bandwidth_mhz: int = 20,
+                        center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> list:
+    """`run_mimo_area_grid` of each `(placements, area22_imbalance_db, seed)` grid, in order.
+
+    The links of every grid go through one ZF call; each grid's cells are
+    realized from a generator of its own seed.
+    """
     freqs = subcarrier_frequencies(bandwidth_mhz, center_freq_hz)
     entries = [mcs(i) for i in mcs_indices]
-    cells = []
-    for placement in placements:
-        placement = tuple(placement)
-        imbalance = area22_imbalance_db if placement == (2, 2) else 0.0
-        scene = mimo_area_scene(placement, imbalance_db=imbalance)
-        cm = channel_matrix(scene, 0, freqs)
-        post = zf_decode(cm, dbm_to_mw(scene.tx_power_dbm),
-                         dbm_to_mw(scene.noise_floor_dbm))
+    grids = [([tuple(p) for p in placements], imbalance, seed)
+             for placements, imbalance, seed in grids]
+    links = [(placement, imbalance if placement == (2, 2) else 0.0)
+             for placements, imbalance, _ in grids for placement in placements]
+    cms, los_paths = [], {}
+    for scene in mimo_area_scenes(links):
+        n_tx = len(scene.transmitters)
         for entry in entries:
-            if entry.n_streams != cm.n_tx:
+            if entry.n_streams != n_tx:
                 raise ValueError(f"MCS {entry.index} carries {entry.n_streams} stream(s); "
-                                 f"the grid transmits {cm.n_tx}")
-            cells.append((f"{placement[0]},{placement[1]}", imbalance, entry, post,
-                          fsr(entry, post.per_stream_snr_db, frame)))
-    realized = _realize(np.random.default_rng(seed), [p for *_, p in cells], frame.count)
-    return [AreaGridRow(placement=placement, imbalance_db=imbalance, mcs_index=entry.index,
-                        stream_snr_db=post.per_stream_snr_db, solvable=post.solvable,
-                        condition_number=post.condition_number, fsr_analytic=p,
-                        fsr_realized=q)
-            for (placement, imbalance, entry, post, p), q in zip(cells, realized)]
+                                 f"the grid transmits {n_tx}")
+        # The scenes share front-ends, so a path they share is evaluated once.
+        cms.append(ChannelMatrix.from_paths(*scene_paths(scene, 0, los_paths), freqs))
+    if not cms:
+        return []
+    # Every area scene has the same TX powers and noise floor.
+    posts = zf_decode_links(cms, dbm_to_mw(scene.tx_power_dbm), dbm_to_mw(scene.noise_floor_dbm))
+    # `fsr` of a link is `fsr_at` of its weakest stream, the row's np.min.
+    weakest = np.min([post.per_stream_snr_db for post in posts], axis=1).tolist()
+    cells = [[(f"{a},{b}", imbalance, entry, post, fsr_at(entry, snr_db, frame.payload_bytes))
+              for entry in entries]
+             for ((a, b), imbalance), post, snr_db in zip(links, posts, weakest)]
+    link_cells, rows = iter(cells), []
+    for placements, _, seed in grids:
+        grid = [cell for _ in placements for cell in next(link_cells)]
+        realized = _realize(np.random.default_rng(seed), [p for *_, p in grid], frame.count)
+        rows += [AreaGridRow(placement, imbalance, entry.index, post.per_stream_snr_db,
+                             post.solvable, post.condition_number, p, q)
+                 for (placement, imbalance, entry, post, p), q in zip(grid, realized)]
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

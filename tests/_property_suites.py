@@ -16,9 +16,9 @@ import numpy as np
 
 from vlcsim import _numerics, cli, oracle, presets
 from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Scene, \
-    dbm_to_mw, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
-from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, _stream_snr_per_subcarrier, \
-    mrc_combine, zf_decode
+    dbm_to_mw, linear_to_db, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
+from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_subcarrier, \
+    mrc_combine, zf_decode, zf_decode_links
 from vlcsim.errors import UnderdeterminedError
 from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
     simulate_frame
@@ -589,6 +589,151 @@ def zf_batched_exactness(n_cases: int, seed: int = 113) -> None:
             masks["all" if ok.all() else "none" if not ok.any() else "mixed"] += 1
     if n_cases >= 8:
         assert min(masks.values()) > 0, masks
+
+
+def _reference_zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain):
+    """`zf_decode` as it was before links were stacked: one kernel call per link."""
+    n_streams = cm.n_tx
+    if cm.n_rx < n_streams:
+        raise UnderdeterminedError("underdetermined")
+    snr, cond, ok = _stream_snr_per_subcarrier(cm.entries, tx_power_per_stream, noise_per_chain)
+    n_subc = cm.n_subcarriers
+    bad = int(n_subc - np.count_nonzero(ok))
+    solvable = bad * 2 <= n_subc
+    finite_cond = cond[np.isfinite(cond)]
+    cond_scalar = float(np.median(finite_cond)) if finite_cond.size else float("inf")
+    p = np.broadcast_to(np.asarray(tx_power_per_stream, dtype=float), (n_streams,))
+    total_rx_mw = float(np.sum(cm.path_gains @ p))
+    combined_rssi = float(mw_to_dbm(total_rx_mw))
+    if solvable and np.any(ok):
+        per_stream = tuple(float(np.mean(linear_to_db(snr[ok, s]))) for s in range(n_streams))
+    else:
+        per_stream = (float("-inf"),) * n_streams
+    return PostSnr(per_stream_snr_db=per_stream, combined_rssi_dbm=combined_rssi,
+                   solvable=solvable, condition_number=cond_scalar)
+
+
+def _random_zf_link(rng, kind, n_subc, n_rx, n_tx):
+    """A link of one kind: regular, mixed (some subcarriers singular or nearly so),
+    singular (every subcarrier), dead-column (a TX whose every path has zero gain,
+    so the condition number is infinite), or dark (every path zero)."""
+    shape = (n_subc, n_rx, n_tx + 1)
+    scale = 10.0 ** rng.uniform(-4.0, 0.0)
+    entries = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if kind in ("mixed", "singular"):
+        rank1 = rng.random(n_subc) < (1.0 if kind == "singular" else rng.uniform(0.1, 0.7))
+        if n_tx == 1:
+            entries[rank1, :, 0] = 0.0
+        else:
+            near = rank1 & (rng.random(n_subc) < 0.5)
+            eps = np.where(near[:, None], 10.0 ** rng.uniform(-7.0, -1.0, (n_subc, 1)), 0.0)
+            entries[rank1, :, 1] = (rng.uniform(0.2, 2.0) * entries[rank1, :, 0]
+                                    + eps[rank1] * entries[rank1, :, n_tx])
+    entries = entries[:, :, :n_tx]
+    gains = np.abs(entries[0]) ** 2
+    if kind == "dead-column":
+        entries[:, :, rng.integers(n_tx)] = 0.0
+    elif kind == "dark":
+        entries[:] = 0.0
+    if kind in ("dead-column", "dark"):
+        gains = np.abs(entries[0]) ** 2
+    if rng.random() < 0.3:
+        gains[rng.integers(n_rx), rng.integers(n_tx)] = 0.0  # a blocked path
+    return ChannelMatrix(n_tx=n_tx, n_rx=n_rx, subcarrier_freqs=subcarrier_frequencies(
+        20 if n_subc == 52 else 40), entries=entries, path_gains=gains,
+        path_delays=np.zeros((n_rx, n_tx)))
+
+
+def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
+    """`zf_decode_links` over a stack of links equals decoding each link alone
+    the old way, field by field, with floats compared bit for bit.
+
+    Stacks hold 1-6 links of one shape, K = 52 or 108, each link regular,
+    mixed, all singular, with a dead TX column (infinite condition numbers)
+    or dark, and sometimes a zero-gain path. Links of different shapes raise.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = ("regular", "mixed", "singular", "dead-column", "dark")
+    seen = dict.fromkeys(("solvable", "unsolvable", "infinite-cond", "stack"), 0)
+    for _ in range(n_cases):
+        n_subc = int(rng.choice([52, 108]))
+        n_tx = int(rng.integers(1, 4))
+        n_rx = n_tx + int(rng.integers(0, 2))
+        cms = [_random_zf_link(rng, str(rng.choice(kinds)), n_subc, n_rx, n_tx)
+               for _ in range(int(rng.integers(1, 7)))]
+        power = rng.uniform(0.1, 10.0, size=n_tx) if rng.random() < 0.5 else 1.0
+        noise = rng.uniform(1e-9, 1e-3, size=n_rx) if rng.random() < 0.5 else 1e-6
+        got = zf_decode_links(cms, power, noise)
+        assert len(got) == len(cms)
+        for g, cm in zip(got, cms):
+            want = _reference_zf_decode(cm, power, noise)
+            assert g.solvable is want.solvable
+            assert np.array_equal(_bits(g.per_stream_snr_db), _bits(want.per_stream_snr_db))
+            assert np.array_equal(_bits([g.combined_rssi_dbm, g.condition_number]),
+                                  _bits([want.combined_rssi_dbm, want.condition_number]))
+            assert all(type(x) is float for x in (*g.per_stream_snr_db, g.combined_rssi_dbm,
+                                                  g.condition_number))
+            seen["solvable" if want.solvable else "unsolvable"] += 1
+            seen["infinite-cond"] += want.condition_number == math.inf
+        seen["stack"] += len(cms) > 1
+        assert zf_decode(cms[0], power, noise) == got[0]
+    if n_cases >= 20:
+        assert min(seen.values()) > 0, seen
+    assert zf_decode_links([], 1.0, 1.0) == []
+    a = _random_zf_link(rng, "regular", 52, 2, 2)
+    for other in (_random_zf_link(rng, "regular", 108, 2, 2),
+                  _random_zf_link(rng, "regular", 52, 3, 2),
+                  _random_zf_link(rng, "regular", 52, 2, 1)):
+        try:
+            zf_decode_links([a, other], 1.0, 1.0)
+        except ValueError as exc:
+            assert "one (subcarriers, n_rx, n_tx) shape" in str(exc)
+        else:
+            raise AssertionError("links of different shapes were decoded together")
+
+
+def _reference_area2_tilt(imbalance_db, z):
+    """`presets.area2_tilt_for_imbalance` as it was: a probe front-end per step."""
+    if not imbalance_db >= 0.0:
+        raise ValueError(
+            f"imbalance of {imbalance_db} dB is not reachable by tilting: the reachable "
+            "range is about [0, 0.59] dB")
+    if imbalance_db == 0.0:
+        return 0.0
+    tx_a, tx_b = presets._area_tx("a"), presets._area_tx("b")
+
+    def skew(tilt):
+        a = math.radians(tilt)
+        probe = FrontEnd(id="probe", role="rx", position=np.array([0.0, 2.0, z]),
+                         boresight=_unit(np.array([math.sin(a), -math.cos(a), 0.0])),
+                         fov_half_angle=30.0, active_area=1e-4)
+        ga, _ = los_gain(tx_a, probe)
+        gb, _ = los_gain(tx_b, probe)
+        return 10.0 * math.log10(ga / gb) + imbalance_db
+
+    if skew(15.5) > 0.0:
+        raise ValueError(
+            f"imbalance of {imbalance_db} dB is not reachable by tilting "
+            "within the receiver FOV (max is about 0.59 dB)")
+    return _numerics.brentq(skew, 0.0, 15.5, xtol=1e-12)
+
+
+def area_tilt_exactness(n_points: int) -> None:
+    """The tilt solve without front-ends returns the reference solve's float,
+    bit for bit, on both area-2 receiver heights, and raises its errors."""
+    for z in presets._AREA_RX_Z:
+        for imbalance in np.linspace(0.0, 0.59, n_points + 1)[1:].tolist():
+            got = presets.area2_tilt_for_imbalance(imbalance, z)
+            assert type(got) is float and got.hex() == _reference_area2_tilt(imbalance, z).hex()
+        for imbalance in (0.0, -0.0, -1e-9, -1.0, -math.inf, math.nan, 0.61, 2.0, math.inf):
+            outcomes = []
+            for solve in (presets.area2_tilt_for_imbalance, _reference_area2_tilt):
+                try:
+                    outcomes.append(solve(imbalance, z))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (imbalance, z, outcomes)
+            assert type(outcomes[0]) is str or imbalance == 0.0
 
 
 def _payload_symbols(bits, mcs, n_subcarriers):

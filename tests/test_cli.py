@@ -316,6 +316,44 @@ def test_out_of_bound_set_value_names_the_key(scenario, key, value, tmp_path, ca
     assert err[-1].startswith(f"vlcsim: error: --set {key}: cannot use '{value}': must be in [")
 
 
+SIZE_BOUNDS = [("siso-sweep", "count", 10**9), ("mrc-fsr-point", "count", 10**9),
+               ("mimo-area-grid", "count", 10**9), ("siso-sweep", "n_distances", 10**4),
+               ("blockage-timeline", "n_frames", 10**5), ("handover-sweep", "n_angles", 10**5),
+               ("oracle-check", "n_frames", 10**4)]
+
+
+@pytest.mark.parametrize("scenario,key,bound", SIZE_BOUNDS)
+def test_size_bound_is_accepted_and_one_past_it_names_the_key(scenario, key, bound, tmp_path,
+                                                                capsys):
+    # The bound itself is checked at the parser: a run that large is slow.
+    assert cli.REGISTRY[scenario].keys[key](str(bound)) == bound
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", scenario, "--set", f"{key}={bound + 1}",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"vlcsim: error: --set {key}: cannot use '{bound + 1}': "
+                       f"must be in [1, {bound:g}], got {bound + 1}")
+
+
+def test_every_size_key_is_bounded():
+    sizes = {(name, key) for name, scenario in cli.REGISTRY.items() for key in scenario.keys
+             if key in ("count", "n_frames", "n_distances", "n_angles")}
+    assert sizes == {(scenario, key) for scenario, key, _ in SIZE_BOUNDS}
+
+
+@pytest.mark.parametrize("scenario,key", [("siso-sweep", "count"),
+                                          ("siso-sweep", "n_distances")])
+def test_401_digit_size_is_one_line_naming_the_key(scenario, key, tmp_path, capsys):
+    value = "1" + "0" * 400
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", scenario, "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(f"vlcsim: error: --set {key}: cannot use ")
+
+
 @pytest.mark.parametrize("scenario,setting", [
     ("siso-sweep", "d_max=1e6"), ("csi-report", "bits=16"), ("csi-report", "bits=2"),
     ("oracle-check", "offsets_db=-100,100")])

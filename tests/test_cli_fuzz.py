@@ -3,7 +3,8 @@
 The `--set` keys come from `cli.REGISTRY`, so a new key is fuzzed with no
 change here. Each example runs `cli.main` in-process. The sizes below come
 first on the command line and a fuzzed value of the same key overrides them,
-but fuzzed integers stay small, so every run is small.
+but a fuzzed size the parsers accept is at most about 1e4 rows (or 1e5 frames
+of one binomial draw), so every run is short.
 """
 
 import contextlib
@@ -21,11 +22,14 @@ SMALL = {"n_frames": "2", "n_distances": "3", "n_angles": "3", "count": "10",
          "payload_bytes": "20"}
 
 # Values near the keys' bounds (2 and 16 bits, +-100 dB, 1e6 m, the reachable
-# imbalance) and past them, and numbers that do not fit; 65535 bytes and past it
-# are left to test_cli, since an integer that large as a size makes a slow run.
+# imbalance) and past them, one integer past each size bound (1e4, 1e5 and 1e9;
+# the smaller ones are within the larger bounds, where a run of that size stays
+# short), and numbers that do not fit; 65535 bytes and past it are left to
+# test_cli, since an integer that large as a size makes a slow run.
 CANDIDATES = ("-1", "0", "1", "2", "3", "8", "9", "15", "16", "17", "20", "40", "0.5", "-0.0",
               "0.59", "0.6", "-100", "100", "100.5", "-100.5", "1e6", "1000000.5", "1e-13",
-              "5e-324", "1e308", "-1e308", "nan", "inf", "-inf", "x", "")
+              "5e-324", "1e308", "-1e308", "10001", "100001", "1000000001", "nan", "inf",
+              "-inf", "x", "")
 ANYTHING = st.one_of(st.sampled_from(CANDIDATES), st.floats().map(repr),
                      st.lists(st.sampled_from(CANDIDATES), max_size=3).map(",".join))
 

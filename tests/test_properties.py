@@ -59,6 +59,14 @@ def test_batched_zf_kernel_equals_per_subcarrier_loop():
     suites.zf_batched_exactness(120)
 
 
+def test_stacked_zf_links_equal_one_decode_per_link():
+    suites.zf_links_exactness(150)
+
+
+def test_tilt_solve_without_front_ends_is_exact():
+    suites.area_tilt_exactness(120)
+
+
 def test_prepared_oracle_frame_equals_per_frame_oracle():
     suites.oracle_frame_exactness(600)
 

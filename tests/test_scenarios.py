@@ -14,7 +14,7 @@ from vlcsim.phy import FrameSpec, mcs
 from vlcsim.scenarios import (TIMELINE_TOTAL_FRAMES, report_csi,
                               run_blockage_timeline, run_csi_report,
                               run_handover_sweep, run_mimo_area_grid,
-                              run_mrc_fsr_point, run_siso_sweep)
+                              run_mimo_area_grids, run_mrc_fsr_point, run_siso_sweep)
 
 GAIN_3DB = 10.0 * math.log10(2.0)
 FRAME = FrameSpec()
@@ -181,6 +181,20 @@ class TestMimoAreaGrid:
         assert live[8].solvable and live[8].fsr_realized > 0.8
         for m in range(9, 13):
             assert live[m].fsr_realized <= 0.05
+
+    def test_grids_in_one_call_equal_one_call_per_grid(self):
+        # Repeated placements, two tilts, an empty grid and the contrast case
+        # share one ZF call; each grid keeps its own seed.
+        grids = [([(2, 2), (1, 3)], 0.3, 5), ([], 0.5, 6), ([(2, 2), (2, 2), (3, 1)], 0.55, 7),
+                 ([(2, 2)], 0.0, 8)]
+        per_grid = [row for placements, imbalance, seed in grids
+                    for row in run_mimo_area_grid(placements, [8, 9], FRAME, seed, imbalance)]
+        assert run_mimo_area_grids(grids, [8, 9], FRAME) == per_grid
+        assert len(per_grid) == 2 * 6
+
+    def test_stream_count_checked_before_the_tilt_solve(self):
+        with pytest.raises(ValueError, match="MCS 0 carries 1 stream"):
+            run_mimo_area_grid([(1, 3), (2, 2)], [0], FRAME, seed=1, area22_imbalance_db=2.0)
 
     def test_area_classification(self):
         # area 1 receives TX A only; area 3 receives TX B only
