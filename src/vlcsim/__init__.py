@@ -9,14 +9,13 @@ from .channel import (ChannelMatrix, FrontEnd, NO_SIGNAL_DBM, Obstacle, Scene,
                       channel_matrix, lambertian_order, los_gain, rssi_per_chain,
                       scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
 from .errors import NoLinkError, UnderdeterminedError, ValidationError
-from .mimo import (MimoConfig, PostSnr, extra_diversity_gain, mrc_combine, zf_decode,
-                   zf_decode_links)
+from .mimo import MimoConfig, PostSnr, mrc_combine, zf_decode, zf_decode_links
 from .oracle import empirical_fsr, oracle_snr_for, simulate_frame
 from .phy import FrameSpec, McsEntry, fsr, mcs, mcs_table, phy_rate, snr_for_fsr
 from .scenarios import (CsiReport, FrameTrace, report_csi, run_blockage_timeline,
                         run_csi_report, run_handover_sweep, run_mimo_area_grid,
                         run_mimo_area_grids, run_mrc_fsr_point, run_siso_sweep)
-from .sceneconfig import load_scene, parse_scene, scene_to_text, validate_scene_file
+from .sceneconfig import parse_scene, read_scene_file, scene_to_text
 
 __version__ = "0.1.0"
 
@@ -25,12 +24,11 @@ __all__ = [
     "channel_matrix", "lambertian_order", "los_gain", "rssi_per_chain",
     "scene_paths", "subcarrier_frequencies", "wideband_rssi_dbm",
     "NoLinkError", "UnderdeterminedError", "ValidationError",
-    "MimoConfig", "PostSnr", "extra_diversity_gain", "mrc_combine", "zf_decode",
-    "zf_decode_links",
+    "MimoConfig", "PostSnr", "mrc_combine", "zf_decode", "zf_decode_links",
     "empirical_fsr", "oracle_snr_for", "simulate_frame",
     "FrameSpec", "McsEntry", "fsr", "mcs", "mcs_table", "phy_rate", "snr_for_fsr",
     "CsiReport", "FrameTrace", "report_csi", "run_blockage_timeline",
     "run_csi_report", "run_handover_sweep", "run_mimo_area_grid",
     "run_mimo_area_grids", "run_mrc_fsr_point", "run_siso_sweep",
-    "load_scene", "parse_scene", "scene_to_text", "validate_scene_file",
+    "parse_scene", "read_scene_file", "scene_to_text",
 ]

@@ -27,9 +27,15 @@ NO_SIGNAL_DBM = float("-inf")
 DEFAULT_NOISE_FLOOR_DBM = -60.0
 
 # 802.11n OFDM numerology: 312.5 kHz subcarrier spacing, data subcarriers only
-# (pilots and DC excluded). Absolute frequencies default to the 2.4 GHz band.
+# (pilots and DC excluded), on one 2.4 GHz channel (channel 6).
 SUBCARRIER_SPACING_HZ = 312.5e3
-DEFAULT_CENTER_FREQ_HZ = 2.437e9
+CENTER_FREQ_HZ = 2.437e9
+
+# Bound on the magnitude of every power level (dBm) and gain (dB) of a scene.
+# 10^(x/10) overflows a float past about 3080 dB, and a level far short of that
+# still overflows the RSSI and CSI arithmetic; 100 dB is far past any link.
+# Checked as `not abs(x) <= DB_LIMIT`, which NaN fails too.
+DB_LIMIT = 100.0
 
 
 def db_to_linear(db):
@@ -63,10 +69,9 @@ def data_subcarrier_indices(bandwidth_mhz: int) -> np.ndarray:
     return np.array([k for k in used if k not in pilots])
 
 
-def subcarrier_frequencies(bandwidth_mhz: int = 20,
-                           center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> np.ndarray:
+def subcarrier_frequencies(bandwidth_mhz: int = 20) -> np.ndarray:
     """Absolute frequencies of the data subcarriers (52 at 20 MHz, 108 at 40 MHz)."""
-    return center_freq_hz + data_subcarrier_indices(bandwidth_mhz) * SUBCARRIER_SPACING_HZ
+    return CENTER_FREQ_HZ + data_subcarrier_indices(bandwidth_mhz) * SUBCARRIER_SPACING_HZ
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +117,10 @@ class FrontEnd:
                 raise ValidationError(
                     f"front-end '{self.id}': half_power_semi_angle must be in (0, 90) degrees, "
                     f"got {self.half_power_semi_angle}")
-            if self.tx_electrical_power_dbm is None or not math.isfinite(self.tx_electrical_power_dbm):
+            if self.tx_electrical_power_dbm is None or not abs(self.tx_electrical_power_dbm) <= DB_LIMIT:
                 raise ValidationError(
-                    f"front-end '{self.id}': tx_electrical_power_dbm must be a finite number for a TX, "
-                    f"got {self.tx_electrical_power_dbm}")
+                    f"front-end '{self.id}': tx_electrical_power_dbm must be a finite number in "
+                    f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm for a TX, got {self.tx_electrical_power_dbm}")
         else:
             if self.fov_half_angle is None:
                 raise ValidationError(f"front-end '{self.id}': fov_half_angle is required for an RX")
@@ -126,10 +131,10 @@ class FrontEnd:
                 raise ValidationError(
                     f"front-end '{self.id}': active_area must be a finite number > 0 m^2, "
                     f"got {self.active_area}")
-            if not math.isfinite(self.conversion_gain_db):
+            if not abs(self.conversion_gain_db) <= DB_LIMIT:
                 raise ValidationError(
-                    f"front-end '{self.id}': conversion_gain_db must be finite, "
-                    f"got {self.conversion_gain_db}")
+                    f"front-end '{self.id}': conversion_gain_db must be finite and in "
+                    f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dB, got {self.conversion_gain_db}")
 
 
 @dataclass(frozen=True)
@@ -144,16 +149,14 @@ class Obstacle:
                            frozenset((str(t), str(r)) for t, r in self.blocked_pairs))
         start, end = self.active_frames
         object.__setattr__(self, "active_frames", (int(start), int(end)))
-        if not self.active_frames[0] < self.active_frames[1]:
+        # Frame indices are numpy int64 in the blockage timeline.
+        if not 0 <= self.active_frames[0] < self.active_frames[1] < 2 ** 63:
             raise ValidationError(
-                f"obstacle: active_frames start must be < end, got {self.active_frames}")
-
-    def active_at(self, frame_index: int) -> bool:
-        start, end = self.active_frames
-        return start <= frame_index < end
+                f"obstacle: active_frames must be 0 <= start < end < 2**63, got {self.active_frames}")
 
     def blocks(self, tx_id: str, rx_id: str, frame_index: int) -> bool:
-        return self.active_at(frame_index) and (tx_id, rx_id) in self.blocked_pairs
+        start, end = self.active_frames
+        return start <= frame_index < end and (tx_id, rx_id) in self.blocked_pairs
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,9 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "front_ends", tuple(self.front_ends))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if not math.isfinite(self.noise_floor_dbm):
-            raise ValidationError(f"scene: noise_floor_dbm must be finite, got {self.noise_floor_dbm}")
+        if not abs(self.noise_floor_dbm) <= DB_LIMIT:
+            raise ValidationError(f"scene: noise_floor_dbm must be finite and in "
+                                  f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm, got {self.noise_floor_dbm}")
         ids = [fe.id for fe in self.front_ends]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"scene: front-end ids must be unique, got {ids}")
@@ -294,14 +298,12 @@ class ChannelMatrix:
     def n_subcarriers(self) -> int:
         return len(self.subcarrier_freqs)
 
-    def column_sum(self, amplitude_weights=None) -> np.ndarray:
+    def column_sum(self, amplitude_weights) -> np.ndarray:
         """Effective per-chain channel when all TX radiate one common signal.
 
         Returns shape (n_subcarriers, n_rx). Weights are per-TX field
-        amplitudes (default 1), e.g. sqrt of linear TX power.
+        amplitudes, e.g. sqrt of linear TX power.
         """
-        if amplitude_weights is None:
-            amplitude_weights = np.ones(self.n_tx)
         w = np.asarray(amplitude_weights, dtype=float)
         return np.tensordot(self.entries, w, axes=([2], [0]))
 

@@ -324,8 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing reads the parser and changes nothing in it, so one serves every
+# `main` call of a process.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     scenario = REGISTRY[args.scenario]
     overrides = {}

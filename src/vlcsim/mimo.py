@@ -6,7 +6,6 @@ receiver can separate at most min(N_t, N_r) streams with a linear filter;
 extra receive chains beyond the stream count contribute diversity gain.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,13 +104,6 @@ def _stream_snr_db(snr, ok, counts) -> list:
     return out
 
 
-def _collapsed_min_stream_snr_db(entries, tx_power_per_stream=1.0, noise_per_chain=1.0):
-    """Subcarrier-collapsed per-stream SNRs (dB) and their minimum."""
-    snr, _, ok = _stream_snr_per_subcarrier(entries, tx_power_per_stream, noise_per_chain)
-    per_stream, = _stream_snr_db(snr, ok, [np.count_nonzero(ok)])
-    return per_stream, min(per_stream)
-
-
 def _median_of_smallest(ascending: list, n: int) -> float:
     """`np.median` of the first `n` values of an ascending list; inf if n is 0.
 
@@ -175,22 +167,3 @@ def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
             combined_rssi_dbm=link_rssi, solvable=solvable,
             condition_number=_median_of_smallest(link_cond, n)))
     return posts
-
-
-def extra_diversity_gain(cm: ChannelMatrix, n_streams: int) -> float:
-    """Diversity gain (dB) of using all receive rows over the best square subset.
-
-    Compares the minimum per-stream ZF post-SNR with every receive chain
-    against the best n_streams-row subset. With one stream and two equal rows
-    this reduces to the 3 dB MRC gain.
-    """
-    if cm.n_rx <= n_streams:
-        raise ValueError(
-            f"extra diversity needs more receive chains ({cm.n_rx}) than streams ({n_streams})")
-    entries = cm.entries[:, :, :n_streams]
-    _, full_min = _collapsed_min_stream_snr_db(entries)
-    best_subset = NO_SIGNAL_DBM
-    for rows in itertools.combinations(range(cm.n_rx), n_streams):
-        _, sub_min = _collapsed_min_stream_snr_db(entries[:, list(rows), :])
-        best_subset = max(best_subset, sub_min)
-    return full_min - best_subset

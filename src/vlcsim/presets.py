@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from ._numerics import brentq
-from .channel import (DEFAULT_CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, FrontEnd,
-                      Obstacle, Scene, lambertian_gain, lambertian_order, within_fov)
+from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, FrontEnd, Obstacle, Scene,
+                      lambertian_gain, lambertian_order, within_fov)
 from .phy import mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
@@ -31,6 +31,10 @@ BLOCK_A_FRAMES = (200, 281)
 
 # Single-path FSR operating points for the MRC gain demonstration.
 MRC_POINT_TARGET_FSR = (0.626, 0.365)
+
+# Handover geometry: the two RX sit at +- this azimuth, this far from the TX.
+HANDOVER_RX_AZIMUTH_DEG = TX_SEMI_ANGLE_DEG
+HANDOVER_DISTANCE_M = 2.5
 
 
 def _unit(v) -> np.ndarray:
@@ -51,15 +55,15 @@ def _rx(fe_id, position, boresight, fov=RX_FOV_DEG, area=RX_AREA_M2,
                     active_area=area, conversion_gain_db=conversion_gain_db)
 
 
-def siso_scene(distance_m: float = 2.0) -> Scene:
-    """One TX and one RX facing each other on the x axis.
+def siso_scene() -> Scene:
+    """One TX and one RX facing each other on the x axis, 2 m apart.
 
     At 0 dBm TX power the RSSI is about -40.3 - 20*log10(d) dBm, so sweeping
     d from 0.15 m to 12.5 m covers roughly -24 dBm down to the noise floor.
     """
     return Scene(front_ends=(
         _tx("tx_a", (0, 0, 0), (1, 0, 0), power_dbm=0.0),
-        _rx("rx_a", (distance_m, 0, 0), (-1, 0, 0)),
+        _rx("rx_a", (2.0, 0, 0), (-1, 0, 0)),
     ))
 
 
@@ -88,16 +92,16 @@ def simo_blockage_scene() -> Scene:
         ))
 
 
-def handover_scene(rx_azimuth_deg: float = 30.0, distance_m: float = 2.5) -> Scene:
-    """One rotatable TX between two distributed RX at +-rx_azimuth_deg.
+def handover_scene() -> Scene:
+    """One rotatable TX between two distributed RX at +-HANDOVER_RX_AZIMUTH_DEG.
 
     The RX offset equals the TX half-power semi-angle, so at mid-sweep each
     branch sits exactly at half power and their MRC sum matches the boresight
     power: the combined level stays almost flat while each branch swings hard.
     """
-    a = math.radians(rx_azimuth_deg)
-    rx_a_pos = distance_m * np.array([math.cos(a), math.sin(a), 0.0])
-    rx_b_pos = distance_m * np.array([math.cos(a), -math.sin(a), 0.0])
+    a = math.radians(HANDOVER_RX_AZIMUTH_DEG)
+    rx_a_pos = HANDOVER_DISTANCE_M * np.array([math.cos(a), math.sin(a), 0.0])
+    rx_b_pos = HANDOVER_DISTANCE_M * np.array([math.cos(a), -math.sin(a), 0.0])
     return Scene(front_ends=(
         _tx("tx_a", (0, 0, 0), rx_a_pos, power_dbm=0.0),
         _rx("rx_a", rx_a_pos, -rx_a_pos),
@@ -105,9 +109,9 @@ def handover_scene(rx_azimuth_deg: float = 30.0, distance_m: float = 2.5) -> Sce
     ))
 
 
-def handover_angles(n_points: int = 61, rx_azimuth_deg: float = 30.0) -> np.ndarray:
+def handover_angles(n_points: int = 61) -> np.ndarray:
     """TX boresight azimuths sweeping from RX A across to RX B."""
-    return np.linspace(rx_azimuth_deg, -rx_azimuth_deg, n_points)
+    return np.linspace(HANDOVER_RX_AZIMUTH_DEG, -HANDOVER_RX_AZIMUTH_DEG, n_points)
 
 
 # 2x2 area layout: two TX a meter apart firing across a 2 m gap onto a
@@ -188,19 +192,13 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
     return brentq(skew, 0.0, max_tilt, xtol=1e-12)
 
 
-def mimo_area_scene(placement: tuple[int, int], imbalance_db: float = 0.0) -> Scene:
-    """Two TX plus two RX dropped into the requested coverage areas.
+def mimo_area_scenes(links):
+    """Yield a scene of two TX plus two RX for each `(placement, imbalance_db)` in `links`.
 
-    `placement` gives the area (1, 2, or 3) of each receiver. When both sit in
-    area 2 their channel rows are exactly proportional; a nonzero
+    `placement` gives the coverage area (1, 2, or 3) of each receiver. When
+    both sit in area 2 their channel rows are exactly proportional; a nonzero
     `imbalance_db` tilts the second receiver toward TX B so its two path gains
     differ by that many dB, which is what keeps the matrix barely invertible.
-    """
-    return next(mimo_area_scenes([(placement, imbalance_db)]))
-
-
-def mimo_area_scenes(links):
-    """Yield `mimo_area_scene(placement, imbalance_db)` of each pair in `links`.
 
     The scenes share their two TX front-ends and every receiver they have in
     common, so each front-end is built (and each tilt solved) once. A scene
@@ -227,10 +225,10 @@ def mimo_area_scenes(links):
 
 def csi_siso_scene() -> Scene:
     """Flat single-path channel for the quantization-ripple baseline."""
-    return siso_scene(distance_m=2.0)
+    return siso_scene()
 
 
-def csi_miso_scene(center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> Scene:
+def csi_miso_scene() -> Scene:
     """Two co-aligned TX whose ~1 ns path-delay difference notches the band.
 
     The extra path length puts the second transmitter half a carrier cycle
@@ -238,8 +236,8 @@ def csi_miso_scene(center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> Scene:
     received field amplitudes, so the superposed channel dips deeply mid-band.
     """
     d_near = 2.0
-    cycles = round(center_freq_hz * 1e-9 - 0.5) + 0.5  # delta near 1 ns
-    delta_tau = cycles / center_freq_hz
+    cycles = round(CENTER_FREQ_HZ * 1e-9 - 0.5) + 0.5  # delta near 1 ns
+    delta_tau = cycles / CENTER_FREQ_HZ
     d_far = d_near + SPEED_OF_LIGHT_M_S * delta_tau
     power_a = 0.0
     power_b = power_a + 20.0 * math.log10(d_far / d_near)  # match field amplitudes
@@ -254,12 +252,3 @@ def mrc_point_snrs_db() -> tuple[float, float]:
     """Per-path MCS0 SNRs that hit the two reference single-path FSRs."""
     entry = mcs(0)
     return tuple(snr_for_fsr(entry, t) for t in MRC_POINT_TARGET_FSR)
-
-
-SCENE_PRESETS = {
-    "siso": siso_scene,
-    "simo-blockage": simo_blockage_scene,
-    "handover": handover_scene,
-    "csi-siso": csi_siso_scene,
-    "csi-miso": csi_miso_scene,
-}

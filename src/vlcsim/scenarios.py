@@ -13,10 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (DEFAULT_CENTER_FREQ_HZ, ChannelMatrix, Scene, channel_matrix,
-                      db_to_linear, dbm_to_mw, lambertian_gain, lambertian_order,
-                      mw_to_dbm, path_length, scene_paths, subcarrier_frequencies,
-                      wideband_rssi_dbm, within_fov)
+from .channel import (ChannelMatrix, Scene, channel_matrix, db_to_linear, dbm_to_mw,
+                      lambertian_gain, lambertian_order, mw_to_dbm, path_length,
+                      scene_paths, subcarrier_frequencies, wideband_rssi_dbm, within_fov)
 from .errors import NoLinkError
 from .mimo import MimoConfig, mrc_combine, zf_decode_links
 from .phy import FrameSpec, fsr, fsr_at, mcs
@@ -187,11 +186,10 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
             for i, (k, ok) in enumerate(zip(state_of_frame.tolist(), successes.tolist()))]
 
 
-def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int,
-                      mcs_index: int = 0) -> MrcFsrPoint:
-    """Monte-Carlo FSR of each path alone and of their MRC combination."""
+def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int) -> MrcFsrPoint:
+    """Monte-Carlo MCS 0 FSR of each path alone and of their MRC combination."""
     snr_a, snr_b = (float(s) for s in per_path_snr_db)
-    entry = mcs(mcs_index)
+    entry = mcs(0)
     analytic_a = fsr(entry, [snr_a] * entry.n_streams, frame)
     analytic_b = fsr(entry, [snr_b] * entry.n_streams, frame)
     _, mrc_db = mrc_combine([10.0 ** (snr_a / 10.0), 10.0 ** (snr_b / 10.0)])
@@ -238,27 +236,23 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
 
 
 def run_mimo_area_grid(placements, mcs_indices, frame: FrameSpec, seed: int,
-                       area22_imbalance_db: float = 0.5,
-                       bandwidth_mhz: int = 20,
-                       center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> list:
-    """Two-stream ZF FSR for each receiver placement and MCS.
+                       area22_imbalance_db: float = 0.5) -> list:
+    """Two-stream ZF FSR for each receiver placement and MCS, over 20 MHz.
 
     Placements are pairs of coverage areas from {1, 2, 3}. The (2, 2)
     placement applies `area22_imbalance_db` between the second receiver's two
     path gains; zero keeps the rows exactly proportional (unsolvable).
     """
-    return run_mimo_area_grids([(placements, area22_imbalance_db, seed)], mcs_indices, frame,
-                               bandwidth_mhz, center_freq_hz)
+    return run_mimo_area_grids([(placements, area22_imbalance_db, seed)], mcs_indices, frame)
 
 
-def run_mimo_area_grids(grids, mcs_indices, frame: FrameSpec, bandwidth_mhz: int = 20,
-                        center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> list:
+def run_mimo_area_grids(grids, mcs_indices, frame: FrameSpec) -> list:
     """`run_mimo_area_grid` of each `(placements, area22_imbalance_db, seed)` grid, in order.
 
     The links of every grid go through one ZF call; each grid's cells are
     realized from a generator of its own seed.
     """
-    freqs = subcarrier_frequencies(bandwidth_mhz, center_freq_hz)
+    freqs = subcarrier_frequencies(20)
     entries = [mcs(i) for i in mcs_indices]
     grids = [([tuple(p) for p in placements], imbalance, seed)
              for placements, imbalance, seed in grids]
@@ -324,24 +318,18 @@ class CsiReport:
             return 20.0 * np.log10(peak / trough)
 
 
-def report_csi(cm: ChannelMatrix, bits: int = 6, single_stream: bool = False,
-               amplitude_weights=None) -> CsiReport:
+def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int = 6) -> CsiReport:
     """Quantize the channel the way a CSI-reporting receiver would.
 
-    One common scale per report, set by the largest complex magnitude;
-    symmetric rounding of real/imaginary parts to signed `bits`-wide integers.
-    With `single_stream` the transmit columns are first superposed (optionally
-    weighted by per-TX field amplitudes), which is what the receiver sees when
-    one stream is sounded through every transmit element.
+    The receiver sees one stream sounded through every transmit element: the
+    transmit columns superposed, weighted by per-TX field amplitudes. One
+    common scale per report, set by the largest complex magnitude; symmetric
+    rounding of real/imaginary parts to signed `bits`-wide integers.
     """
     lo, hi = CSI_BITS_RANGE
     if not lo <= bits <= hi:
         raise ValueError(f"quantization takes {lo} to {hi} bits, got {bits}")
-    if single_stream:
-        h = cm.column_sum(amplitude_weights)[:, :, None]  # (K, n_rx, 1)
-    else:
-        h = cm.entries
-    h = np.transpose(h, (1, 2, 0))  # (n_rx, n_tx, K)
+    h = cm.column_sum(amplitude_weights).T[:, None, :]  # (n_rx, 1, K)
     max_mag = float(np.max(np.abs(h))) if h.size else 0.0
     if max_mag == 0.0:
         empty = np.zeros((h.shape[0], h.shape[1], 0), dtype=np.int64)
@@ -356,13 +344,11 @@ def report_csi(cm: ChannelMatrix, bits: int = 6, single_stream: bool = False,
                      subcarrier_freqs=cm.subcarrier_freqs)
 
 
-def run_csi_report(scene: Scene, bits: int = 6, bandwidth_mhz: int = 40,
-                   center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ) -> CsiReport:
+def run_csi_report(scene: Scene, bits: int = 6, bandwidth_mhz: int = 40) -> CsiReport:
     """Sound a single stream through every TX of the scene and report CSI."""
-    freqs = subcarrier_frequencies(bandwidth_mhz, center_freq_hz)
-    cm = channel_matrix(scene, 0, freqs)
+    cm = channel_matrix(scene, 0, subcarrier_frequencies(bandwidth_mhz))
     weights = np.sqrt(dbm_to_mw(scene.tx_power_dbm))
-    report = report_csi(cm, bits=bits, single_stream=True, amplitude_weights=weights)
+    report = report_csi(cm, weights, bits=bits)
     if report.is_empty:
         raise NoLinkError("every path is blocked; nothing to report")
     return report

@@ -108,7 +108,7 @@ def _read_sections(text: str):
 
 
 # Appended to the unknown-section error that `parse_scene` raises; the
-# one-line diagnostics of `validate_scene_text` leave it out.
+# one-line diagnostics of `read_scene_file` leave it out.
 _SECTION_HINT = " (expected scene, frontend <id>, obstacle <name>)"
 
 
@@ -149,12 +149,6 @@ def _build_scene(text: str) -> tuple[Scene | None, list[ValueError]]:
         return None, [exc]
 
 
-def _check_scene_text(text: str) -> tuple[Scene | None, list[str]]:
-    """(scene, []) if every invariant holds, else (None, one diagnostic per offending object)."""
-    scene, errors = _build_scene(text)
-    return scene, [str(exc).removesuffix(_SECTION_HINT) for exc in errors]
-
-
 def parse_scene(text: str) -> Scene:
     """Parse scene text; raises the error of the first offending field."""
     scene, errors = _build_scene(text)
@@ -163,24 +157,12 @@ def parse_scene(text: str) -> Scene:
     return scene
 
 
-def load_scene(path) -> Scene:
-    with open(path) as f:
-        return parse_scene(f.read())
-
-
-def validate_scene_text(text: str) -> list[str]:
-    """All diagnostics for a scene file; empty list iff every invariant holds."""
-    return _check_scene_text(text)[1]
-
-
 def read_scene_file(path) -> tuple[Scene | None, list[str]]:
-    """Read a scene file once: (scene, []) if it is valid, else (None, its diagnostics)."""
+    """Read a scene file once: (scene, []) if every invariant holds, else
+    (None, one diagnostic per offending object)."""
     with open(path) as f:
-        return _check_scene_text(f.read())
-
-
-def validate_scene_file(path) -> list[str]:
-    return read_scene_file(path)[1]
+        scene, errors = _build_scene(f.read())
+    return scene, [str(exc).removesuffix(_SECTION_HINT) for exc in errors]
 
 
 def _fmt_vec(v) -> str:

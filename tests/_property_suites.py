@@ -550,7 +550,7 @@ def zf_batched_exactness(n_cases: int, seed: int = 113) -> None:
     regular, a random mix of singular, nearly singular and regular, and all
     nearly singular (conditioned around the cutoff). Each is checked on a
     contiguous array, on a strided view of a wider channel and on a row
-    subset of that view, which is what `extra_diversity_gain` passes.
+    subset of that view, picked out with a list of row indices.
     """
     rng = np.random.default_rng(seed)
     masks = {"all": 0, "none": 0, "mixed": 0}

@@ -127,7 +127,7 @@ class TestFrontEndValidation:
         with pytest.raises(ValidationError, match="active_area must be a finite number"):
             make_rx(area=area)
 
-    @pytest.mark.parametrize("gain", [math.nan, -math.inf])
+    @pytest.mark.parametrize("gain", [math.nan, -math.inf, 1e308, -100.5])
     def test_conversion_gain_finite(self, gain):
         with pytest.raises(ValidationError, match="conversion_gain_db must be finite"):
             make_rx(conversion_gain_db=gain)
@@ -149,6 +149,16 @@ class TestFrontEndValidation:
         with pytest.raises(ValidationError, match="tx_electrical_power_dbm must be a finite"):
             make_tx(power_dbm=math.nan)
 
+    @pytest.mark.parametrize("power", [1e308, 100.5, -100.5])
+    def test_tx_power_within_100_dbm(self, power):
+        with pytest.raises(ValidationError, match=r"tx_electrical_power_dbm .* \[-100, 100\] dBm"):
+            make_tx(power_dbm=power)
+
+    def test_db_values_at_their_bounds_are_accepted(self):
+        for db in (-100.0, 100.0):
+            make_tx(power_dbm=db)
+            Scene(front_ends=(make_tx(), make_rx(conversion_gain_db=db)), noise_floor_dbm=db)
+
 
 class TestSceneValidation:
     def test_needs_tx_and_rx(self):
@@ -165,7 +175,7 @@ class TestSceneValidation:
         with pytest.raises(ValidationError, match="rx_missing"):
             Scene(front_ends=(make_tx(), make_rx()), obstacles=(obs,))
 
-    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, 1e308, -100.5])
     def test_noise_floor_finite(self, noise):
         with pytest.raises(ValidationError, match="noise_floor_dbm must be finite"):
             Scene(front_ends=(make_tx(), make_rx()), noise_floor_dbm=noise)
@@ -173,6 +183,12 @@ class TestSceneValidation:
     def test_obstacle_interval_ordering(self):
         with pytest.raises(ValidationError, match="start"):
             Obstacle(blocked_pairs=frozenset({("a", "b")}), active_frames=(10, 10))
+
+    @pytest.mark.parametrize("frames", [(-1, 10), (100, 2 ** 63), (100, 10 ** 20)])
+    def test_obstacle_frames_are_int64_frame_indices(self, frames):
+        with pytest.raises(ValidationError, match=r"0 <= start < end < 2\*\*63"):
+            Obstacle(blocked_pairs=frozenset({("a", "b")}), active_frames=frames)
+        Obstacle(blocked_pairs=frozenset({("a", "b")}), active_frames=(0, 2 ** 63 - 1))
 
 
 class TestChannelMatrix:
@@ -204,7 +220,7 @@ class TestChannelMatrix:
                                   make_tx(fe_id="tx_b", position=(-0.4, 0, 0)),
                                   make_rx(position=(2, 0, 0))))
         cm = channel_matrix(scene, 0, subcarrier_frequencies(40))
-        combined = np.abs(cm.column_sum()[:, 0])
+        combined = np.abs(cm.column_sum([1.0, 1.0])[:, 0])
         assert np.ptp(combined) > 0.05 * np.max(combined)
 
     def test_phase_delay_consistency(self):

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, overrides."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -87,6 +88,8 @@ def test_unreadable_scene_exits_1_with_one_line(make, tmp_path, capsys):
     assert not out.exists()
 
 
+# Values that are not finite, and finite ones past the bounds that keep a run's
+# arithmetic finite: +-100 dB(m), and obstacle frames in [0, 2**63).
 @pytest.mark.parametrize("key,value,field", [
     ("noise_floor_dbm", "nan", "noise_floor_dbm"),
     ("noise_floor_dbm", "-inf", "noise_floor_dbm"),
@@ -97,16 +100,22 @@ def test_unreadable_scene_exits_1_with_one_line(make, tmp_path, capsys):
     ("boresight", "-1.0 inf 0.0", "boresight"),
     ("boresight", "nan 0.0 0.0", "boresight"),
     ("tx_power_dbm", "nan", "tx_electrical_power_dbm"),
+    ("tx_power_dbm", "1e308", "tx_electrical_power_dbm"),
+    ("conversion_gain_db", "1e308", "conversion_gain_db"),
+    ("noise_floor_dbm", "100.5", "noise_floor_dbm"),
+    ("frames", "100 99999999999999999999", "active_frames"),
+    ("frames", "-1 181", "active_frames"),
 ])
 def test_non_finite_scene_value_exits_1_with_one_line(key, value, field, tmp_path, capsys):
-    lines = (SCENES / "siso.cfg").read_text().splitlines()
+    # The blockage scene has every key of the table, obstacle frames included.
+    lines = (SCENES / "simo_blockage.cfg").read_text().splitlines()
     # The last occurrence of a key belongs to the receiver where both have it.
     at = max(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
     lines[at] = f"{key} = {value}"
     bad = tmp_path / "bad.cfg"
     bad.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
-    assert main(["--scenario", "siso-sweep", "--scene", str(bad), "--out", str(out)]) == 1
+    assert main(["--scenario", "blockage-timeline", "--scene", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("invalid scene: ") and field in err[0]
     assert not out.exists()
@@ -405,6 +414,30 @@ def test_readme_lists_the_set_keys_of_every_scenario():
     table = {m[1]: m[2].split() for m in map(row.match, (ROOT / "README.md").read_text()
                                               .splitlines()) if m}
     assert table == {name: list(scenario.keys) for name, scenario in cli.REGISTRY.items()}
+
+
+def test_readme_names_only_api_that_exists():
+    named = set(re.findall(r"\bvlcsim\.([a-z_]+)\.([A-Za-z_]\w*)",
+                           (ROOT / "README.md").read_text()))
+    assert named
+    for module, name in sorted(named):
+        assert hasattr(importlib.import_module(f"vlcsim.{module}"), name), f"{module}.{name}"
+
+
+def test_back_to_back_calls_write_what_separate_processes_write(tmp_path):
+    # One parser serves every call of a process, so a --set value of one call
+    # must not reach the next.
+    with_set = ["--set", "count=50", "--set", "imbalance_db=0.25"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    for i, extra in enumerate([with_set, [], with_set]):
+        argv = ["--scenario", "mimo-area-grid", "--seed", "4", *extra]
+        assert main([*argv, "--out", str(tmp_path / f"call{i}")]) == 0
+        subprocess.run([sys.executable, "-m", "vlcsim.cli", *argv,
+                        "--out", str(tmp_path / f"process{i}")], env=env, check=True)
+        for name in ("mimo-area-grid.csv", "summary.json"):
+            assert ((tmp_path / f"call{i}" / name).read_bytes()
+                    == (tmp_path / f"process{i}" / name).read_bytes()), (i, name)
 
 
 def test_negative_imbalance_names_the_reachable_range(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from vlcsim.channel import ChannelMatrix
 from vlcsim.errors import UnderdeterminedError
-from vlcsim.mimo import MimoConfig, extra_diversity_gain, mrc_combine, zf_decode
+from vlcsim.mimo import MimoConfig, mrc_combine, zf_decode
 from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
 
 GAIN_3DB = 10.0 * math.log10(2.0)
@@ -113,39 +113,6 @@ class TestZfDecode:
     def test_condition_number_reported(self):
         post = zf_decode(flat_cm([[1e-5, 0.0], [0.0, 1e-5]]), 1.0, 1e-6)
         assert post.condition_number == pytest.approx(1.0, rel=1e-9)
-
-
-class TestExtraDiversityGain:
-    def test_two_equal_rows_single_stream_is_mrc(self):
-        gain = extra_diversity_gain(flat_cm([[1e-5], [1e-5]]), 1)
-        assert gain == pytest.approx(GAIN_3DB, abs=1e-9)
-
-    def test_dead_row_adds_nothing(self):
-        gain = extra_diversity_gain(flat_cm([[1e-5], [0.0]]), 1)
-        assert gain == pytest.approx(0.0, abs=1e-9)
-
-    def test_three_rows_two_streams_hand_oracle(self):
-        # amplitude matrix [[1, .3], [.2, 1], [1, .3]]; third row repeats the
-        # first. Expected gain worked out with explicit 2x2 adjugate inverses:
-        #   full Gram [[2.04, .8], [.8, 1.18]]  -> min stream SNR -0.6233 dB
-        #   best pair {0,1} Gram [[1.04, .5], [.5, 1.09]] -> min -0.9118 dB
-        amps = np.array([[1.0, 0.3], [0.2, 1.0], [1.0, 0.3]])
-        full_gram = amps.T @ amps
-        det_full = full_gram[0, 0] * full_gram[1, 1] - full_gram[0, 1] ** 2
-        full_min = 10 * math.log10(det_full / max(full_gram[0, 0], full_gram[1, 1]))
-        pair = amps[:2]
-        g2 = pair.T @ pair
-        det2 = g2[0, 0] * g2[1, 1] - g2[0, 1] ** 2
-        pair_min = 10 * math.log10(det2 / max(g2[0, 0], g2[1, 1]))
-        expected = full_min - pair_min
-        assert expected == pytest.approx(0.28826326, abs=1e-6)
-        gain = extra_diversity_gain(flat_cm(amps ** 2), 2)
-        assert gain == pytest.approx(expected, abs=1e-9)
-        assert gain > 0.0
-
-    def test_requires_spare_rows(self):
-        with pytest.raises(ValueError):
-            extra_diversity_gain(flat_cm([[1e-5], [1e-5]]), 2)
 
 
 class TestMimoConfig:

@@ -198,19 +198,18 @@ class TestMimoAreaGrid:
 
     def test_area_classification(self):
         # area 1 receives TX A only; area 3 receives TX B only
-        scene = presets.mimo_area_scene((1, 3))
+        scene, scene2 = presets.mimo_area_scenes([((1, 3), 0.0), ((2, 2), 0.0)])
         tx_a, tx_b = scene.transmitters
         rx_1, rx_3 = scene.receivers
         assert los_gain(tx_a, rx_1)[0] > 0.0 and los_gain(tx_b, rx_1)[0] == 0.0
         assert los_gain(tx_b, rx_3)[0] > 0.0 and los_gain(tx_a, rx_3)[0] == 0.0
         # area 2 receives both
-        scene2 = presets.mimo_area_scene((2, 2))
         for rx in scene2.receivers:
             assert all(los_gain(tx, rx)[0] > 0.0 for tx in scene2.transmitters)
 
     def test_imbalance_only_for_double_area2(self):
         with pytest.raises(ValueError):
-            presets.mimo_area_scene((1, 3), imbalance_db=0.5)
+            next(presets.mimo_area_scenes([((1, 3), 0.5)]))
 
     @pytest.mark.parametrize("imbalance_db", [-1.0, -1e-9, -math.inf, math.nan])
     def test_negative_imbalance_rejected_with_reachable_range(self, imbalance_db):
@@ -249,20 +248,14 @@ class TestCsiReport:
         scene = presets.csi_siso_scene()
         freqs = subcarrier_frequencies(40)
         cm = channel_matrix(scene, 0, freqs)
-        report = report_csi(cm, bits=12)
+        report = report_csi(cm, [1.0], bits=12)
         true = np.transpose(cm.entries, (1, 2, 0))
         got = report.dequantized()
         assert np.max(np.abs(got - true)) <= np.max(np.abs(true)) * 2e-3
 
-    def test_per_pair_reporting_shape(self):
-        scene = presets.csi_miso_scene()
-        cm = channel_matrix(scene, 0, subcarrier_frequencies(40))
-        report = report_csi(cm, bits=6, single_stream=False)
-        assert report.re.shape == (1, 2, 108)
-
     def test_all_zero_channel_gives_empty_report(self):
         cm = ChannelMatrix.from_paths([[0.0]], [[1e-9]], subcarrier_frequencies(20))
-        report = report_csi(cm)
+        report = report_csi(cm, [1.0])
         assert report.is_empty and report.scale == 0.0
 
     def test_fully_blocked_scene_raises(self):
@@ -278,7 +271,7 @@ class TestCsiReport:
     def test_bits_lower_bound(self):
         cm = ChannelMatrix.from_paths([[1.0]], [[0.0]], subcarrier_frequencies(20))
         with pytest.raises(ValueError):
-            report_csi(cm, bits=1)
+            report_csi(cm, [1.0], bits=1)
 
     @pytest.mark.parametrize("bits", [1, 2000])
     def test_bits_outside_2_to_16_rejected(self, bits):

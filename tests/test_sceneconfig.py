@@ -5,8 +5,15 @@ import pytest
 
 from vlcsim import presets
 from vlcsim.errors import ValidationError
-from vlcsim.sceneconfig import (load_scene, parse_scene, read_scene_file, scene_to_text,
-                                validate_scene_file, validate_scene_text)
+from vlcsim.sceneconfig import parse_scene, read_scene_file, scene_to_text
+
+PRESETS = {
+    "siso": presets.siso_scene,
+    "simo-blockage": presets.simo_blockage_scene,
+    "handover": presets.handover_scene,
+    "csi-siso": presets.csi_siso_scene,
+    "csi-miso": presets.csi_miso_scene,
+}
 
 GOOD = """
 [scene]
@@ -81,43 +88,49 @@ class TestParse:
             parse_scene("not an ini file at all {]")
 
 
+def scene_diagnostics(tmp_path, text):
+    path = tmp_path / "scene.cfg"
+    path.write_text(text)
+    return read_scene_file(path)[1]
+
+
 class TestValidate:
-    def test_good_scene_is_clean(self):
-        assert validate_scene_text(GOOD) == []
+    def test_good_scene_is_clean(self, tmp_path):
+        assert scene_diagnostics(tmp_path, GOOD) == []
 
-    def test_presets_serialize_clean(self):
-        for name, factory in presets.SCENE_PRESETS.items():
-            assert validate_scene_text(scene_to_text(factory())) == [], name
+    def test_presets_serialize_clean(self, tmp_path):
+        for name, factory in PRESETS.items():
+            assert scene_diagnostics(tmp_path, scene_to_text(factory())) == [], name
 
-    def test_fov_bound_diagnostic(self):
+    def test_fov_bound_diagnostic(self, tmp_path):
         text = GOOD.replace("fov_half_angle_deg = 45", "fov_half_angle_deg = 120", 1)
-        diags = validate_scene_text(text)
+        diags = scene_diagnostics(tmp_path, text)
         assert len(diags) == 1
         assert "fov_half_angle" in diags[0] and "(0, 90]" in diags[0]
 
-    def test_missing_obstacle_reference(self):
+    def test_missing_obstacle_reference(self, tmp_path):
         text = GOOD.replace("blocks = tx_a->rx_b", "blocks = tx_a->rx_zz")
-        diags = validate_scene_text(text)
+        diags = scene_diagnostics(tmp_path, text)
         assert any("rx_zz" in d for d in diags)
 
-    def test_multiple_diagnostics_collected(self):
+    def test_multiple_diagnostics_collected(self, tmp_path):
         text = GOOD.replace("fov_half_angle_deg = 45", "fov_half_angle_deg = 120", 1) \
                    .replace("half_power_semi_angle_deg = 30",
                             "half_power_semi_angle_deg = 95")
-        diags = validate_scene_text(text)
+        diags = scene_diagnostics(tmp_path, text)
         assert any("half_power_semi_angle" in d for d in diags)
         assert any("fov_half_angle" in d for d in diags)
 
-    def test_missing_required_key(self):
+    def test_missing_required_key(self, tmp_path):
         text = GOOD.replace("active_area_m2 = 1e-4\nconversion_gain_db = 3", "")
-        diags = validate_scene_text(text)
+        diags = scene_diagnostics(tmp_path, text)
         assert any("active_area" in d for d in diags)
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", sorted(presets.SCENE_PRESETS))
+    @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_round_trips(self, name):
-        original = presets.SCENE_PRESETS[name]()
+        original = PRESETS[name]()
         recovered = parse_scene(scene_to_text(original))
         assert len(recovered.front_ends) == len(original.front_ends)
         for a, b in zip(original.front_ends, recovered.front_ends):
@@ -136,22 +149,15 @@ class TestRoundTrip:
             assert a.blocked_pairs == b.blocked_pairs
             assert a.active_frames == b.active_frames
 
-    def test_load_scene(self, tmp_path):
-        path = tmp_path / "scene.cfg"
-        path.write_text(GOOD)
-        scene = load_scene(path)
-        assert len(scene.receivers) == 2
-
     def test_read_scene_file_returns_the_scene_or_the_diagnostics(self, tmp_path):
         path = tmp_path / "scene.cfg"
         path.write_text(GOOD)
         scene, diagnostics = read_scene_file(path)
-        assert diagnostics == [] and scene_to_text(scene) == scene_to_text(load_scene(path))
+        assert diagnostics == [] and scene_to_text(scene) == scene_to_text(parse_scene(GOOD))
         path.write_text(GOOD.replace("fov_half_angle_deg = 45", "fov_half_angle_deg = 120", 1)
                         + "\n[mystery]\nfoo = 1\n")
         scene, diagnostics = read_scene_file(path)
         assert scene is None
-        assert diagnostics == validate_scene_file(path) == validate_scene_text(path.read_text())
         assert diagnostics[-1] == "scene file: unknown section '[mystery]'"
         assert len(diagnostics) == 2
 
@@ -162,4 +168,4 @@ def test_shipped_example_scenes_are_valid():
     files = sorted(scene_dir.glob("*.cfg"))
     assert files, "expected example scene files in scenes/"
     for f in files:
-        assert validate_scene_text(f.read_text()) == [], f.name
+        assert read_scene_file(f)[1] == [], f.name
