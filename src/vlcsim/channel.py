@@ -113,10 +113,10 @@ class FrontEnd:
         if self.role == "tx":
             if self.half_power_semi_angle is None:
                 raise ValidationError(f"front-end '{self.id}': half_power_semi_angle is required for a TX")
-            if not 0.0 < self.half_power_semi_angle < 90.0:
-                raise ValidationError(
-                    f"front-end '{self.id}': half_power_semi_angle must be in (0, 90) degrees, "
-                    f"got {self.half_power_semi_angle}")
+            try:
+                lambertian_order(self.half_power_semi_angle)
+            except ValueError as exc:
+                raise ValidationError(f"front-end '{self.id}': {exc}") from None
             if self.tx_electrical_power_dbm is None or not abs(self.tx_electrical_power_dbm) <= DB_LIMIT:
                 raise ValidationError(
                     f"front-end '{self.id}': tx_electrical_power_dbm must be a finite number in "
@@ -152,7 +152,7 @@ class Obstacle:
         # Frame indices are numpy int64 in the blockage timeline.
         if not 0 <= self.active_frames[0] < self.active_frames[1] < 2 ** 63:
             raise ValidationError(
-                f"obstacle: active_frames must be 0 <= start < end < 2**63, got {self.active_frames}")
+                f"active_frames must be 0 <= start < end < 2**63, got {self.active_frames}")
 
     def blocks(self, tx_id: str, rx_id: str, frame_index: int) -> bool:
         start, end = self.active_frames
@@ -183,8 +183,8 @@ class Scene:
             for tx_id, rx_id in obs.blocked_pairs:
                 for ref in (tx_id, rx_id):
                     if ref not in known:
-                        raise ValidationError(
-                            f"obstacle: blocked pair references unknown front-end id '{ref}'")
+                        raise ValidationError(f"obstacle: blocked pair {tx_id}->{rx_id} "
+                                              f"references unknown front-end id '{ref}'")
 
     @property
     def transmitters(self) -> tuple:
@@ -203,11 +203,16 @@ def lambertian_order(half_power_semi_angle: float) -> float:
     """Lambertian mode number m of an LED with the given half-power semi-angle.
 
     m = -ln(2) / ln(cos(angle)); 60 degrees gives the ideal Lambertian m = 1.
+    Below about 6e-7 degrees the cosine rounds to 1 and m is not finite.
     """
     if not 0.0 < half_power_semi_angle < 90.0:
         raise ValueError(
-            f"half-power semi-angle must be in (0, 90) degrees, got {half_power_semi_angle}")
-    return -math.log(2.0) / math.log(math.cos(math.radians(half_power_semi_angle)))
+            f"half_power_semi_angle must be in (0, 90) degrees, got {half_power_semi_angle}")
+    log_cos = math.log(math.cos(math.radians(half_power_semi_angle)))
+    if log_cos == 0.0:
+        raise ValueError(f"half_power_semi_angle {half_power_semi_angle} degrees is too narrow: "
+                         f"its Lambertian order is not finite")
+    return -math.log(2.0) / log_cos
 
 
 def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:

@@ -21,23 +21,6 @@ SINGULARITY_CONDITION_CUTOFF = 1e6
 
 
 @dataclass(frozen=True)
-class MimoConfig:
-    """Validated antenna/stream bookkeeping for one link."""
-
-    n_tx: int
-    n_rx: int
-    n_streams: int
-
-    def __post_init__(self):
-        if min(self.n_tx, self.n_rx, self.n_streams) < 1:
-            raise ValueError("n_tx, n_rx, and n_streams must all be >= 1")
-        if self.n_streams > min(self.n_tx, self.n_rx):
-            raise ValueError(
-                f"n_streams={self.n_streams} exceeds min(n_tx, n_rx)="
-                f"{min(self.n_tx, self.n_rx)}")
-
-
-@dataclass(frozen=True)
 class PostSnr:
     """Post-processing result of a linear MIMO receiver."""
 

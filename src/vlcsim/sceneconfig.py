@@ -24,7 +24,8 @@ Format (INI-style, parsed with configparser)::
     blocks = tx_a->rx_b
     frames = 100 181
 
-Vectors are whitespace-separated; boresights are normalized while parsing.
+Vectors and `frames` are separated by whitespace or commas; boresights are
+normalized while parsing. Every key must be one its section knows.
 `frames` is the half-open active interval [start, end); `blocks` is a
 comma-separated list of tx->rx pairs.
 """
@@ -37,65 +38,71 @@ import numpy as np
 from .channel import DEFAULT_NOISE_FLOOR_DBM, FrontEnd, Obstacle, Scene
 from .errors import ValidationError
 
+_SCENE_KEYS = {"noise_floor_dbm"}
 _FRONTEND_KEYS = {"role", "position_m", "boresight", "half_power_semi_angle_deg",
                   "fov_half_angle_deg", "active_area_m2", "tx_power_dbm",
                   "conversion_gain_db"}
 _OBSTACLE_KEYS = {"blocks", "frames"}
 
 
-def _vector(text: str, name: str, fe_id: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ValidationError(f"front-end '{fe_id}': {name} must be a 3-vector, got '{text}'")
-    return np.array([float(p) for p in parts])
+def _check_keys(where: str, sec, allowed: set, required=()) -> None:
+    unknown = set(sec) - allowed
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    for key in required:
+        if key not in sec:
+            raise ValidationError(f"{where}: missing required key '{key}'")
+
+
+def _numbers(where: str, sec, key: str, count: int, kind=float) -> list:
+    """The `count` numbers of `sec[key]`; an error names the section and key."""
+    parts = sec[key].replace(",", " ").split()
+    if len(parts) != count:
+        raise ValidationError(f"{where}: {key} must be {count} number(s), got '{sec[key]}'")
+    try:
+        return [kind(p) for p in parts]
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {key}: {exc}") from None
 
 
 def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
-    unknown = set(sec) - _FRONTEND_KEYS
-    if unknown:
-        raise ValidationError(f"front-end '{fe_id}': unknown key(s) {sorted(unknown)}")
-    for key in ("role", "position_m", "boresight"):
-        if key not in sec:
-            raise ValidationError(f"front-end '{fe_id}': missing required key '{key}'")
-    boresight = _vector(sec["boresight"], "boresight", fe_id)
+    where = f"front-end '{fe_id}'"
+    _check_keys(where, sec, _FRONTEND_KEYS, ("role", "position_m", "boresight"))
+    boresight = np.array(_numbers(where, sec, "boresight", 3))
     norm = np.linalg.norm(boresight)
     if not 0.0 < norm < math.inf:
-        raise ValidationError(f"front-end '{fe_id}': boresight must be nonzero and finite, got '{sec['boresight']}'")
+        raise ValidationError(f"{where}: boresight must be nonzero and finite, got '{sec['boresight']}'")
 
-    def opt(key):
-        return float(sec[key]) if key in sec else None
+    def opt(key, default=None):
+        return _numbers(where, sec, key, 1)[0] if key in sec else default
 
     return FrontEnd(
         id=fe_id,
         role=sec["role"],
-        position=_vector(sec["position_m"], "position_m", fe_id),
+        position=np.array(_numbers(where, sec, "position_m", 3)),
         boresight=boresight / norm,
         half_power_semi_angle=opt("half_power_semi_angle_deg"),
         fov_half_angle=opt("fov_half_angle_deg"),
         active_area=opt("active_area_m2"),
         tx_electrical_power_dbm=opt("tx_power_dbm"),
-        conversion_gain_db=float(sec.get("conversion_gain_db", 0.0)))
+        conversion_gain_db=opt("conversion_gain_db", 0.0))
 
 
 def _obstacle_from_section(name: str, sec) -> Obstacle:
-    unknown = set(sec) - _OBSTACLE_KEYS
-    if unknown:
-        raise ValidationError(f"obstacle '{name}': unknown key(s) {sorted(unknown)}")
-    for key in _OBSTACLE_KEYS:
-        if key not in sec:
-            raise ValidationError(f"obstacle '{name}': missing required key '{key}'")
+    where = f"obstacle '{name}'"
+    _check_keys(where, sec, _OBSTACLE_KEYS, ("blocks", "frames"))
     pairs = set()
     for chunk in sec["blocks"].split(","):
         chunk = chunk.strip()
         if "->" not in chunk:
-            raise ValidationError(f"obstacle '{name}': blocks entries must look like tx_id->rx_id, got '{chunk}'")
+            raise ValidationError(f"{where}: blocks entries must look like tx_id->rx_id, got '{chunk}'")
         tx_id, rx_id = (p.strip() for p in chunk.split("->", 1))
         pairs.add((tx_id, rx_id))
-    frames = sec["frames"].split()
-    if len(frames) != 2:
-        raise ValidationError(f"obstacle '{name}': frames must be 'start end', got '{sec['frames']}'")
-    return Obstacle(blocked_pairs=frozenset(pairs),
-                    active_frames=(int(frames[0]), int(frames[1])))
+    frames = tuple(_numbers(where, sec, "frames", 2, int))
+    try:
+        return Obstacle(blocked_pairs=frozenset(pairs), active_frames=frames)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _read_sections(text: str):
@@ -128,7 +135,9 @@ def _build_scene(text: str) -> tuple[Scene | None, list[ValueError]]:
         sec = parser[section]
         try:
             if section == "scene":
-                noise_floor = float(sec.get("noise_floor_dbm", DEFAULT_NOISE_FLOOR_DBM))
+                _check_keys("scene", sec, _SCENE_KEYS)
+                if "noise_floor_dbm" in sec:
+                    noise_floor = _numbers("scene", sec, "noise_floor_dbm", 1)[0]
             elif section.startswith("frontend "):
                 front_ends.append(_frontend_from_section(section.split(None, 1)[1], sec))
             elif section.startswith("obstacle "):

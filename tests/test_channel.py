@@ -45,6 +45,14 @@ class TestLambertianOrder:
         with pytest.raises(ValueError):
             lambertian_order(angle)
 
+    def test_order_that_is_not_finite(self):
+        # cos(1e-9 degrees) rounds to 1, so ln(cos) is 0; at 1e-6 it does not.
+        with pytest.raises(ValueError, match="not finite"):
+            lambertian_order(1e-9)
+        with pytest.raises(ValidationError, match="front-end 'tx_a': half_power_semi_angle"):
+            make_tx(semi_angle=1e-9)
+        assert math.isfinite(lambertian_order(1e-6))
+
 
 class TestLosGain:
     def test_reference_geometry(self):

@@ -15,12 +15,14 @@ import warnings
 import numpy as np
 import pytest
 
-import vlcsim
 from vlcsim import cli, sceneconfig
 from vlcsim.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
+# The environment of a fresh interpreter that imports this tree's vlcsim.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
 
 
 def read_csv(path):
@@ -105,6 +107,12 @@ def test_unreadable_scene_exits_1_with_one_line(make, tmp_path, capsys):
     ("noise_floor_dbm", "100.5", "noise_floor_dbm"),
     ("frames", "100 99999999999999999999", "active_frames"),
     ("frames", "-1 181", "active_frames"),
+    # Values that are not numbers, and a semi-angle whose cosine rounds to 1.
+    ("active_area_m2", "big", "front-end 'rx_b': active_area_m2"),
+    ("position_m", "2 0 x", "front-end 'rx_b': position_m"),
+    ("noise_floor_dbm", "loud", "scene: noise_floor_dbm"),
+    ("frames", "100 1.5e2", "obstacle 'obstacle_1': frames"),
+    ("half_power_semi_angle_deg", "1e-9", "front-end 'tx_a': half_power_semi_angle"),
 ])
 def test_non_finite_scene_value_exits_1_with_one_line(key, value, field, tmp_path, capsys):
     # The blockage scene has every key of the table, obstacle frames included.
@@ -145,14 +153,32 @@ def test_scene_file_is_read_once(tmp_path, monkeypatch):
     assert opened == [scene]
 
 
+def fresh_python(code):
+    """The stripped stdout of `code` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SRC_ENV, check=True).stdout.strip()
+
+
 def test_import_does_not_load_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vlcsim.__file__)))
-    code = "import sys, vlcsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    # The CLI imports every module of the package.
+    code = "import sys, vlcsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh_python(code) == "[]"
+
+
+def test_package_import_loads_no_module():
+    code = "import sys, vlcsim; print([m for m in sys.modules if m.startswith(('numpy', 'vlcsim.'))])"
+    assert fresh_python(code) == "[]"
+
+
+def test_each_module_imports_on_its_own():
+    # Nothing imports the modules in a fixed order, which could hide a cycle.
+    modules = sorted(p.stem for p in (ROOT / "src" / "vlcsim").glob("*.py") if p.stem != "__init__")
+    assert "cli" in modules
+    code = (f"import importlib, sys\nfor name in {modules!r}:\n"
+            "    for m in [m for m in sys.modules if m.split('.')[0] == 'vlcsim']:\n"
+            "        del sys.modules[m]\n"
+            "    importlib.import_module('vlcsim.' + name)\nprint('ok')")
+    assert fresh_python(code) == "ok"
 
 
 def test_scene_file_accepted(tmp_path):
@@ -428,13 +454,11 @@ def test_back_to_back_calls_write_what_separate_processes_write(tmp_path):
     # One parser serves every call of a process, so a --set value of one call
     # must not reach the next.
     with_set = ["--set", "count=50", "--set", "imbalance_db=0.25"]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     for i, extra in enumerate([with_set, [], with_set]):
         argv = ["--scenario", "mimo-area-grid", "--seed", "4", *extra]
         assert main([*argv, "--out", str(tmp_path / f"call{i}")]) == 0
         subprocess.run([sys.executable, "-m", "vlcsim.cli", *argv,
-                        "--out", str(tmp_path / f"process{i}")], env=env, check=True)
+                        "--out", str(tmp_path / f"process{i}")], env=SRC_ENV, check=True)
         for name in ("mimo-area-grid.csv", "summary.json"):
             assert ((tmp_path / f"call{i}" / name).read_bytes()
                     == (tmp_path / f"process{i}" / name).read_bytes()), (i, name)

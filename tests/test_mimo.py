@@ -7,7 +7,7 @@ import pytest
 
 from vlcsim.channel import ChannelMatrix
 from vlcsim.errors import UnderdeterminedError
-from vlcsim.mimo import MimoConfig, mrc_combine, zf_decode
+from vlcsim.mimo import mrc_combine, zf_decode
 from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
 
 GAIN_3DB = 10.0 * math.log10(2.0)
@@ -114,9 +114,3 @@ class TestZfDecode:
         post = zf_decode(flat_cm([[1e-5, 0.0], [0.0, 1e-5]]), 1.0, 1e-6)
         assert post.condition_number == pytest.approx(1.0, rel=1e-9)
 
-
-class TestMimoConfig:
-    def test_streams_bounded_by_min(self):
-        MimoConfig(n_tx=2, n_rx=3, n_streams=2)
-        with pytest.raises(ValueError):
-            MimoConfig(n_tx=2, n_rx=1, n_streams=2)

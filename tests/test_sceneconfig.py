@@ -76,9 +76,13 @@ class TestParse:
         assert str(exc.value) == ("scene file: unknown section '[mystery]' "
                                   "(expected scene, frontend <id>, obstacle <name>)")
 
+    def test_unknown_scene_key_rejected(self):
+        with pytest.raises(ValidationError, match=r"^scene: unknown key\(s\) \['noise_floor_db'\]$"):
+            parse_scene(GOOD.replace("noise_floor_dbm = -60", "noise_floor_db = -70"))
+
     def test_first_error_is_raised_as_is(self):
-        # A number that does not parse stays the ValueError float() raised,
-        # even when a later section fails too.
+        # The error of the first offending section, which keeps float()'s
+        # message, even when a later section fails too.
         text = GOOD.replace("noise_floor_dbm = -60", "noise_floor_dbm = loud") + "\n[mystery]\n"
         with pytest.raises(ValueError, match="could not convert string to float: 'loud'"):
             parse_scene(text)
@@ -111,7 +115,16 @@ class TestValidate:
     def test_missing_obstacle_reference(self, tmp_path):
         text = GOOD.replace("blocks = tx_a->rx_b", "blocks = tx_a->rx_zz")
         diags = scene_diagnostics(tmp_path, text)
-        assert any("rx_zz" in d for d in diags)
+        assert any("tx_a->rx_zz" in d and "'rx_zz'" in d for d in diags)
+
+    @pytest.mark.parametrize("frames,error", [
+        ("300 281", "active_frames must be 0 <= start < end < 2**63, got (300, 281)"),
+        ("100 1.5e2", "frames: invalid literal for int() with base 10: '1.5e2'"),
+        ("100", "frames must be 2 number(s), got '100'"),
+    ])
+    def test_only_the_bad_obstacle_is_named(self, tmp_path, frames, error):
+        text = GOOD + "\n[obstacle cover_a]\nblocks = tx_a->rx_a\nframes = " + frames + "\n"
+        assert scene_diagnostics(tmp_path, text) == [f"obstacle 'cover_a': {error}"]
 
     def test_multiple_diagnostics_collected(self, tmp_path):
         text = GOOD.replace("fov_half_angle_deg = 45", "fov_half_angle_deg = 120", 1) \
