@@ -27,7 +27,7 @@ from . import presets, scenarios
 from .channel import ChannelMatrix, subcarrier_frequencies
 from .errors import NoLinkError, ValidationError
 from .oracle import empirical_fsr, oracle_snr_for
-from .phy import FrameSpec, fsr, mcs, snr_for_fsr
+from .phy import FrameSpec, fsr_at, mcs, snr_for_fsr
 from .sceneconfig import read_scene_file, scene_to_text
 
 
@@ -145,8 +145,8 @@ def _run_mrc_point(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
                       count=ov.get("count", 1000))
     entry = mcs(0)
-    snr_a = snr_for_fsr(entry, ov.get("fsr_a", presets.MRC_POINT_TARGET_FSR[0]))
-    snr_b = snr_for_fsr(entry, ov.get("fsr_b", presets.MRC_POINT_TARGET_FSR[1]))
+    snr_a = snr_for_fsr(entry, ov.get("fsr_a", presets.MRC_POINT_TARGET_FSR[0]), frame)
+    snr_b = snr_for_fsr(entry, ov.get("fsr_b", presets.MRC_POINT_TARGET_FSR[1]), frame)
     point = scenarios.run_mrc_fsr_point((snr_a, snr_b), frame, seed)
     header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
     csv_rows = [["A", snr_a, point.analytic_a, point.fsr_a],
@@ -214,7 +214,7 @@ def _run_oracle_check(scene, seed, ov):
         cm = ChannelMatrix.from_paths(np.eye(n), np.zeros((n, n)), subcarrier_frequencies(20))
         for off in offsets:
             snr = entry.snr_threshold_db + off
-            analytic = fsr(entry, [snr] * entry.n_streams, frame)
+            analytic = fsr_at(entry, snr, frame.payload_bytes)
             oracle_snr = oracle_snr_for(entry, snr, frame)
             emp = empirical_fsr(cm, entry, frame, oracle_snr, n_frames, seed)
             err = abs(analytic - emp)

@@ -7,11 +7,11 @@ extra receive chains beyond the stream count contribute diversity gain.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, NO_SIGNAL_DBM, linear_to_db, mw_to_dbm
+from .channel import ChannelMatrix, NO_SIGNAL_DBM, linear_to_db
 from .errors import UnderdeterminedError
 from .phy import collapse_subcarrier_snr_db
 
@@ -20,12 +20,10 @@ from .phy import collapse_subcarrier_snr_db
 SINGULARITY_CONDITION_CUTOFF = 1e6
 
 
-@dataclass(frozen=True)
-class PostSnr:
+class PostSnr(NamedTuple):
     """Post-processing result of a linear MIMO receiver."""
 
     per_stream_snr_db: tuple
-    combined_rssi_dbm: float
     solvable: bool
     condition_number: float
 
@@ -140,13 +138,10 @@ def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
     cond = cond.reshape(n_links, n_subc)
     n_finite = np.count_nonzero(np.isfinite(cond), axis=1).tolist()
     cond = np.sort(cond, axis=1).tolist()
-    p = np.broadcast_to(np.asarray(tx_power_per_stream, dtype=float), (n_streams,))
-    rssi = mw_to_dbm(np.sum(np.stack([cm.path_gains for cm in cms]) @ p, axis=1)).tolist()
     posts = []
-    for n_ok, streams, link_cond, n, link_rssi in zip(counts, per_stream, cond, n_finite, rssi):
+    for n_ok, streams, link_cond, n in zip(counts, per_stream, cond, n_finite):
         solvable = (n_subc - n_ok) * 2 <= n_subc
         posts.append(PostSnr(
             per_stream_snr_db=streams if solvable else (NO_SIGNAL_DBM,) * n_streams,
-            combined_rssi_dbm=link_rssi, solvable=solvable,
-            condition_number=_median_of_smallest(link_cond, n)))
+            solvable=solvable, condition_number=_median_of_smallest(link_cond, n)))
     return posts

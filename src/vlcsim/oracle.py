@@ -13,7 +13,7 @@ gives the textbook BPSK bit-error rate Q(sqrt(2 * 10)).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +98,7 @@ def _effective_channel(cm: ChannelMatrix, n_streams: int) -> np.ndarray:
     return cm.entries[:, :, :n_streams]
 
 
-@dataclass(frozen=True, eq=False)
-class _Link:
+class _Link(NamedTuple):
     """What every frame of one operating point shares: channel, noise level, equalizer.
 
     Complex products that einsum formed are kept as real and imaginary parts
@@ -113,11 +112,9 @@ class _Link:
     rx_im: np.ndarray
     offsets: np.ndarray
     noise_scale: float  # sqrt(n0 / 2) per real dimension
-    combining: str  # "mrc" or "sc" for one stream, "zf" for two
-    weights: np.ndarray | None  # mrc: conjugate columns (n_rx, K, 1); zf: pinv as
-    # stacked real and imaginary parts, (2, n_rx, n_streams, K, 1)
-    denom: np.ndarray | None  # mrc/sc: (K, 1)
-    best: int  # sc: the chain with the most channel energy
+    weights: np.ndarray  # one stream, MRC: conjugate columns (n_rx, K, 1); two, ZF:
+    # pinv as stacked real and imaginary parts, (2, n_rx, n_streams, K, 1)
+    denom: np.ndarray | None  # MRC: (K, 1)
 
 
 def _cmul(ar, ai, br, bi):
@@ -133,7 +130,7 @@ def _cmul(ar, ai, br, bi):
     return re, im
 
 
-def _prepare(cm: ChannelMatrix, mcs: McsEntry, snr_db: float, combining: str) -> _Link:
+def _prepare(cm: ChannelMatrix, mcs: McsEntry, snr_db: float) -> _Link:
     """Check the operating point and do the per-channel work of a frame once."""
     n_streams = mcs.n_streams
     if cm.n_rx < n_streams:
@@ -141,8 +138,6 @@ def _prepare(cm: ChannelMatrix, mcs: McsEntry, snr_db: float, combining: str) ->
             f"{cm.n_rx} receive chain(s) cannot carry {n_streams} streams")
     if n_streams > cm.n_tx:
         raise ValueError(f"{cm.n_tx} transmit element(s) cannot carry {n_streams} streams")
-    if combining not in ("mrc", "sc"):
-        raise ValueError(f"combining must be 'mrc' or 'sc', got '{combining}'")
 
     bps = MODULATION_BITS[mcs.modulation]
     patterns = (np.arange(1 << bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
@@ -156,27 +151,18 @@ def _prepare(cm: ChannelMatrix, mcs: McsEntry, snr_db: float, combining: str) ->
     columns = h.transpose(2, 1, 0)[..., None]
     rx_re, rx_im = _cmul(columns.real, columns.imag, points.real, points.imag)
 
-    weights, denom, best = None, None, 0
     if n_streams == 1:
         hk = h[:, :, 0].T  # (n_rx, K)
-        if combining == "sc":
-            best = int(np.argmax(np.sum(np.abs(hk) ** 2, axis=1)))
-            denom = hk[best]
-            denom = np.where(np.abs(denom) > 0, denom, 1.0)
-        else:
-            weights = hk.conj()[:, :, None]
-            denom = np.sum(np.abs(hk) ** 2, axis=0)
-            denom = np.where(denom > 0, denom, 1.0)
-        denom = denom[:, None]
+        weights = hk.conj()[:, :, None]
+        denom = np.sum(np.abs(hk) ** 2, axis=0)
+        denom = np.where(denom > 0, denom, 1.0)[:, None]
     else:
         w = np.linalg.pinv(h).transpose(2, 1, 0)[..., None]  # (n_rx, n_streams, K, 1)
-        weights = np.stack([w.real, w.imag])
+        weights, denom = np.stack([w.real, w.imag]), None
 
     return _Link(modulation=mcs.modulation, rx_re=rx_re, rx_im=rx_im,
                  offsets=np.arange(0, rx_re.size, points.size).reshape(columns.shape),
-                 noise_scale=math.sqrt(n0 / 2.0),
-                 combining=combining if n_streams == 1 else "zf",
-                 weights=weights, denom=denom, best=best)
+                 noise_scale=math.sqrt(n0 / 2.0), weights=weights, denom=denom)
 
 
 def _run_frame(link: _Link, frame: FrameSpec, seed: int) -> tuple[int, bool]:
@@ -225,8 +211,8 @@ def _run_frame(link: _Link, frame: FrameSpec, seed: int) -> tuple[int, bool]:
     y_im += sig_im
     del sig_re, sig_im
 
-    if link.combining == "zf":
-        # x_hat[s, k, t] = sum_i w[k, s, i] y[i, k, t], the chains summed in order
+    if n_streams > 1:
+        # ZF: x_hat[s, k, t] = sum_i w[k, s, i] y[i, k, t], the chains summed in order
         w_re, w_im = link.weights
         x_re, x_im = _cmul(w_re[0], w_im[0], y_re[0], y_im[0])
         for i in range(1, n_rx):
@@ -242,13 +228,11 @@ def _run_frame(link: _Link, frame: FrameSpec, seed: int) -> tuple[int, bool]:
         y.real = y_re
         y.imag = y_im
         del y_re, y_im
-        if link.combining == "sc":
-            x_hat = y[link.best] / link.denom
-        else:
-            x_hat = link.weights[0] * y[0]
-            for i in range(1, n_rx):
-                x_hat += link.weights[i] * y[i]
-            x_hat /= link.denom
+        # MRC: the weighted chains summed in order, then normalized
+        x_hat = link.weights[0] * y[0]
+        for i in range(1, n_rx):
+            x_hat += link.weights[i] * y[i]
+        x_hat /= link.denom
         del y
         symbols = x_hat.T
 
@@ -258,23 +242,20 @@ def _run_frame(link: _Link, frame: FrameSpec, seed: int) -> tuple[int, bool]:
 
 
 def simulate_frame(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
-                   snr_db: float, seed: int,
-                   combining: str = "mrc") -> tuple[int, bool]:
+                   snr_db: float, seed: int) -> tuple[int, bool]:
     """Simulate one frame end to end; returns (bit_errors, frame_ok).
 
-    Deterministic for a fixed seed. `combining` picks the single-stream
-    equalizer ("mrc" or "sc"); two streams always use ZF.
+    Deterministic for a fixed seed. One stream is equalized by MRC, two by ZF.
     """
-    return _run_frame(_prepare(cm, mcs, snr_db, combining), frame, seed)
+    return _run_frame(_prepare(cm, mcs, snr_db), frame, seed)
 
 
 def empirical_fsr(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
-                  snr_db: float, n_frames: int, seed: int,
-                  combining: str = "mrc") -> float:
+                  snr_db: float, n_frames: int, seed: int) -> float:
     """Fraction of error-free frames over per-frame seeds seed, seed+1, ..."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    link = _prepare(cm, mcs, snr_db, combining)
+    link = _prepare(cm, mcs, snr_db)
     ok = 0
     for i in range(n_frames):
         _, frame_ok = _run_frame(link, frame, seed + i)

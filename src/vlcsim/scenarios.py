@@ -18,7 +18,7 @@ from .channel import (ChannelMatrix, Scene, channel_matrix, db_to_linear, dbm_to
                       scene_paths, subcarrier_frequencies, wideband_rssi_dbm, within_fov)
 from .errors import NoLinkError
 from .mimo import mrc_combine, zf_decode_links
-from .phy import FrameSpec, fsr, fsr_at, mcs
+from .phy import FrameSpec, fsr_at, mcs
 from .presets import mimo_area_scenes
 
 TIMELINE_TOTAL_FRAMES = 350
@@ -49,8 +49,7 @@ class SisoSweepRow(NamedTuple):
     fsr_realized: float
 
 
-@dataclass(frozen=True)
-class MrcFsrPoint:
+class MrcFsrPoint(NamedTuple):
     fsr_a: float
     fsr_b: float
     fsr_mrc: float
@@ -178,7 +177,7 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
         _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
         per_chain.append(tuple(float(r) for r in rssi))
         combined.append(_combined_rssi_dbm(rssi))
-        success_p.append(fsr(entry, [combined_snr_db] * entry.n_streams, frame))
+        success_p.append(fsr_at(entry, combined_snr_db, frame.payload_bytes))
     rng = np.random.default_rng(seed)
     successes = rng.random(n_frames) < np.array(success_p)[state_of_frame]
     return [FrameTrace(i, per_chain[k], combined[k], entry.index, ok)
@@ -189,10 +188,10 @@ def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int) -> MrcFsrPoi
     """Monte-Carlo MCS 0 FSR of each path alone and of their MRC combination."""
     snr_a, snr_b = (float(s) for s in per_path_snr_db)
     entry = mcs(0)
-    analytic_a = fsr(entry, [snr_a] * entry.n_streams, frame)
-    analytic_b = fsr(entry, [snr_b] * entry.n_streams, frame)
+    analytic_a = fsr_at(entry, snr_a, frame.payload_bytes)
+    analytic_b = fsr_at(entry, snr_b, frame.payload_bytes)
     _, mrc_db = mrc_combine([10.0 ** (snr_a / 10.0), 10.0 ** (snr_b / 10.0)])
-    analytic_mrc = fsr(entry, [mrc_db] * entry.n_streams, frame)
+    analytic_mrc = fsr_at(entry, mrc_db, frame.payload_bytes)
     fsr_a, fsr_b, fsr_mrc = _realize(np.random.default_rng(seed),
                                      [analytic_a, analytic_b, analytic_mrc], frame.count)
     return MrcFsrPoint(

@@ -25,7 +25,8 @@ Format (INI-style, parsed with configparser)::
     frames = 100 181
 
 Vectors and `frames` are separated by whitespace or commas; boresights are
-normalized while parsing. Every key must be one its section knows.
+normalized while parsing. Every key must be one its section knows, and a
+front-end's one its role knows.
 `frames` is the half-open active interval [start, end); `blocks` is a
 comma-separated list of tx->rx pairs.
 """
@@ -39,9 +40,13 @@ from .channel import DEFAULT_NOISE_FLOOR_DBM, FrontEnd, Obstacle, Scene
 from .errors import ValidationError
 
 _SCENE_KEYS = {"noise_floor_dbm"}
-_FRONTEND_KEYS = {"role", "position_m", "boresight", "half_power_semi_angle_deg",
-                  "fov_half_angle_deg", "active_area_m2", "tx_power_dbm",
-                  "conversion_gain_db"}
+# The keys of each front-end role. A key of the other role is refused: the
+# front-end would ignore it and `scene_to_text` drop it.
+_COMMON_KEYS = {"role", "position_m", "boresight"}
+_ROLE_KEYS = {"tx": _COMMON_KEYS | {"half_power_semi_angle_deg", "tx_power_dbm"},
+              "rx": _COMMON_KEYS | {"fov_half_angle_deg", "active_area_m2",
+                                    "conversion_gain_db"}}
+_FRONTEND_KEYS = _ROLE_KEYS["tx"] | _ROLE_KEYS["rx"]
 _OBSTACLE_KEYS = {"blocks", "frames"}
 
 
@@ -67,6 +72,9 @@ def _numbers(where: str, sec, key: str, count: int, kind=float) -> list:
 
 def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
     where = f"front-end '{fe_id}'"
+    role = sec.get("role", "").lower()
+    if role in _ROLE_KEYS:
+        _check_keys(f"{where}, role {role}", sec, _ROLE_KEYS[role])
     _check_keys(where, sec, _FRONTEND_KEYS, ("role", "position_m", "boresight"))
     boresight = np.array(_numbers(where, sec, "boresight", 3))
     norm = np.linalg.norm(boresight)
@@ -106,7 +114,7 @@ def _obstacle_from_section(name: str, sec) -> Obstacle:
 
 
 def _read_sections(text: str):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -602,15 +602,12 @@ def _reference_zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain
     solvable = bad * 2 <= n_subc
     finite_cond = cond[np.isfinite(cond)]
     cond_scalar = float(np.median(finite_cond)) if finite_cond.size else float("inf")
-    p = np.broadcast_to(np.asarray(tx_power_per_stream, dtype=float), (n_streams,))
-    total_rx_mw = float(np.sum(cm.path_gains @ p))
-    combined_rssi = float(mw_to_dbm(total_rx_mw))
     if solvable and np.any(ok):
         per_stream = tuple(float(np.mean(linear_to_db(snr[ok, s]))) for s in range(n_streams))
     else:
         per_stream = (float("-inf"),) * n_streams
-    return PostSnr(per_stream_snr_db=per_stream, combined_rssi_dbm=combined_rssi,
-                   solvable=solvable, condition_number=cond_scalar)
+    return PostSnr(per_stream_snr_db=per_stream, solvable=solvable,
+                   condition_number=cond_scalar)
 
 
 def _random_zf_link(rng, kind, n_subc, n_rx, n_tx):
@@ -669,10 +666,8 @@ def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
             want = _reference_zf_decode(cm, power, noise)
             assert g.solvable is want.solvable
             assert np.array_equal(_bits(g.per_stream_snr_db), _bits(want.per_stream_snr_db))
-            assert np.array_equal(_bits([g.combined_rssi_dbm, g.condition_number]),
-                                  _bits([want.combined_rssi_dbm, want.condition_number]))
-            assert all(type(x) is float for x in (*g.per_stream_snr_db, g.combined_rssi_dbm,
-                                                  g.condition_number))
+            assert np.array_equal(_bits(g.condition_number), _bits(want.condition_number))
+            assert all(type(x) is float for x in (*g.per_stream_snr_db, g.condition_number))
             seen["solvable" if want.solvable else "unsolvable"] += 1
             seen["infinite-cond"] += want.condition_number == math.inf
         seen["stack"] += len(cms) > 1
@@ -748,12 +743,10 @@ def _payload_symbols(bits, mcs, n_subcarriers):
 
 
 def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
-                     snr_db: float, seed: int,
-                     combining: str = "mrc") -> tuple[int, bool]:
+                     snr_db: float, seed: int) -> tuple[int, bool]:
     """Simulate one frame end to end; returns (bit_errors, frame_ok).
 
-    Deterministic for a fixed seed. `combining` picks the single-stream
-    equalizer ("mrc" or "sc"); two streams always use ZF.
+    Deterministic for a fixed seed. One stream is equalized by MRC, two by ZF.
     """
     n_streams = mcs.n_streams
     if cm.n_rx < n_streams:
@@ -761,8 +754,6 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
             f"{cm.n_rx} receive chain(s) cannot carry {n_streams} streams")
     if n_streams > cm.n_tx:
         raise ValueError(f"{cm.n_tx} transmit element(s) cannot carry {n_streams} streams")
-    if combining not in ("mrc", "sc"):
-        raise ValueError(f"combining must be 'mrc' or 'sc', got '{combining}'")
 
     rng = np.random.default_rng(seed)
     n_bits = frame.payload_bytes * 8
@@ -783,16 +774,10 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
 
     if n_streams == 1:
         hk = h[:, :, 0].T  # (n_rx, K)
-        if combining == "sc":
-            best = int(np.argmax(np.sum(np.abs(hk) ** 2, axis=1)))
-            denom = hk[best]
-            denom = np.where(np.abs(denom) > 0, denom, 1.0)
-            x_hat = (y[best] / denom[:, None])[None, :, :]
-        else:
-            weights = hk.conj()
-            denom = np.sum(np.abs(hk) ** 2, axis=0)
-            denom = np.where(denom > 0, denom, 1.0)
-            x_hat = (np.sum(weights[:, :, None] * y, axis=0) / denom[:, None])[None, :, :]
+        weights = hk.conj()
+        denom = np.sum(np.abs(hk) ** 2, axis=0)
+        denom = np.where(denom > 0, denom, 1.0)
+        x_hat = (np.sum(weights[:, :, None] * y, axis=0) / denom[:, None])[None, :, :]
     else:
         w = np.linalg.pinv(h)  # (K, n_streams, n_rx)
         x_hat = np.einsum("ksi,ikt->skt", w, y)
@@ -803,14 +788,13 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
 
 
 def _reference_fsr(cm: ChannelMatrix, mcs, frame: FrameSpec,
-                   snr_db: float, n_frames: int, seed: int,
-                   combining: str = "mrc") -> float:
+                   snr_db: float, n_frames: int, seed: int) -> float:
     """Fraction of error-free frames over per-frame seeds seed, seed+1, ..."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     ok = 0
     for i in range(n_frames):
-        _, frame_ok = _reference_frame(cm, mcs, frame, snr_db, seed + i, combining=combining)
+        _, frame_ok = _reference_frame(cm, mcs, frame, snr_db, seed + i)
         ok += frame_ok
     return ok / n_frames
 
@@ -823,8 +807,8 @@ def oracle_frame_exactness(n_cases: int, seed: int = 114) -> None:
     work and formed the signal and the ZF output with einsum. Cases cycle
     through flat, random gain/delay and rank-deficient channels (every TX
     column proportional to the first, or dead chains) with 1-3 chains and up
-    to 3 TX elements, at 20 and 40 MHz, MCS 0-15, MRC and SC, and payloads
-    that mostly need padding. Some SNRs are so high or infinite that on
+    to 3 TX elements, at 20 and 40 MHz, MCS 0-15 (MRC for one stream, ZF for
+    two), and payloads that mostly need padding. Some SNRs are so high or infinite that on
     rank-deficient ZF links the rounding of the arithmetic alone decides
     bits, so a change of even one ulp in the signal or the equalizer shows.
     Every tenth case also compares a short Monte-Carlo FSR.
@@ -854,18 +838,17 @@ def oracle_frame_exactness(n_cases: int, seed: int = 114) -> None:
         cm = ChannelMatrix.from_paths(gains, delays, freqs)
         frame = FrameSpec(payload_bytes=int(rng.integers(1, 300)), count=1)
         snr = float(rng.choice([rng.uniform(0.0, 30.0), 300.0, np.inf]))
-        combining = "sc" if rng.random() < 0.5 else "mrc"
         s = int(rng.integers(0, 2 ** 31))
-        got = simulate_frame(cm, entry, frame, snr, s, combining=combining)
-        want = _reference_frame(cm, entry, frame, snr, s, combining=combining)
-        assert got == want, (case, entry.index, n_rx, n_tx, n_subc, kind, snr, combining)
+        got = simulate_frame(cm, entry, frame, snr, s)
+        want = _reference_frame(cm, entry, frame, snr, s)
+        assert got == want, (case, entry.index, n_rx, n_tx, n_subc, kind, snr)
         per_sym = MODULATION_BITS[entry.modulation] * n_streams * n_subc
         seen["padded"] += (frame.payload_bytes * 8) % per_sym != 0
         seen["rounding-decided"] += ties and n_streams == 2 and snr > 100.0
         if case % 10 == 0:
             n = int(rng.integers(2, 6))
-            assert empirical_fsr(cm, entry, frame, snr, n, s, combining=combining) == \
-                _reference_fsr(cm, entry, frame, snr, n, s, combining=combining)
+            assert empirical_fsr(cm, entry, frame, snr, n, s) == \
+                _reference_fsr(cm, entry, frame, snr, n, s)
     if n_cases >= 100:
         assert min(seen.values()) > 0, seen
 

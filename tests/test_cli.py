@@ -113,6 +113,9 @@ def test_unreadable_scene_exits_1_with_one_line(make, tmp_path, capsys):
     ("noise_floor_dbm", "loud", "scene: noise_floor_dbm"),
     ("frames", "100 1.5e2", "obstacle 'obstacle_1': frames"),
     ("half_power_semi_angle_deg", "1e-9", "front-end 'tx_a': half_power_semi_angle"),
+    # A '%' is text, not configparser interpolation.
+    ("tx_power_dbm", "0%", "front-end 'tx_a': tx_power_dbm"),
+    ("role", "r%x", "role must be 'tx' or 'rx', got 'r%x'"),
 ])
 def test_non_finite_scene_value_exits_1_with_one_line(key, value, field, tmp_path, capsys):
     # The blockage scene has every key of the table, obstacle frames included.
@@ -126,6 +129,20 @@ def test_non_finite_scene_value_exits_1_with_one_line(key, value, field, tmp_pat
     assert main(["--scenario", "blockage-timeline", "--scene", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("invalid scene: ") and field in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("after,key,where", [
+    ("fov_half_angle_deg = 45.0", "tx_power_dbm = 50", "front-end 'rx_a', role rx"),
+    ("tx_power_dbm = 0.0", "active_area_m2 = 1e-4", "front-end 'tx_a', role tx"),
+], ids=["rx", "tx"])
+def test_key_of_the_other_role_exits_1_with_one_line(after, key, where, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text((SCENES / "siso.cfg").read_text().replace(after, f"{after}\n{key}"))
+    out = tmp_path / "out"
+    assert main(["--scenario", "siso-sweep", "--scene", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"invalid scene: {where}: unknown key(s) ['{key.split()[0]}']"]
     assert not out.exists()
 
 
@@ -230,6 +247,22 @@ def test_mrc_fsr_point_scenario(tmp_path):
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["aggregates"]["fsr_mrc"] >= 0.9
+
+
+@pytest.mark.parametrize("payload_bytes,targets", [
+    (500, ()), (2000, ()), (2000, ("fsr_a=0.9", "fsr_b=0.2"))])
+def test_mrc_fsr_point_targets_hold_at_any_payload(payload_bytes, targets, tmp_path):
+    out = tmp_path / "out"
+    argv = ["--scenario", "mrc-fsr-point", "--set", f"payload_bytes={payload_bytes}",
+            "--out", str(out)]
+    for item in targets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    want = [float(t.split("=")[1]) for t in targets] or [0.626, 0.365]
+    rows = read_csv(out / "mrc-fsr-point.csv")
+    assert [r[0] for r in rows[1:3]] == ["A", "B"]
+    for row, target in zip(rows[1:3], want):
+        assert abs(float(row[2]) - target) <= 1e-12, (row, target)
 
 
 def test_csi_report_scenario(tmp_path):

@@ -139,21 +139,6 @@ class TestSimulateFrame:
         for i in range(2):
             assert np.mean(measured[i]) == pytest.approx(expected[i], rel=0.01)
 
-    def test_mrc_beats_selection_combining(self):
-        # paired seeds on an unequal 1x2 channel
-        gains = np.array([[1.0], [0.5]])
-        cm = ChannelMatrix.from_paths(gains, np.zeros((2, 1)), subcarrier_frequencies(20))
-        frame = FrameSpec(payload_bytes=1000, count=1)
-        mrc_errs, sc_errs = 0, 0
-        for seed in range(20):
-            mrc_errs += simulate_frame(cm, mcs(0), frame, 7.0, seed=seed, combining="mrc")[0]
-            sc_errs += simulate_frame(cm, mcs(0), frame, 7.0, seed=seed, combining="sc")[0]
-        assert mrc_errs <= sc_errs
-
-    def test_bad_combining_name(self):
-        with pytest.raises(ValueError):
-            simulate_frame(flat_cm(1), mcs(0), FrameSpec(), 10.0, 0, combining="egc")
-
 
 class TestEmpiricalFsr:
     def test_saturation_high(self):

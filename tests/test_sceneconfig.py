@@ -66,6 +66,31 @@ class TestParse:
         with pytest.raises(ValidationError, match="unknown key"):
             parse_scene(GOOD.replace("tx_power_dbm = 0", "tx_power_dbm = 0\nwavelength = 5"))
 
+    @pytest.mark.parametrize("after,key,where", [
+        ("active_area_m2 = 1e-4\n", "tx_power_dbm = 50", "front-end 'rx_a', role rx"),
+        ("active_area_m2 = 1e-4\n", "half_power_semi_angle_deg = 5",
+         "front-end 'rx_a', role rx"),
+        ("tx_power_dbm = 0\n", "fov_half_angle_deg = 45", "front-end 'tx_a', role tx"),
+        ("tx_power_dbm = 0\n", "active_area_m2 = 1e-4", "front-end 'tx_a', role tx"),
+        ("tx_power_dbm = 0\n", "conversion_gain_db = 3", "front-end 'tx_a', role tx"),
+        ("role = tx\n", "wavelength = 5", "front-end 'tx_a', role tx"),
+    ], ids=["rx-tx_power", "rx-semi_angle", "tx-fov", "tx-area", "tx-conversion_gain",
+            "tx-unknown"])
+    def test_key_of_the_other_role_rejected(self, after, key, where):
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(GOOD.replace(after, f"{after}{key}\n", 1))
+        assert str(exc.value) == f"{where}: unknown key(s) ['{key.split()[0]}']"
+
+    def test_role_is_matched_without_case(self):
+        text = GOOD.replace("role = tx", "role = TX").replace(
+            "tx_power_dbm = 0\n", "tx_power_dbm = 0\nactive_area_m2 = 1e-4\n")
+        with pytest.raises(ValidationError, match=r"^front-end 'tx_a', role tx: unknown key"):
+            parse_scene(text)
+
+    def test_unknown_role_is_named_not_its_keys(self):
+        with pytest.raises(ValidationError, match="role must be 'tx' or 'rx', got 'led'"):
+            parse_scene(GOOD.replace("role = tx", "role = led"))
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValidationError, match="unknown section"):
             parse_scene(GOOD + "\n[mystery]\nfoo = 1\n")
