@@ -313,29 +313,22 @@ class ChannelMatrix:
         return np.tensordot(self.entries, w, axes=([2], [0]))
 
 
-def scene_paths(scene: Scene, frame_index: int,
-                los_paths: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Path gains and delays of all TX->RX paths of a scene at one frame index.
 
     Both arrays are (n_rx, n_tx). Paths covered by an obstacle active at
     `frame_index` get zero gain. The receiver conversion gain is folded into
     the path power gain, which thus maps TX electrical power to RX electrical
-    power. `los_paths`, a dict passed to the calls for several scenes that
-    share front-end objects, keeps each pair's `los_gain`, so that it is
-    evaluated once.
+    power.
     """
     txs, rxs = scene.transmitters, scene.receivers
     gains = np.zeros((len(rxs), len(txs)))
     delays = np.zeros_like(gains)
     convs = [float(db_to_linear(rx.conversion_gain_db)) for rx in rxs]
-    if los_paths is None:
-        los_paths = {}
     with np.errstate(over="ignore"):
         for i, (rx, conv) in enumerate(zip(rxs, convs)):
             for j, tx in enumerate(txs):
-                if (tx, rx) not in los_paths:
-                    los_paths[tx, rx] = los_gain(tx, rx)
-                g, tau = los_paths[tx, rx]
+                g, tau = los_gain(tx, rx)
                 if any(obs.blocks(tx.id, rx.id, frame_index) for obs in scene.obstacles):
                     g = 0.0
                 gains[i, j] = g * conv

@@ -62,7 +62,14 @@ def _positive(parse):
     return parse_positive
 
 
-_parse_int_list = _parse_list(int)
+def _parse_int_list(text):
+    """Distinct ints: a repeated MCS index would repeat its summary key."""
+    values = _parse_list(int)(text)
+    if len(set(values)) != len(values):
+        raise ValueError(f"repeats an index: {values}")
+    return values
+
+
 _finite_float = _number(float)
 # Run sizes are bounded, each far above what a study or the benchmark uses, so
 # that a mistyped size exits 2 rather than exhausting memory, running for hours
@@ -168,12 +175,8 @@ def _run_handover(scene, seed, ov):
 def _run_area_grid(scene, seed, ov):
     frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
                       count=ov.get("count", 1000))
-    mcs_list = ov.get("mcs", [8, 9, 10, 11, 12])
-    imbalance = ov.get("imbalance_db", 0.5)
-    # The exactly-proportional (2, 2) contrast case follows, from the next seed.
-    rows = scenarios.run_mimo_area_grids(
-        [([(1, 3), (2, 3), (1, 2), (2, 2)], imbalance, seed), ([(2, 2)], 0.0, seed + 1)],
-        mcs_list, frame)
+    rows = scenarios.run_mimo_area_grid(ov.get("mcs", [8, 9, 10, 11, 12]), frame, seed,
+                                        ov.get("imbalance_db", 0.5))
     header = ["placement", "imbalance_db", "mcs_index", "snr_stream_a_db",
               "snr_stream_b_db", "solvable", "condition_number",
               "fsr_analytic", "fsr_realized"]

@@ -133,17 +133,10 @@ def _area_tx(side: str) -> FrontEnd:
     return _tx(f"tx_{side}", (x, 0, 0), _AREA_TX_BORESIGHT, power_dbm=_AREA_TX_POWER_DBM)
 
 
-def _area_rx(fe_id: str, x: float, z: float) -> FrontEnd:
-    return _rx(fe_id, (x, _AREA_RAIL_Y, z), (0, -1, 0), fov=_AREA_RX_FOV_DEG)
-
-
-def _tilted_boresight(tilt_deg: float) -> tuple:
+def _area_rx(fe_id: str, area: int, z: float, tilt_deg: float = 0.0) -> FrontEnd:
+    """A rail receiver in coverage `area`, its boresight tilted `tilt_deg` toward TX B."""
     a = math.radians(tilt_deg)
-    return math.sin(a), -math.cos(a), 0.0
-
-
-def _tilted_area_rx(fe_id: str, z: float, tilt_deg: float) -> FrontEnd:
-    return _rx(fe_id, (_AREA_RX_X[2], _AREA_RAIL_Y, z), _tilted_boresight(tilt_deg),
+    return _rx(fe_id, (_AREA_RX_X[area], _AREA_RAIL_Y, z), (math.sin(a), -math.cos(a), 0.0),
                fov=_AREA_RX_FOV_DEG)
 
 
@@ -174,7 +167,8 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
         paths.append((-v, d, float(np.dot(tx_boresight, v)) / d))
 
     def skew(tilt):
-        boresight = _unit(_tilted_boresight(tilt))
+        a = math.radians(tilt)
+        boresight = _unit((math.sin(a), -math.cos(a), 0.0))
         gains = []
         for to_tx, d, cos_phi in paths:
             cos_psi = float(np.dot(boresight, to_tx)) / d
@@ -192,35 +186,29 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
     return brentq(skew, 0.0, max_tilt, xtol=1e-12)
 
 
-def mimo_area_scenes(links):
-    """Yield a scene of two TX plus two RX for each `(placement, imbalance_db)` in `links`.
+# The links of the area grid: each link's placement label, the rows of its two
+# receivers in `mimo_area_scene`, and whether it carries the imbalance. The
+# last link is the exactly proportional (2, 2) contrast case.
+AREA_LINKS = (("1,3", (0, 2), False), ("2,3", (1, 2), False), ("1,2", (0, 3), False),
+              ("2,2", (1, 4), True), ("2,2", (1, 3), False))
 
-    `placement` gives the coverage area (1, 2, or 3) of each receiver. When
-    both sit in area 2 their channel rows are exactly proportional; a nonzero
-    `imbalance_db` tilts the second receiver toward TX B so its two path gains
-    differ by that many dB, which is what keeps the matrix barely invertible.
 
-    The scenes share their two TX front-ends and every receiver they have in
-    common, so each front-end is built (and each tilt solved) once. A scene
-    is built when it is asked for.
+def mimo_area_scene(imbalance_db: float) -> Scene:
+    """Both area TX and the five receivers of `AREA_LINKS`.
+
+    `rx_a1` and `rx_a2` sit at the first receiver height in areas 1 and 2,
+    `rx_b3` and `rx_b2` at the second in areas 3 and 2. Two area-2 receivers
+    have exactly proportional channel rows; `rx_b2_tilted` is `rx_b2` tilted
+    toward TX B so that its two path gains differ by `imbalance_db`, which is
+    what keeps the (2, 2) matrix barely invertible.
     """
-    txs = (_area_tx("a"), _area_tx("b"))
-    receivers = {}
-    for placement, imbalance_db in links:
-        if len(placement) != 2 or any(p not in (1, 2, 3) for p in placement):
-            raise ValueError(f"placement must be a pair from areas 1..3, got {placement}")
-        if imbalance_db and placement != (2, 2):
-            raise ValueError("an area-2 gain imbalance only applies to the (2, 2) placement")
-        rx = []
-        for idx, (area, z) in enumerate(zip(placement, _AREA_RX_Z)):
-            tilt_for = imbalance_db if idx == 1 else 0.0
-            if (idx, area, tilt_for) not in receivers:
-                fe_id = f"rx_{'ab'[idx]}"
-                receivers[idx, area, tilt_for] = (
-                    _tilted_area_rx(fe_id, z, area2_tilt_for_imbalance(tilt_for, z)) if tilt_for
-                    else _area_rx(fe_id, _AREA_RX_X[area], z))
-            rx.append(receivers[idx, area, tilt_for])
-        yield Scene(front_ends=(*txs, *rx))
+    z_a, z_b = _AREA_RX_Z
+    return Scene(front_ends=(
+        _area_tx("a"), _area_tx("b"),
+        _area_rx("rx_a1", 1, z_a), _area_rx("rx_a2", 2, z_a),
+        _area_rx("rx_b3", 3, z_b), _area_rx("rx_b2", 2, z_b),
+        _area_rx("rx_b2_tilted", 2, z_b, area2_tilt_for_imbalance(imbalance_db, z_b)),
+    ))
 
 
 def csi_siso_scene() -> Scene:

@@ -19,7 +19,7 @@ from .channel import (ChannelMatrix, Scene, channel_matrix, db_to_linear, dbm_to
 from .errors import NoLinkError
 from .mimo import mrc_combine, zf_decode_links
 from .phy import FrameSpec, fsr_at, mcs
-from .presets import mimo_area_scenes
+from .presets import AREA_LINKS, mimo_area_scene
 
 TIMELINE_TOTAL_FRAMES = 350
 # 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
@@ -233,55 +233,40 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
             for az, (rssi_a, rssi_b), mrc in zip(azimuths, rssi.tolist(), combined.tolist())]
 
 
-def run_mimo_area_grid(placements, mcs_indices, frame: FrameSpec, seed: int,
-                       area22_imbalance_db: float = 0.5) -> list:
-    """Two-stream ZF FSR for each receiver placement and MCS, over 20 MHz.
+def run_mimo_area_grid(mcs_indices, frame: FrameSpec, seed: int, imbalance_db: float) -> list:
+    """Two-stream ZF FSR of each link of `presets.AREA_LINKS` and each MCS, over 20 MHz.
 
-    Placements are pairs of coverage areas from {1, 2, 3}. The (2, 2)
-    placement applies `area22_imbalance_db` between the second receiver's two
-    path gains; zero keeps the rows exactly proportional (unsolvable).
+    The (2, 2) link's second receiver is tilted so that its two path gains
+    differ by `imbalance_db`. The four placements are realized from `seed`,
+    the exactly proportional (2, 2) contrast link from `seed + 1`.
     """
-    return run_mimo_area_grids([(placements, area22_imbalance_db, seed)], mcs_indices, frame)
-
-
-def run_mimo_area_grids(grids, mcs_indices, frame: FrameSpec) -> list:
-    """`run_mimo_area_grid` of each `(placements, area22_imbalance_db, seed)` grid, in order.
-
-    The links of every grid go through one ZF call; each grid's cells are
-    realized from a generator of its own seed.
-    """
-    freqs = subcarrier_frequencies(20)
     entries = [mcs(i) for i in mcs_indices]
-    grids = [([tuple(p) for p in placements], imbalance, seed)
-             for placements, imbalance, seed in grids]
-    links = [(placement, imbalance if placement == (2, 2) else 0.0)
-             for placements, imbalance, _ in grids for placement in placements]
-    cms, los_paths = [], {}
-    for scene in mimo_area_scenes(links):
-        n_tx = len(scene.transmitters)
-        for entry in entries:
-            if entry.n_streams != n_tx:
-                raise ValueError(f"MCS {entry.index} carries {entry.n_streams} stream(s); "
-                                 f"the grid transmits {n_tx}")
-        # The scenes share front-ends, so a path they share is evaluated once.
-        cms.append(ChannelMatrix.from_paths(*scene_paths(scene, 0, los_paths), freqs))
-    if not cms:
-        return []
-    # Every area scene has the same TX powers and noise floor.
+    for entry in entries:
+        if entry.n_streams != 2:
+            raise ValueError(f"MCS {entry.index} carries {entry.n_streams} stream(s); "
+                             "the grid transmits 2")
+    if imbalance_db == 0.0:
+        raise ValueError("imbalance_db must not be 0: the proportional (2, 2) link "
+                         "is already the contrast row")
+    scene = mimo_area_scene(imbalance_db)
+    gains, delays = scene_paths(scene, 0)
+    freqs = subcarrier_frequencies(20)
+    cms = [ChannelMatrix.from_paths(gains[list(rows)], delays[list(rows)], freqs)
+           for _, rows, _ in AREA_LINKS]
     posts = zf_decode_links(cms, dbm_to_mw(scene.tx_power_dbm), dbm_to_mw(scene.noise_floor_dbm))
     # `fsr` of a link is `fsr_at` of its weakest stream, the row's np.min.
     weakest = np.min([post.per_stream_snr_db for post in posts], axis=1).tolist()
-    cells = [[(f"{a},{b}", imbalance, entry, post, fsr_at(entry, snr_db, frame.payload_bytes))
-              for entry in entries]
-             for ((a, b), imbalance), post, snr_db in zip(links, posts, weakest)]
-    link_cells, rows = iter(cells), []
-    for placements, _, seed in grids:
-        grid = [cell for _ in placements for cell in next(link_cells)]
-        realized = _realize(np.random.default_rng(seed), [p for *_, p in grid], frame.count)
-        rows += [AreaGridRow(placement, imbalance, entry.index, post.per_stream_snr_db,
-                             post.solvable, post.condition_number, p, q)
-                 for (placement, imbalance, entry, post, p), q in zip(grid, realized)]
-    return rows
+    cells = [(placement, imbalance_db if skewed else 0.0, entry, post,
+              fsr_at(entry, snr_db, frame.payload_bytes))
+             for (placement, _, skewed), post, snr_db in zip(AREA_LINKS, posts, weakest)
+             for entry in entries]
+    analytic = [cell[-1] for cell in cells]
+    n_grid = (len(AREA_LINKS) - 1) * len(entries)  # all but the contrast link
+    realized = (_realize(np.random.default_rng(seed), analytic[:n_grid], frame.count)
+                + _realize(np.random.default_rng(seed + 1), analytic[n_grid:], frame.count))
+    return [AreaGridRow(placement, imbalance, entry.index, post.per_stream_snr_db,
+                        post.solvable, post.condition_number, p, q)
+            for (placement, imbalance, entry, post, p), q in zip(cells, realized)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -83,16 +83,13 @@ def test_criterion_04_siso_ladder_anchors():
 def test_criterion_05_mimo_area_grid():
     with criterion(5, 10.0, "area grid: independent/mixed placements decode, "
                             "doubly-degenerate fails except BPSK with 0.5 dB skew"):
-        rows = run_mimo_area_grid([(1, 3), (2, 3), (1, 2), (2, 2)],
-                                  range(8, 13), FRAME, seed=1,
-                                  area22_imbalance_db=0.5)
+        rows = run_mimo_area_grid(range(8, 13), FRAME, seed=1, imbalance_db=0.5)
         for r in rows:
             if r.placement in ("1,3", "2,3", "1,2"):
                 assert r.fsr_realized >= 0.99
-        skewed = {r.mcs_index: r for r in rows if r.placement == "2,2"}
+        skewed = {r.mcs_index: r for r in rows if r.placement == "2,2" and r.imbalance_db}
         assert skewed[8].fsr_realized > 0.8
-        proportional = run_mimo_area_grid([(2, 2)], range(9, 13), FRAME, seed=2,
-                                          area22_imbalance_db=0.0)
+        proportional = [r for r in rows if r.placement == "2,2" and not r.imbalance_db]
         for r in proportional:
             assert r.fsr_realized <= 0.05
 

@@ -330,6 +330,8 @@ def test_siso_sweep_scenario_small(tmp_path):
     ["--scenario", "mimo-area-grid", "--set", "imbalance_db=nan"],
     ["--scenario", "mimo-area-grid", "--set", "imbalance_db=-inf"],
     ["--scenario", "mimo-area-grid", "--set", "imbalance_db=-1"],
+    ["--scenario", "mimo-area-grid", "--set", "imbalance_db=0"],
+    ["--scenario", "mimo-area-grid", "--set", "imbalance_db=-0"],
     ["--scenario", "mrc-fsr-point", "--set", "fsr_a=nan"],
     ["--scenario", "mrc-fsr-point", "--set", "fsr_b=-inf"],
     ["--scenario", "csi-report", "--set", "bits=2000"],
@@ -342,6 +344,7 @@ def test_siso_sweep_scenario_small(tmp_path):
         "blockage-2-streams-on-1-tx", "siso-2-streams-on-1x1", "mrc-0-count",
         "mrc-fsr-out-of-range", "csi-1-bit", "oracle-nan-offset", "oracle-inf-offset",
         "area-nan-imbalance", "area-minus-inf-imbalance", "area-negative-imbalance",
+        "area-zero-imbalance", "area-minus-zero-imbalance",
         "mrc-nan-fsr", "mrc-minus-inf-fsr", "csi-2000-bits", "csi-64-bits",
         "oracle-huge-offset", "siso-underflowing-distance", "negative-seed"])
 def test_out_of_range_values_are_usage_errors(argv, tmp_path, capsys):
@@ -382,6 +385,20 @@ def test_out_of_bound_set_value_names_the_key(scenario, key, value, tmp_path, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith(f"vlcsim: error: --set {key}: cannot use '{value}': must be in [")
+
+
+@pytest.mark.parametrize("scenario,value", [("siso-sweep", "0,7,0"),
+                                            ("mimo-area-grid", "8,8"),
+                                            ("oracle-check", "1,01")])
+def test_repeated_mcs_names_the_key(scenario, value, tmp_path, capsys):
+    # Each MCS keys its own summary entry, so a repeated one would drop rows.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", scenario, "--set", f"mcs={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"vlcsim: error: --set mcs: cannot use '{value}': repeats")
+    assert not out.exists()
 
 
 SIZE_BOUNDS = [("siso-sweep", "count", 10**9), ("mrc-fsr-point", "count", 10**9),

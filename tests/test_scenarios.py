@@ -14,7 +14,7 @@ from vlcsim.phy import FrameSpec, mcs
 from vlcsim.scenarios import (TIMELINE_TOTAL_FRAMES, report_csi,
                               run_blockage_timeline, run_csi_report,
                               run_handover_sweep, run_mimo_area_grid,
-                              run_mimo_area_grids, run_mrc_fsr_point, run_siso_sweep)
+                              run_mrc_fsr_point, run_siso_sweep)
 
 GAIN_3DB = 10.0 * math.log10(2.0)
 FRAME = FrameSpec()
@@ -38,12 +38,7 @@ def sweep_rows():
 
 @pytest.fixture(scope="module")
 def grid_rows():
-    grid = run_mimo_area_grid([(1, 3), (2, 3), (1, 2), (2, 2)],
-                              range(8, 13), FRAME, seed=1,
-                              area22_imbalance_db=0.5)
-    grid += run_mimo_area_grid([(2, 2)], range(8, 13), FRAME, seed=2,
-                               area22_imbalance_db=0.0)
-    return grid
+    return run_mimo_area_grid(range(8, 13), FRAME, seed=1, imbalance_db=0.5)
 
 
 class TestBlockageTimeline:
@@ -182,34 +177,34 @@ class TestMimoAreaGrid:
         for m in range(9, 13):
             assert live[m].fsr_realized <= 0.05
 
-    def test_grids_in_one_call_equal_one_call_per_grid(self):
-        # Repeated placements, two tilts, an empty grid and the contrast case
-        # share one ZF call; each grid keeps its own seed.
-        grids = [([(2, 2), (1, 3)], 0.3, 5), ([], 0.5, 6), ([(2, 2), (2, 2), (3, 1)], 0.55, 7),
-                 ([(2, 2)], 0.0, 8)]
-        per_grid = [row for placements, imbalance, seed in grids
-                    for row in run_mimo_area_grid(placements, [8, 9], FRAME, seed, imbalance)]
-        assert run_mimo_area_grids(grids, [8, 9], FRAME) == per_grid
-        assert len(per_grid) == 2 * 6
-
     def test_stream_count_checked_before_the_tilt_solve(self):
         with pytest.raises(ValueError, match="MCS 0 carries 1 stream"):
-            run_mimo_area_grid([(1, 3), (2, 2)], [0], FRAME, seed=1, area22_imbalance_db=2.0)
+            run_mimo_area_grid([0], FRAME, seed=1, imbalance_db=2.0)
+
+    @pytest.mark.parametrize("imbalance_db", [0.0, -0.0])
+    def test_zero_imbalance_names_the_contrast_row(self, imbalance_db):
+        with pytest.raises(ValueError, match="imbalance_db .* already the contrast row"):
+            run_mimo_area_grid([8], FRAME, seed=1, imbalance_db=imbalance_db)
 
     def test_area_classification(self):
-        # area 1 receives TX A only; area 3 receives TX B only
-        scene, scene2 = presets.mimo_area_scenes([((1, 3), 0.0), ((2, 2), 0.0)])
+        scene = presets.mimo_area_scene(0.5)
         tx_a, tx_b = scene.transmitters
-        rx_1, rx_3 = scene.receivers
-        assert los_gain(tx_a, rx_1)[0] > 0.0 and los_gain(tx_b, rx_1)[0] == 0.0
-        assert los_gain(tx_b, rx_3)[0] > 0.0 and los_gain(tx_a, rx_3)[0] == 0.0
+        rx = {fe.id: fe for fe in scene.receivers}
+        assert list(rx) == ["rx_a1", "rx_a2", "rx_b3", "rx_b2", "rx_b2_tilted"]
+        # area 1 receives TX A only; area 3 receives TX B only
+        assert los_gain(tx_a, rx["rx_a1"])[0] > 0.0 and los_gain(tx_b, rx["rx_a1"])[0] == 0.0
+        assert los_gain(tx_b, rx["rx_b3"])[0] > 0.0 and los_gain(tx_a, rx["rx_b3"])[0] == 0.0
         # area 2 receives both
-        for rx in scene2.receivers:
-            assert all(los_gain(tx, rx)[0] > 0.0 for tx in scene2.transmitters)
-
-    def test_imbalance_only_for_double_area2(self):
-        with pytest.raises(ValueError):
-            next(presets.mimo_area_scenes([((1, 3), 0.5)]))
+        for fe_id in ("rx_a2", "rx_b2", "rx_b2_tilted"):
+            assert all(los_gain(tx, rx[fe_id])[0] > 0.0 for tx in scene.transmitters)
+        # the tilt skews the two path gains by the imbalance
+        g_a, g_b = (los_gain(tx, rx["rx_b2_tilted"])[0] for tx in (tx_a, tx_b))
+        assert 10.0 * math.log10(g_b / g_a) == pytest.approx(0.5, abs=1e-9)
+        # with no imbalance the tilted receiver is rx_b2, bit for bit
+        scene = presets.mimo_area_scene(0.0)
+        untilted, tilted = scene.receivers[3:]
+        for tx in scene.transmitters:
+            assert los_gain(tx, tilted) == los_gain(tx, untilted)
 
     @pytest.mark.parametrize("imbalance_db", [-1.0, -1e-9, -math.inf, math.nan])
     def test_negative_imbalance_rejected_with_reachable_range(self, imbalance_db):
