@@ -5,8 +5,8 @@ techniques (MRC for one stream, zero-forcing multiplexing for two) are
 evaluated through scripted, seed-reproducible scenarios.
 
 The package exports only `__version__`. Import each name from its module:
-`channel`, `phy`, `mimo`, `oracle`, `scenarios`, `presets`, `sceneconfig`,
-`errors` or `cli`.
+`channel`, `phy`, `mimo`, `oracle`, `scenarios`, `presets`, `sceneconfig` or
+`cli`.
 """
 
 __version__ = "0.1.0"

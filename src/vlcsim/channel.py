@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+
+class ValidationError(ValueError):
+    """A scene, front-end, or config field violates its documented bounds."""
+
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -219,7 +222,8 @@ def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:
     """Geometric LOS path: (linear optical power gain, propagation delay in s).
 
     Gain is zero when the receiver sits behind the emitter plane (phi >= 90
-    degrees) or the incidence angle exceeds the receiver FOV.
+    degrees) or the incidence angle exceeds the receiver FOV. A gain past 1
+    raises ValidationError naming the TX->RX pair.
     """
     if tx.role != "tx" or rx.role != "rx":
         raise ValueError(f"los_gain needs a TX and an RX, got roles '{tx.role}' and '{rx.role}'")
@@ -231,7 +235,10 @@ def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:
     if not within_fov(cos_psi, rx.fov_half_angle):
         return 0.0, delay
     m = lambertian_order(tx.half_power_semi_angle)
-    return lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi), delay
+    try:
+        return lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi), delay
+    except ValueError as exc:
+        raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
 
 
 def path_length(tx: FrontEnd, rx: FrontEnd, v: np.ndarray) -> float:
@@ -259,11 +266,18 @@ def within_fov(cos_psi: float, fov_half_angle: float) -> bool:
 def lambertian_gain(m: float, area: float, d: float, cos_phi: float, cos_psi: float) -> float:
     """The gain G of the module docstring for a path inside the receiver FOV.
 
-    Zero when the receiver sits behind the emitter plane (cos_phi <= 0).
+    Zero when the receiver sits behind the emitter plane (cos_phi <= 0). A
+    gain that is not <= 1, NaN included, raises ValueError: no path receives
+    more power than the LED sends, and the form holds only for d >> sqrt(A)
+    (Kahn and Barry, Proc. IEEE 85(2), 1997).
     """
     if cos_phi <= 0.0:
         return 0.0
-    return (m + 1.0) * area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
+    g = (m + 1.0) * area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
+    if not g <= 1.0:
+        raise ValueError(f"optical gain {g:.6g} is not <= 1: "
+                         "no path receives more power than the LED sends")
+    return g
 
 
 @dataclass(frozen=True, eq=False)

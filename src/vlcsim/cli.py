@@ -24,8 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import presets, scenarios
-from .channel import ChannelMatrix, subcarrier_frequencies
-from .errors import NoLinkError, ValidationError
+from .channel import ChannelMatrix, ValidationError, subcarrier_frequencies
 from .oracle import empirical_fsr, oracle_snr_for
 from .phy import FrameSpec, fsr_at, mcs, snr_for_fsr
 from .sceneconfig import read_scene_file, scene_to_text
@@ -169,7 +168,9 @@ def _run_handover(scene, seed, ov):
     # A HandoverRow's fields are the CSV columns, so the rows are written as they are.
     header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
     mrc = [r.rssi_mrc_dbm for r in rows]
-    return header, rows, {"mrc_excursion_db": max(mrc) - min(mrc)}
+    # An angle where neither receiver sees the LED makes the excursion unbounded: null.
+    excursion = max(mrc) - min(mrc) if min(mrc) > -math.inf else None
+    return header, rows, {"mrc_excursion_db": excursion}
 
 
 def _run_area_grid(scene, seed, ov):
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
     # configuration the run cannot use (e.g. more streams than the link carries).
     try:
         run(args.scenario, args.scene, args.seed, out_dir, overrides)
-    except (ValidationError, NoLinkError) as exc:
+    except ValidationError as exc:
         for diagnostic in exc.args:
             print(f"invalid scene: {diagnostic}", file=sys.stderr)
         return 1

@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelMatrix, NO_SIGNAL_DBM, linear_to_db
-from .errors import UnderdeterminedError
-from .phy import collapse_subcarrier_snr_db
+from .phy import check_streams, collapse_subcarrier_snr_db
 
 # A subcarrier whose Gram matrix is worse conditioned than this is treated as
 # singular: the linear system is numerically unsolvable there.
@@ -124,10 +123,7 @@ def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
         raise ValueError(f"links decoded together need one (subcarriers, n_rx, n_tx) shape, "
                          f"got {sorted(shapes)}")
     n_subc, n_rx, n_streams = shapes.pop()
-    if n_rx < n_streams:
-        raise UnderdeterminedError(
-            f"{n_rx} receive chain(s) cannot separate {n_streams} streams; "
-            "need at least as many measurements as unknowns")
+    check_streams(n_streams, n_streams, n_rx, "zero-forcing")
     stack = np.concatenate([cm.entries for cm in cms])
     snr, cond, ok = _stream_snr_per_subcarrier(stack, tx_power_per_stream, noise_per_chain)
     n_links = len(cms)

@@ -19,8 +19,7 @@ import numpy as np
 
 from ._numerics import brentq, erfc, expit
 from .channel import ChannelMatrix
-from .errors import UnderdeterminedError
-from .phy import FSR_SLOPE_DB, FrameSpec, McsEntry, MODULATION_BITS
+from .phy import FSR_SLOPE_DB, FrameSpec, McsEntry, MODULATION_BITS, check_streams
 
 
 def _axis_tables(bits_per_axis: int):
@@ -133,11 +132,7 @@ def _cmul(ar, ai, br, bi):
 def _prepare(cm: ChannelMatrix, mcs: McsEntry, snr_db: float) -> _Link:
     """Check the operating point and do the per-channel work of a frame once."""
     n_streams = mcs.n_streams
-    if cm.n_rx < n_streams:
-        raise UnderdeterminedError(
-            f"{cm.n_rx} receive chain(s) cannot carry {n_streams} streams")
-    if n_streams > cm.n_tx:
-        raise ValueError(f"{cm.n_tx} transmit element(s) cannot carry {n_streams} streams")
+    check_streams(n_streams, cm.n_tx, cm.n_rx, f"MCS {mcs.index}")
 
     bps = MODULATION_BITS[mcs.modulation]
     patterns = (np.arange(1 << bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1

@@ -101,6 +101,12 @@ def mcs(index: int) -> McsEntry:
     return mcs_table()[index]
 
 
+def check_streams(n_streams: int, n_tx: int, n_rx: int, what: str) -> None:
+    """Refuse more streams than `min(n_tx, n_rx)`: each needs an LED and a receive chain."""
+    if n_streams > min(n_tx, n_rx):
+        raise ValueError(f"{what}: n_streams={n_streams} exceeds min(n_tx, n_rx)={min(n_tx, n_rx)}")
+
+
 def phy_rate(entry: McsEntry, bandwidth_mhz: int) -> float:
     """PHY data rate in Mbit/s for a 20 or 40 MHz channel."""
     if bandwidth_mhz == 20:

@@ -13,12 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (ChannelMatrix, Scene, channel_matrix, db_to_linear, dbm_to_mw,
-                      lambertian_gain, lambertian_order, mw_to_dbm, path_length,
-                      scene_paths, subcarrier_frequencies, wideband_rssi_dbm, within_fov)
-from .errors import NoLinkError
+from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear,
+                      dbm_to_mw, lambertian_gain, lambertian_order, los_gain, mw_to_dbm,
+                      path_length, scene_paths, subcarrier_frequencies, wideband_rssi_dbm,
+                      within_fov)
 from .mimo import mrc_combine, zf_decode_links
-from .phy import FrameSpec, fsr_at, mcs
+from .phy import FrameSpec, check_streams, fsr_at, mcs
 from .presets import AREA_LINKS, mimo_area_scene
 
 TIMELINE_TOTAL_FRAMES = 350
@@ -94,14 +94,6 @@ def _realize(rng: np.random.Generator, probabilities, count: int) -> list:
     return [k / count for k in rng.binomial(count, np.clip(p, 0.0, 1.0)).tolist()]
 
 
-def _check_streams(entry, scene: Scene) -> None:
-    """Reject an MCS whose stream count the scene's link cannot carry."""
-    most = min(len(scene.transmitters), len(scene.receivers))
-    if entry.n_streams > most:
-        raise ValueError(f"MCS {entry.index}: n_streams={entry.n_streams} exceeds "
-                         f"min(n_tx, n_rx)={most}")
-
-
 def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
                    seed: int) -> list:
     """FSR-vs-RSSI table: slide the receiver along the link axis.
@@ -116,7 +108,7 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     rng = np.random.default_rng(seed)
     entries = [mcs(i) for i in mcs_indices]
     for entry in entries:
-        _check_streams(entry, scene)
+        check_streams(entry.n_streams, len(txs), len(rxs), f"MCS {entry.index}")
     # Only the receiver position moves. Each point makes los_gain's own numpy
     # and libm calls, so its gain is bit for bit that of a rebuilt scene.
     m = lambertian_order(tx.half_power_semi_angle)
@@ -124,6 +116,7 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     distances = [float(d) for d in distances]
     gains = []
     with np.errstate(over="ignore"):
+        los_gain(tx, rx)  # a scene link whose gain passes 1 is a bad scene, not a bad d_min
         direction = rx.position - tx.position
         direction = direction / path_length(tx, rx, direction)
         for dist in distances:
@@ -131,8 +124,11 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
             d = path_length(tx, rx, v)
             cos_phi = float(np.dot(tx.boresight, v)) / d
             cos_psi = float(np.dot(rx.boresight, -v)) / d
-            g = (lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi)
-                 if within_fov(cos_psi, rx.fov_half_angle) else 0.0)
+            try:
+                g = (lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi)
+                     if within_fov(cos_psi, rx.fov_half_angle) else 0.0)
+            except ValueError as exc:
+                raise ValueError(f"receiver at {dist:g} m: {exc}; raise d_min") from None
             gains.append(g * conv)
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 1, 1)), scene.tx_power_dbm)[:, 0].tolist()
     snrs = [r - scene.noise_floor_dbm for r in rssi]
@@ -156,7 +152,8 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
     a single-path block the combined RSSI equals the surviving path's RSSI.
     """
     entry = mcs(mcs_index)
-    _check_streams(entry, scene)
+    check_streams(entry.n_streams, len(scene.transmitters), len(scene.receivers),
+                  f"MCS {entry.index}")
     noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
     # A frame's channel depends on its index only through which obstacles are
     # active at that index, so every frame with the same active set has the
@@ -224,8 +221,11 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
     gains = []
     for boresight in boresights:
         for rx, v, d, cos_psi, seen, conv in paths:
-            g = (lambertian_gain(m, rx.active_area, d, float(np.dot(boresight, v)) / d, cos_psi)
-                 if seen else 0.0)
+            try:
+                g = (lambertian_gain(m, rx.active_area, d, float(np.dot(boresight, v)) / d,
+                                     cos_psi) if seen else 0.0)
+            except ValueError as exc:
+                raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
             gains.append(g * conv)
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 2, 1)), scene.tx_power_dbm)
     combined = mw_to_dbm(np.sum(dbm_to_mw(rssi), axis=1))
@@ -333,5 +333,5 @@ def run_csi_report(scene: Scene, bits: int = 6, bandwidth_mhz: int = 40) -> CsiR
     weights = np.sqrt(dbm_to_mw(scene.tx_power_dbm))
     report = report_csi(cm, weights, bits=bits)
     if report.is_empty:
-        raise NoLinkError("every path is blocked; nothing to report")
+        raise ValidationError("every path is blocked; nothing to report")
     return report

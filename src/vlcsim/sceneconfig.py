@@ -36,8 +36,7 @@ import math
 
 import numpy as np
 
-from .channel import DEFAULT_NOISE_FLOOR_DBM, FrontEnd, Obstacle, Scene
-from .errors import ValidationError
+from .channel import DEFAULT_NOISE_FLOOR_DBM, FrontEnd, Obstacle, Scene, ValidationError
 
 _SCENE_KEYS = {"noise_floor_dbm"}
 # The keys of each front-end role. A key of the other role is refused: the

@@ -19,7 +19,6 @@ from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Sc
     dbm_to_mw, linear_to_db, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_subcarrier, \
     mrc_combine, zf_decode, zf_decode_links
-from vlcsim.errors import UnderdeterminedError
 from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
     simulate_frame
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
@@ -595,7 +594,7 @@ def _reference_zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain
     """`zf_decode` as it was before links were stacked: one kernel call per link."""
     n_streams = cm.n_tx
     if cm.n_rx < n_streams:
-        raise UnderdeterminedError("underdetermined")
+        raise ValueError("underdetermined")
     snr, cond, ok = _stream_snr_per_subcarrier(cm.entries, tx_power_per_stream, noise_per_chain)
     n_subc = cm.n_subcarriers
     bad = int(n_subc - np.count_nonzero(ok))
@@ -750,7 +749,7 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
     """
     n_streams = mcs.n_streams
     if cm.n_rx < n_streams:
-        raise UnderdeterminedError(
+        raise ValueError(
             f"{cm.n_rx} receive chain(s) cannot carry {n_streams} streams")
     if n_streams > cm.n_tx:
         raise ValueError(f"{cm.n_tx} transmit element(s) cannot carry {n_streams} streams")

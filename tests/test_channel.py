@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vlcsim.channel import (ChannelMatrix, FrontEnd, Obstacle, Scene,
+from vlcsim.channel import (ChannelMatrix, FrontEnd, Obstacle, Scene, ValidationError,
                             channel_matrix, lambertian_order, los_gain,
                             rssi_per_chain, subcarrier_frequencies)
-from vlcsim.errors import ValidationError
 
 
 def make_tx(fe_id="tx_a", position=(0, 0, 0), boresight=(1, 0, 0),

@@ -583,6 +583,77 @@ def test_scene_out_of_float_range_is_one_line(scenario, tmp_path, capsys):
     assert not out.exists()
 
 
+# No path receives more power than the LED sends. A scene path names its
+# TX->RX pair (exit 1); the siso sweep's moved receiver, in a scene whose own
+# link is valid, names its distance and d_min (exit 2). No numpy warning comes
+# first.
+@pytest.mark.parametrize("scenario,cfg,edit,overrides,code,line", [
+    ("siso-sweep", None, None, ["d_min=1e-6", "d_max=1e-3"], 2,
+     r"vlcsim: error: receiver at 1e-06 m: optical gain \S+ is not <= 1: .*; raise d_min"),
+    ("siso-sweep", "siso.cfg", ("active_area_m2 = 0.0001", "active_area_m2 = 1e300"), [],
+     1, r"invalid scene: path tx_a->rx_a: optical gain \S+ is not <= 1: .*"),
+    ("csi-report", "csi_miso.cfg", ("active_area_m2 = 0.0001", "active_area_m2 = 1e308"), [],
+     1, r"invalid scene: path tx_a->rx_a: optical gain inf is not <= 1: .*"),
+    ("handover-sweep", "handover.cfg",
+     ("half_power_semi_angle_deg = 30.0", "half_power_semi_angle_deg = 1e-6"), [],
+     1, r"invalid scene: path tx_a->rx_a: optical gain \S+ is not <= 1: .*"),
+], ids=["siso-receiver-too-close", "siso-huge-area", "csi-huge-area", "handover-needle-beam"])
+def test_path_gain_above_one_is_one_line(scenario, cfg, edit, overrides, code, line,
+                                         tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--scenario", scenario, "--out", str(out)]
+    if cfg is not None:
+        scene = tmp_path / cfg
+        scene.write_text((SCENES / cfg).read_text().replace(*edit))
+        argv += ["--scene", str(scene)]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert re.fullmatch(line, err[-1]), err
+    assert [e for e in err if e.startswith(("vlcsim: error: ", "invalid scene: "))] == [err[-1]]
+    # Only a usage error prints argparse's usage lines before its own.
+    assert code == 2 or len(err) == 1
+    assert "Traceback" not in "\n".join(err) and "Warning" not in "\n".join(err)
+    assert not out.exists()
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"not a JSON number: {constant}")
+
+
+# Both receivers facing up see nothing at any angle; a needle-narrow beam (m
+# about 18000) leaves both dark around broadside.
+@pytest.mark.parametrize("edits,all_dark", [
+    ([("boresight = -0.8660254037844387 -0.4999999999999999 -0.0", "boresight = 0 0 1"),
+      ("boresight = -0.8660254037844387 0.4999999999999999 -0.0", "boresight = 0 0 1")], True),
+    ([("half_power_semi_angle_deg = 30.0", "half_power_semi_angle_deg = 0.5")], False),
+], ids=["all-dark", "partly-dark"])
+def test_dark_handover_excursion_is_null(edits, all_dark, tmp_path):
+    text = (SCENES / "handover.cfg").read_text()
+    for edit in edits:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    scene = tmp_path / "dark.cfg"
+    scene.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--scenario", "handover-sweep", "--scene", str(scene),
+                     "--out", str(out)]) == 0
+    mrc = [row[3] for row in read_csv(out / "handover-sweep.csv")[1:]]
+    assert "-inf" in mrc and (set(mrc) == {"-inf"}) == all_dark
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
+    assert summary["aggregates"]["mrc_excursion_db"] is None
+
+
 def test_cached_cells_keep_the_sign_of_zero():
     cache = {}
     assert cli._cell_texts(cache, (0.0, -50.5)) == ("0.0", "-50.5")

@@ -10,6 +10,7 @@ Scene paths are passed relative to the working directory because
 """
 
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -227,6 +228,10 @@ def run_case(name, tmp_path, monkeypatch):
             for f in (f"{scenario}.csv", "summary.json")]
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"not a JSON number: {constant}")
+
+
 def test_every_scenario_is_covered():
     scenarios = {argv[argv.index("--scenario") + 1] for argv in CASES.values()}
     assert len(scenarios) == 7
@@ -236,3 +241,5 @@ def test_every_scenario_is_covered():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     assert run_case(name, tmp_path, monkeypatch) == DIGESTS[name]
+    # Strict JSON: no NaN, Infinity or -Infinity in place of a number.
+    json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_refuse_constant)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vlcsim.channel import ChannelMatrix, subcarrier_frequencies
-from vlcsim.errors import UnderdeterminedError
 from vlcsim.oracle import (_MOD_NORM, _demod_axis, demodulate, empirical_fsr, modulate,
                            oracle_snr_for, oracle_waterfall, q_function, simulate_frame,
                            uncoded_bit_error_rate, uncoded_frame_success)
@@ -122,7 +121,7 @@ class TestSimulateFrame:
     def test_underdetermined(self):
         cm = ChannelMatrix.from_paths([[1.0, 1.0]], [[0.0, 0.0]],
                                       subcarrier_frequencies(20))
-        with pytest.raises(UnderdeterminedError):
+        with pytest.raises(ValueError, match=r"exceeds min\(n_tx, n_rx\)"):
             simulate_frame(cm, mcs(8), FrameSpec(), 10.0, seed=0)
 
     def test_energy_conservation(self):

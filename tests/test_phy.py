@@ -1,10 +1,15 @@
 """MCS ladder contents, rate lookups, and the analytic FSR waterfall."""
 
 import math
+from itertools import product
 
 import pytest
 
-from vlcsim.phy import (FSR_SLOPE_DB, FrameSpec, collapse_subcarrier_snr_db,
+from vlcsim.channel import ChannelMatrix, subcarrier_frequencies
+from vlcsim.cli import main
+from vlcsim.mimo import zf_decode_links
+from vlcsim.oracle import simulate_frame
+from vlcsim.phy import (FSR_SLOPE_DB, FrameSpec, check_streams, collapse_subcarrier_snr_db,
                         fsr, mcs, mcs_table, phy_rate, snr_for_fsr)
 
 # Independent rate oracle: data subcarriers x bits/symbol x code rate x
@@ -160,3 +165,34 @@ def test_slope_spans_the_anchor_window():
     # the 0.001..0.999 transition must fit between 0 dB (fail) and 5 dB (pass)
     assert FSR_SLOPE_DB * (math.log(999.0) + math.log(99.0)) <= 5.0
 
+
+
+def test_check_streams_refuses_exactly_past_min_of_tx_and_rx(tmp_path, capsys):
+    def refusal(n_streams, n_tx, n_rx, what):
+        try:
+            check_streams(n_streams, n_tx, n_rx, what)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    for n_streams, n_tx, n_rx in product(range(4), repeat=3):
+        want = (f"MCS 8: n_streams={n_streams} exceeds min(n_tx, n_rx)={min(n_tx, n_rx)}"
+                if n_streams > min(n_tx, n_rx) else None)
+        assert refusal(n_streams, n_tx, n_rx, "MCS 8") == want
+    # Every caller refuses through it: the CLI's siso sweep, ZF and the oracle,
+    # on a 1x2 channel (one receive chain, two LEDs) and its 2x1 transpose.
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "siso-sweep", "--set", "mcs=8", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        f"vlcsim: error: {refusal(2, 1, 1, 'MCS 8')}"
+    freqs = subcarrier_frequencies(20)
+    one_rx = ChannelMatrix.from_paths([[1.0, 1.0]], [[0.0, 0.0]], freqs)
+    one_tx = ChannelMatrix.from_paths([[1.0], [1.0]], [[0.0], [0.0]], freqs)
+    with pytest.raises(ValueError) as exc:
+        zf_decode_links([one_rx], 1.0, 1e-6)
+    assert str(exc.value) == refusal(2, 2, 1, "zero-forcing")
+    for cm in (one_rx, one_tx):
+        with pytest.raises(ValueError) as exc:
+            simulate_frame(cm, mcs(8), FrameSpec(), 10.0, seed=0)
+        assert str(exc.value) == refusal(2, cm.n_tx, cm.n_rx, "MCS 8")

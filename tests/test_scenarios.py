@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from vlcsim import presets
-from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, channel_matrix,
+from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, ValidationError, channel_matrix,
                             los_gain, subcarrier_frequencies)
-from vlcsim.errors import NoLinkError
 from vlcsim.mimo import mrc_combine
 from vlcsim.phy import FrameSpec, mcs
 from vlcsim.scenarios import (TIMELINE_TOTAL_FRAMES, report_csi,
@@ -260,7 +259,7 @@ class TestCsiReport:
             obstacles=(Obstacle(blocked_pairs=frozenset({("tx_a", "rx_a")}),
                                 active_frames=(0, 10)),),
             noise_floor_dbm=scene.noise_floor_dbm)
-        with pytest.raises(NoLinkError):
+        with pytest.raises(ValidationError, match="every path is blocked"):
             run_csi_report(blocked)
 
     def test_bits_lower_bound(self):

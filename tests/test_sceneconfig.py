@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vlcsim import presets
-from vlcsim.errors import ValidationError
+from vlcsim.channel import ValidationError
 from vlcsim.sceneconfig import parse_scene, read_scene_file, scene_to_text
 
 PRESETS = {
