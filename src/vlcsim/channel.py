@@ -273,7 +273,10 @@ def lambertian_gain(m: float, area: float, d: float, cos_phi: float, cos_psi: fl
     """
     if cos_phi <= 0.0:
         return 0.0
-    g = (m + 1.0) * area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
+    try:
+        g = (m + 1.0) * area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
+    except OverflowError:  # a cos_phi a hair above 1 (boresight norm) under a needle beam
+        g = math.inf
     if not g <= 1.0:
         raise ValueError(f"optical gain {g:.6g} is not <= 1: "
                          "no path receives more power than the LED sends")

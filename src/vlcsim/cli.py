@@ -275,12 +275,10 @@ def run(name: str, scene_path: str | None, seed: int, output_dir: str,
     scene = scene_text = None
     if scene_path is not None:
         try:
-            scene, diagnostics = read_scene_file(scene_path)
+            scene = read_scene_file(scene_path)
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise OSError(f"cannot read scene: {scene_path}: {reason}") from None
-        if diagnostics:
-            raise ValidationError(*diagnostics)
         scene_text = scene_to_text(scene)
     elif scenario.preset is not None:
         scene = scenario.preset()

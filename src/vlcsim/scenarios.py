@@ -293,12 +293,13 @@ class CsiReport:
         return (self.re + 1j * self.im) * self.scale
 
     def magnitude_ripple_db(self) -> np.ndarray:
-        """Peak-to-peak |H| spread in dB per (rx, tx) pair; inf on a full notch."""
+        """Peak-to-peak |H| spread in dB per (rx, tx) pair; inf on a full notch,
+        and 0 for a chain that receives nothing, whose |H| is flat at 0."""
         mags = np.abs(self.dequantized())
         peak = mags.max(axis=2)
         trough = mags.min(axis=2)
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(peak / trough)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(peak > 0.0, 20.0 * np.log10(peak / trough), 0.0)
 
 
 def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int = 6) -> CsiReport:

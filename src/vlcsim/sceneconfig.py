@@ -39,13 +39,15 @@ import numpy as np
 from .channel import DEFAULT_NOISE_FLOOR_DBM, FrontEnd, Obstacle, Scene, ValidationError
 
 _SCENE_KEYS = {"noise_floor_dbm"}
-# The keys of each front-end role. A key of the other role is refused: the
-# front-end would ignore it and `scene_to_text` drop it.
-_COMMON_KEYS = {"role", "position_m", "boresight"}
-_ROLE_KEYS = {"tx": _COMMON_KEYS | {"half_power_semi_angle_deg", "tx_power_dbm"},
-              "rx": _COMMON_KEYS | {"fov_half_angle_deg", "active_area_m2",
-                                    "conversion_gain_db"}}
-_FRONTEND_KEYS = _ROLE_KEYS["tx"] | _ROLE_KEYS["rx"]
+# Every front-end's keys, then each role's own, in file order, with the FrontEnd
+# field each sets. A key of the other role is refused: the front-end would
+# ignore it and `scene_to_text` drop it.
+_COMMON_KEYS = ("role", "position_m", "boresight")
+_ROLE_FIELDS = {"tx": {"half_power_semi_angle_deg": "half_power_semi_angle",
+                       "tx_power_dbm": "tx_electrical_power_dbm"},
+                "rx": {"fov_half_angle_deg": "fov_half_angle", "active_area_m2": "active_area",
+                       "conversion_gain_db": "conversion_gain_db"}}
+_FRONTEND_KEYS = {*_COMMON_KEYS, *_ROLE_FIELDS["tx"], *_ROLE_FIELDS["rx"]}
 _OBSTACLE_KEYS = {"blocks", "frames"}
 
 
@@ -72,27 +74,27 @@ def _numbers(where: str, sec, key: str, count: int, kind=float) -> list:
 def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
     where = f"front-end '{fe_id}'"
     role = sec.get("role", "").lower()
-    if role in _ROLE_KEYS:
-        _check_keys(f"{where}, role {role}", sec, _ROLE_KEYS[role])
-    _check_keys(where, sec, _FRONTEND_KEYS, ("role", "position_m", "boresight"))
+    # An unknown role's fields are not read: FrontEnd refuses the role itself.
+    fields = _ROLE_FIELDS.get(role, {})
+    if fields:
+        _check_keys(f"{where}, role {role}", sec, {*_COMMON_KEYS, *fields})
+    _check_keys(where, sec, _FRONTEND_KEYS, _COMMON_KEYS)
     boresight = np.array(_numbers(where, sec, "boresight", 3))
-    norm = np.linalg.norm(boresight)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(boresight)
     if not 0.0 < norm < math.inf:
-        raise ValidationError(f"{where}: boresight must be nonzero and finite, got '{sec['boresight']}'")
-
-    def opt(key, default=None):
-        return _numbers(where, sec, key, 1)[0] if key in sec else default
-
-    return FrontEnd(
-        id=fe_id,
-        role=sec["role"],
-        position=np.array(_numbers(where, sec, "position_m", 3)),
-        boresight=boresight / norm,
-        half_power_semi_angle=opt("half_power_semi_angle_deg"),
-        fov_half_angle=opt("fov_half_angle_deg"),
-        active_area=opt("active_area_m2"),
-        tx_electrical_power_dbm=opt("tx_power_dbm"),
-        conversion_gain_db=opt("conversion_gain_db", 0.0))
+        # A huge or tiny direction over- or underflows its norm; scaled by its
+        # largest magnitude first, any finite nonzero one normalizes.
+        scale = np.max(np.abs(boresight))
+        if not 0.0 < scale < math.inf:
+            raise ValidationError(f"{where}: boresight must be nonzero and finite, got '{sec['boresight']}'")
+        boresight = boresight / scale
+        norm = np.linalg.norm(boresight)
+    return FrontEnd(id=fe_id, role=sec["role"],
+                    position=np.array(_numbers(where, sec, "position_m", 3)),
+                    boresight=boresight / norm,
+                    **{field: _numbers(where, sec, key, 1)[0]
+                       for key, field in fields.items() if key in sec})
 
 
 def _obstacle_from_section(name: str, sec) -> Obstacle:
@@ -112,32 +114,19 @@ def _obstacle_from_section(name: str, sec) -> Obstacle:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _read_sections(text: str):
+def parse_scene(text: str) -> Scene:
+    """The scene of `text`, else a ValidationError with one argument per fault.
+
+    Every section is checked, not just up to the first that fails, so a config
+    review sees all of its faults at once.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"scene file: not parseable as sectioned key-value: {exc}") from exc
-    return parser
-
-
-# Appended to the unknown-section error that `parse_scene` raises; the
-# one-line diagnostics of `read_scene_file` leave it out.
-_SECTION_HINT = " (expected scene, frontend <id>, obstacle <name>)"
-
-
-def _build_scene(text: str) -> tuple[Scene | None, list[ValueError]]:
-    """The scene, or the errors of every offending object and no scene.
-
-    Collects one error per offending section instead of stopping at the
-    first, so a config review sees everything at once.
-    """
-    try:
-        parser = _read_sections(text)
-    except ValidationError as exc:
-        return None, [exc]
     noise_floor = DEFAULT_NOISE_FLOOR_DBM
-    front_ends, obstacles, errors = [], [], []
+    front_ends, obstacles, diagnostics = [], [], []
     for section in parser.sections():
         sec = parser[section]
         try:
@@ -150,35 +139,22 @@ def _build_scene(text: str) -> tuple[Scene | None, list[ValueError]]:
             elif section.startswith("obstacle "):
                 obstacles.append(_obstacle_from_section(section.split(None, 1)[1], sec))
             else:
-                raise ValidationError(f"scene file: unknown section '[{section}]'{_SECTION_HINT}")
+                raise ValidationError(f"scene file: unknown section '[{section}]'")
         except ValueError as exc:
-            errors.append(exc)
-    if errors:
+            diagnostics.append(str(exc))
+    if diagnostics:
         # The scene-wide checks would only echo a section's failure: a rejected
         # front-end leaves the scene short of a TX or RX, or an obstacle
         # pointing at an unknown id.
-        return None, errors
-    try:
-        return Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
-                     noise_floor_dbm=noise_floor), []
-    except ValidationError as exc:
-        return None, [exc]
+        raise ValidationError(*diagnostics)
+    return Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
+                 noise_floor_dbm=noise_floor)
 
 
-def parse_scene(text: str) -> Scene:
-    """Parse scene text; raises the error of the first offending field."""
-    scene, errors = _build_scene(text)
-    if errors:
-        raise errors[0]
-    return scene
-
-
-def read_scene_file(path) -> tuple[Scene | None, list[str]]:
-    """Read a scene file once: (scene, []) if every invariant holds, else
-    (None, one diagnostic per offending object)."""
+def read_scene_file(path) -> Scene:
+    """Read a scene file once and parse it as `parse_scene` does."""
     with open(path) as f:
-        scene, errors = _build_scene(f.read())
-    return scene, [str(exc).removesuffix(_SECTION_HINT) for exc in errors]
+        return parse_scene(f.read())
 
 
 def _fmt_vec(v) -> str:
@@ -192,13 +168,7 @@ def scene_to_text(scene: Scene) -> str:
         lines += [f"[frontend {fe.id}]", f"role = {fe.role}",
                   f"position_m = {_fmt_vec(fe.position)}",
                   f"boresight = {_fmt_vec(fe.boresight)}"]
-        if fe.role == "tx":
-            lines += [f"half_power_semi_angle_deg = {fe.half_power_semi_angle!r}",
-                      f"tx_power_dbm = {fe.tx_electrical_power_dbm!r}"]
-        else:
-            lines += [f"fov_half_angle_deg = {fe.fov_half_angle!r}",
-                      f"active_area_m2 = {fe.active_area!r}",
-                      f"conversion_gain_db = {fe.conversion_gain_db!r}"]
+        lines += [f"{key} = {getattr(fe, field)!r}" for key, field in _ROLE_FIELDS[fe.role].items()]
         lines.append("")
     for n, obs in enumerate(scene.obstacles):
         pairs = ", ".join(f"{t}->{r}" for t, r in sorted(obs.blocked_pairs))

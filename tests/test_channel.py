@@ -102,6 +102,15 @@ class TestLosGain:
         assert g1 == pytest.approx(g2, rel=1e-12)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
+    def test_needle_beam_overflow_is_refused_as_a_gain_past_1(self):
+        # A boresight norm a hair above 1 (FrontEnd allows 1e-9) makes cos(phi)
+        # exceed 1, and cos(phi) ** m overflows for m about 6e15.
+        tx = FrontEnd(id="tx_a", role="tx", position=np.zeros(3),
+                      boresight=np.array([1 + 5e-10, 0.0, 0.0]),
+                      half_power_semi_angle=1e-6, tx_electrical_power_dbm=0.0)
+        with pytest.raises(ValidationError, match=r"^path tx_a->rx_a: optical gain inf is not <= 1"):
+            los_gain(tx, make_rx())
+
     def test_gain_strictly_decreases_with_distance(self):
         gains = [los_gain(make_tx(), make_rx(position=(d, 0, 0)))[0]
                  for d in (0.5, 1.0, 2.0, 4.0)]

@@ -1,6 +1,7 @@
 """Scripted experiments: timelines, sweeps, area grid, and CSI reporting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,15 @@ class TestCsiReport:
         true = np.transpose(cm.entries, (1, 2, 0))
         got = report.dequantized()
         assert np.max(np.abs(got - true)) <= np.max(np.abs(true)) * 2e-3
+
+    def test_dark_chain_has_no_ripple(self):
+        # rx 1 sees nothing: its |H| is flat at 0, not 0/0.
+        cm = ChannelMatrix.from_paths([[1e-5], [0.0]], [[1e-9], [1e-9]],
+                                      subcarrier_frequencies(20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ripple = report_csi(cm, [1.0]).magnitude_ripple_db()
+        assert ripple[1, 0] == 0.0 and 0.0 <= ripple[0, 0] < math.inf
 
     def test_all_zero_channel_gives_empty_report(self):
         cm = ChannelMatrix.from_paths([[0.0]], [[1e-9]], subcarrier_frequencies(20))
