@@ -229,16 +229,13 @@ def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:
         raise ValueError(f"los_gain needs a TX and an RX, got roles '{tx.role}' and '{rx.role}'")
     v = rx.position - tx.position
     d = path_length(tx, rx, v)
-    delay = d / SPEED_OF_LIGHT_M_S
-    cos_phi = float(np.dot(tx.boresight, v)) / d
-    cos_psi = float(np.dot(rx.boresight, -v)) / d
-    if not within_fov(cos_psi, rx.fov_half_angle):
-        return 0.0, delay
     m = lambertian_order(tx.half_power_semi_angle)
     try:
-        return lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi), delay
+        g = path_gain(m, tx.boresight, v, d, rx.active_area,
+                      incidence(rx.boresight, v, d, rx.fov_half_angle))
     except ValueError as exc:
         raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
+    return g, d / SPEED_OF_LIGHT_M_S
 
 
 def path_length(tx: FrontEnd, rx: FrontEnd, v: np.ndarray) -> float:
@@ -257,20 +254,25 @@ def path_length(tx: FrontEnd, rx: FrontEnd, v: np.ndarray) -> float:
     return d
 
 
-def within_fov(cos_psi: float, fov_half_angle: float) -> bool:
-    """Whether a path arriving at incidence cos(psi) is inside the receiver FOV."""
+def incidence(rx_boresight, v, d: float, fov_half_angle: float) -> float | None:
+    """cos(psi) of the TX->RX vector `v` of length `d` at the receiver; None outside its FOV."""
+    cos_psi = float(np.dot(rx_boresight, -v)) / d
     psi_deg = math.degrees(math.acos(min(1.0, max(-1.0, cos_psi))))
-    return not psi_deg > fov_half_angle + 1e-12
+    return None if psi_deg > fov_half_angle + 1e-12 else cos_psi
 
 
-def lambertian_gain(m: float, area: float, d: float, cos_phi: float, cos_psi: float) -> float:
-    """The gain G of the module docstring for a path inside the receiver FOV.
+def path_gain(m: float, tx_boresight, v, d: float, area: float, cos_psi: float | None) -> float:
+    """The gain G of the module docstring for the TX->RX vector `v` of length `d`.
 
-    Zero when the receiver sits behind the emitter plane (cos_phi <= 0). A
-    gain that is not <= 1, NaN included, raises ValueError: no path receives
-    more power than the LED sends, and the form holds only for d >> sqrt(A)
-    (Kahn and Barry, Proc. IEEE 85(2), 1997).
+    Zero outside the receiver FOV (`cos_psi` None, see `incidence`) and behind
+    the emitter plane (cos(phi) <= 0), in that order. A gain that is not <= 1,
+    NaN included, raises ValueError: no path receives more power than the LED
+    sends, and the form holds only for d >> sqrt(A) (Kahn and Barry, Proc.
+    IEEE 85(2), 1997).
     """
+    if cos_psi is None:
+        return 0.0
+    cos_phi = float(np.dot(tx_boresight, v)) / d
     if cos_phi <= 0.0:
         return 0.0
     try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numerics import brentq
 from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, FrontEnd, Obstacle, Scene,
-                      lambertian_gain, lambertian_order, within_fov)
+                      incidence, lambertian_order, path_gain)
 from .phy import mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
@@ -154,27 +154,21 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
             "range is about [0, 0.59] dB")
     if imbalance_db == 0.0:
         return 0.0
-    # The probe only turns in place: each path's vector, length and radiance
-    # angle and the TX Lambertian order are fixed, so a step computes just the
-    # boresight and cos(psi), with los_gain's own calls and no front-ends.
+    # The probe only turns in place: each path's vector and length and the TX
+    # Lambertian order are fixed, so a step builds no front-ends.
     m = lambertian_order(TX_SEMI_ANGLE_DEG)
     tx_boresight = _unit(_AREA_TX_BORESIGHT)
     rx_position = np.asarray((_AREA_RX_X[2], _AREA_RAIL_Y, z), float)
     paths = []
     for x in (-_AREA_TX_X, _AREA_TX_X):  # TX A, TX B
         v = rx_position - np.asarray((x, 0, 0), float)
-        d = float(np.linalg.norm(v))
-        paths.append((-v, d, float(np.dot(tx_boresight, v)) / d))
+        paths.append((v, float(np.linalg.norm(v))))
 
     def skew(tilt):
         a = math.radians(tilt)
         boresight = _unit((math.sin(a), -math.cos(a), 0.0))
-        gains = []
-        for to_tx, d, cos_phi in paths:
-            cos_psi = float(np.dot(boresight, to_tx)) / d
-            gains.append(lambertian_gain(m, RX_AREA_M2, d, cos_phi, cos_psi)
-                         if within_fov(cos_psi, _AREA_RX_FOV_DEG) else 0.0)
-        ga, gb = gains
+        ga, gb = (path_gain(m, tx_boresight, v, d, RX_AREA_M2,
+                            incidence(boresight, v, d, _AREA_RX_FOV_DEG)) for v, d in paths)
         return 10.0 * math.log10(ga / gb) + imbalance_db
 
     # Beyond ~15.5 degrees the TX A path leaves the receiver FOV entirely.

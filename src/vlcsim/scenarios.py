@@ -14,9 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear,
-                      dbm_to_mw, lambertian_gain, lambertian_order, los_gain, mw_to_dbm,
-                      path_length, scene_paths, subcarrier_frequencies, wideband_rssi_dbm,
-                      within_fov)
+                      dbm_to_mw, incidence, lambertian_order, los_gain, mw_to_dbm, path_gain,
+                      path_length, scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
 from .mimo import mrc_combine, zf_decode_links
 from .phy import FrameSpec, check_streams, fsr_at, mcs
 from .presets import AREA_LINKS, mimo_area_scene
@@ -109,8 +108,7 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     entries = [mcs(i) for i in mcs_indices]
     for entry in entries:
         check_streams(entry.n_streams, len(txs), len(rxs), f"MCS {entry.index}")
-    # Only the receiver position moves. Each point makes los_gain's own numpy
-    # and libm calls, so its gain is bit for bit that of a rebuilt scene.
+    # Only the receiver position moves.
     m = lambertian_order(tx.half_power_semi_angle)
     conv = float(db_to_linear(rx.conversion_gain_db))
     distances = [float(d) for d in distances]
@@ -122,11 +120,9 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
         for dist in distances:
             v = (tx.position + dist * direction) - tx.position
             d = path_length(tx, rx, v)
-            cos_phi = float(np.dot(tx.boresight, v)) / d
-            cos_psi = float(np.dot(rx.boresight, -v)) / d
             try:
-                g = (lambertian_gain(m, rx.active_area, d, cos_phi, cos_psi)
-                     if within_fov(cos_psi, rx.fov_half_angle) else 0.0)
+                g = path_gain(m, tx.boresight, v, d, rx.active_area,
+                              incidence(rx.boresight, v, d, rx.fov_half_angle))
             except ValueError as exc:
                 raise ValueError(f"receiver at {dist:g} m: {exc}; raise d_min") from None
             gains.append(g * conv)
@@ -203,27 +199,24 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
     if len(txs) != 1 or len(rxs) != 2:
         raise ValueError("the handover sweep needs one TX and two RX")
     tx = txs[0]
-    # The receivers stay put: each path's vector, length, incidence angle and
-    # FOV test are fixed, and only cos(phi) follows the boresight, with
-    # los_gain's own np.dot and Python ** per point.
+    # The receivers stay put: each path's vector, length and incidence are
+    # fixed, and only the TX boresight moves.
     m = lambertian_order(tx.half_power_semi_angle)
     paths = []
     with np.errstate(over="ignore"):
         for rx in rxs:
             v = rx.position - tx.position
             d = path_length(tx, rx, v)
-            cos_psi = float(np.dot(rx.boresight, -v)) / d
-            paths.append((rx, v, d, cos_psi, within_fov(cos_psi, rx.fov_half_angle),
+            paths.append((rx, v, d, incidence(rx.boresight, v, d, rx.fov_half_angle),
                           float(db_to_linear(rx.conversion_gain_db))))
     azimuths = [float(az) for az in tx_azimuths_deg]
     # The boresight of each azimuth, one row each, from math.cos and math.sin.
     boresights = np.array([(math.cos(a), math.sin(a), 0.0) for a in map(math.radians, azimuths)])
     gains = []
     for boresight in boresights:
-        for rx, v, d, cos_psi, seen, conv in paths:
+        for rx, v, d, cos_psi, conv in paths:
             try:
-                g = (lambertian_gain(m, rx.active_area, d, float(np.dot(boresight, v)) / d,
-                                     cos_psi) if seen else 0.0)
+                g = path_gain(m, boresight, v, d, rx.active_area, cos_psi)
             except ValueError as exc:
                 raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
             gains.append(g * conv)

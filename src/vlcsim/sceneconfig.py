@@ -82,9 +82,10 @@ def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
     boresight = np.array(_numbers(where, sec, "boresight", 3))
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(boresight)
-    if not 0.0 < norm < math.inf:
-        # A huge or tiny direction over- or underflows its norm; scaled by its
-        # largest magnitude first, any finite nonzero one normalizes.
+    if not (0.0 < norm < math.inf and abs(np.linalg.norm(boresight / norm) - 1.0) <= 1e-9):
+        # A huge or tiny direction over- or underflows its norm, or loses its
+        # precision in subnormal squares; scaled by its largest magnitude
+        # first, any finite nonzero one normalizes.
         scale = np.max(np.abs(boresight))
         if not 0.0 < scale < math.inf:
             raise ValidationError(f"{where}: boresight must be nonzero and finite, got '{sec['boresight']}'")

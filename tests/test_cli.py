@@ -625,6 +625,42 @@ def test_path_gain_above_one_is_one_line(scenario, cfg, edit, overrides, code, l
     assert not out.exists()
 
 
+# A receiver outside its FOV, or behind the emitter plane, gets gain 0 before
+# the gain bound is applied, so an area that the bound would refuse on a lit
+# path is no fault there.
+_SISO_RX_BORESIGHT = "boresight = -1.0 0.0 0.0"
+_HANDOVER_RX_B_BORESIGHT = "boresight = -0.8660254037844387 0.4999999999999999 -0.0"
+
+
+@pytest.mark.parametrize("scenario,cfg,column,edits", [
+    ("siso-sweep", "siso.cfg", "rssi_dbm", [(_SISO_RX_BORESIGHT, "boresight = 0.0 1.0 0.0")]),
+    ("siso-sweep", "siso.cfg", "rssi_dbm",
+     [("position_m = 2.0 0.0 0.0", "position_m = -2.0 0.0 0.0"),
+      (_SISO_RX_BORESIGHT, "boresight = 1.0 0.0 0.0")]),
+    ("handover-sweep", "handover.cfg", "rssi_b_dbm",
+     [(_HANDOVER_RX_B_BORESIGHT, "boresight = 1.0 0.0 0.0")]),
+    ("handover-sweep", "handover.cfg", "rssi_b_dbm",
+     [("position_m = 2.165063509461097 -1.2499999999999998 0.0",
+       "position_m = -2.165063509461097 1.2499999999999998 0.0"),
+      (_HANDOVER_RX_B_BORESIGHT, "boresight = 0.8660254037844387 -0.4999999999999999 0.0")]),
+], ids=["siso-outside-fov", "siso-behind-emitter", "handover-outside-fov",
+        "handover-behind-emitter"])
+def test_unlit_receiver_is_dark_whatever_its_area(scenario, cfg, column, edits, tmp_path):
+    head, section, last_rx = (SCENES / cfg).read_text().rpartition("[frontend ")
+    for old, new in [*edits, ("active_area_m2 = 0.0001", "active_area_m2 = 1e300")]:
+        assert old in last_rx
+        last_rx = last_rx.replace(old, new)
+    scene = tmp_path / cfg
+    scene.write_text(head + section + last_rx)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--scenario", scenario, "--scene", str(scene), "--out", str(out)]) == 0
+    rows = read_csv(out / f"{scenario}.csv")
+    col = rows[0].index(column)
+    assert len(rows) > 1 and all(row[col] == "-inf" for row in rows[1:])
+
+
 def _refuse_constant(constant):
     raise ValueError(f"not a JSON number: {constant}")
 

@@ -65,9 +65,11 @@ class TestParse:
         assert np.linalg.norm(scene.transmitters[0].boresight) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("text,direction", [
-        ("1e300 0 0", (1, 0, 0)), ("5e-324 0 0", (1, 0, 0)), ("1e308 1e308 0", (1, 1, 0))])
+        ("1e300 0 0", (1, 0, 0)), ("5e-324 0 0", (1, 0, 0)), ("1e308 1e308 0", (1, 1, 0)),
+        ("1e-160 0 0", (1, 0, 0))])
     def test_huge_or_tiny_boresight_normalized_without_warning(self, text, direction):
-        # Its norm over- or underflows; the direction is still a valid one.
+        # Its norm over- or underflows, or is imprecise from subnormal squares;
+        # the direction is still a valid one.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scene = parse_scene(GOOD.replace("boresight = 1 0 0", f"boresight = {text}", 1))
