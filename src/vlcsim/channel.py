@@ -78,31 +78,16 @@ def subcarrier_frequencies(bandwidth_mhz: int = 20) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FrontEnd:
-    """One optical front-end: an LED transmitter or a photodiode receiver.
-
-    Angles are degrees, positions meters, areas m^2. TX-only fields:
-    `half_power_semi_angle`, `tx_electrical_power_dbm`. RX-only fields:
-    `fov_half_angle`, `active_area`, `conversion_gain_db` (lumps photodiode
-    responsivity and analog front-end gain into one electrical dB figure).
-    """
+class _Pose:
+    """What both front-end types share: an id, a position (m) and a unit boresight."""
 
     id: str
-    role: str
     position: np.ndarray
     boresight: np.ndarray
-    half_power_semi_angle: float | None = None
-    fov_half_angle: float | None = None
-    active_area: float | None = None
-    tx_electrical_power_dbm: float | None = None
-    conversion_gain_db: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "role", str(self.role).lower())
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "boresight", np.asarray(self.boresight, dtype=float))
-        if self.role not in ("tx", "rx"):
-            raise ValidationError(f"front-end '{self.id}': role must be 'tx' or 'rx', got '{self.role}'")
         if self.position.shape != (3,) or self.boresight.shape != (3,):
             raise ValidationError(f"front-end '{self.id}': position and boresight must be 3-vectors")
         if not all(map(math.isfinite, self.position.tolist())):
@@ -113,31 +98,49 @@ class FrontEnd:
         if not abs(norm - 1.0) <= 1e-9:
             raise ValidationError(
                 f"front-end '{self.id}': boresight must be a unit vector (norm within 1e-9), got norm {norm:.12g}")
-        if self.role == "tx":
-            if self.half_power_semi_angle is None:
-                raise ValidationError(f"front-end '{self.id}': half_power_semi_angle is required for a TX")
-            try:
-                lambertian_order(self.half_power_semi_angle)
-            except ValueError as exc:
-                raise ValidationError(f"front-end '{self.id}': {exc}") from None
-            if self.tx_electrical_power_dbm is None or not abs(self.tx_electrical_power_dbm) <= DB_LIMIT:
-                raise ValidationError(
-                    f"front-end '{self.id}': tx_electrical_power_dbm must be a finite number in "
-                    f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm for a TX, got {self.tx_electrical_power_dbm}")
-        else:
-            if self.fov_half_angle is None:
-                raise ValidationError(f"front-end '{self.id}': fov_half_angle is required for an RX")
-            if not 0.0 < self.fov_half_angle <= 90.0:
-                raise ValidationError(
-                    f"front-end '{self.id}': fov_half_angle must be in (0, 90] degrees, got {self.fov_half_angle}")
-            if self.active_area is None or not (0.0 < self.active_area < math.inf):
-                raise ValidationError(
-                    f"front-end '{self.id}': active_area must be a finite number > 0 m^2, "
-                    f"got {self.active_area}")
-            if not abs(self.conversion_gain_db) <= DB_LIMIT:
-                raise ValidationError(
-                    f"front-end '{self.id}': conversion_gain_db must be finite and in "
-                    f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dB, got {self.conversion_gain_db}")
+
+
+@dataclass(frozen=True, eq=False)
+class Transmitter(_Pose):
+    """An LED: a generalized Lambertian source. Angles are degrees."""
+
+    half_power_semi_angle: float
+    tx_electrical_power_dbm: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            lambertian_order(self.half_power_semi_angle)
+        except ValueError as exc:
+            raise ValidationError(f"front-end '{self.id}': {exc}") from None
+        if not abs(self.tx_electrical_power_dbm) <= DB_LIMIT:
+            raise ValidationError(
+                f"front-end '{self.id}': tx_electrical_power_dbm must be a finite number in "
+                f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm for a TX, got {self.tx_electrical_power_dbm}")
+
+
+@dataclass(frozen=True, eq=False)
+class Receiver(_Pose):
+    """A photodiode with a hard FOV cutoff. Angles are degrees, areas m^2; `conversion_gain_db`
+    lumps photodiode responsivity and analog front-end gain into one electrical dB figure."""
+
+    fov_half_angle: float
+    active_area: float
+    conversion_gain_db: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.fov_half_angle <= 90.0:
+            raise ValidationError(
+                f"front-end '{self.id}': fov_half_angle must be in (0, 90] degrees, got {self.fov_half_angle}")
+        if not 0.0 < self.active_area < math.inf:
+            raise ValidationError(
+                f"front-end '{self.id}': active_area must be a finite number > 0 m^2, "
+                f"got {self.active_area}")
+        if not abs(self.conversion_gain_db) <= DB_LIMIT:
+            raise ValidationError(
+                f"front-end '{self.id}': conversion_gain_db must be finite and in "
+                f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dB, got {self.conversion_gain_db}")
 
 
 @dataclass(frozen=True)
@@ -181,21 +184,24 @@ class Scene:
             raise ValidationError(f"scene: front-end ids must be unique, got {ids}")
         if not self.transmitters or not self.receivers:
             raise ValidationError("scene: at least one TX and one RX front-end are required")
-        known = set(ids)
+        by_id = dict(zip(ids, self.front_ends))
         for obs in self.obstacles:
-            for tx_id, rx_id in obs.blocked_pairs:
+            # Sorted: a frozenset's order follows the per-process string hash.
+            for tx_id, rx_id in sorted(obs.blocked_pairs):
                 for ref in (tx_id, rx_id):
-                    if ref not in known:
+                    if ref not in by_id:
                         raise ValidationError(f"obstacle: blocked pair {tx_id}->{rx_id} "
                                               f"references unknown front-end id '{ref}'")
+                if not (isinstance(by_id[tx_id], Transmitter) and isinstance(by_id[rx_id], Receiver)):
+                    raise ValidationError(f"obstacle: blocked pair {tx_id}->{rx_id} must name a TX and then an RX")
 
     @property
     def transmitters(self) -> tuple:
-        return tuple(fe for fe in self.front_ends if fe.role == "tx")
+        return tuple(fe for fe in self.front_ends if isinstance(fe, Transmitter))
 
     @property
     def receivers(self) -> tuple:
-        return tuple(fe for fe in self.front_ends if fe.role == "rx")
+        return tuple(fe for fe in self.front_ends if isinstance(fe, Receiver))
 
     @property
     def tx_power_dbm(self) -> np.ndarray:
@@ -218,15 +224,15 @@ def lambertian_order(half_power_semi_angle: float) -> float:
     return -math.log(2.0) / log_cos
 
 
-def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:
+def los_gain(tx: Transmitter, rx: Receiver) -> tuple[float, float]:
     """Geometric LOS path: (linear optical power gain, propagation delay in s).
 
     Gain is zero when the receiver sits behind the emitter plane (phi >= 90
     degrees) or the incidence angle exceeds the receiver FOV. A gain past 1
     raises ValidationError naming the TX->RX pair.
     """
-    if tx.role != "tx" or rx.role != "rx":
-        raise ValueError(f"los_gain needs a TX and an RX, got roles '{tx.role}' and '{rx.role}'")
+    if not (isinstance(tx, Transmitter) and isinstance(rx, Receiver)):
+        raise ValueError(f"los_gain needs a TX and an RX, got {type(tx).__name__} and {type(rx).__name__}")
     v = rx.position - tx.position
     d = path_length(tx, rx, v)
     m = lambertian_order(tx.half_power_semi_angle)
@@ -238,7 +244,7 @@ def los_gain(tx: FrontEnd, rx: FrontEnd) -> tuple[float, float]:
     return g, d / SPEED_OF_LIGHT_M_S
 
 
-def path_length(tx: FrontEnd, rx: FrontEnd, v: np.ndarray) -> float:
+def path_length(tx: Transmitter, rx: Receiver, v: np.ndarray) -> float:
     """Length of the TX->RX vector `v`; ValueError if it is degenerate or not finite.
 
     A length past about 1e154 m overflows inside the norm (or in forming `v`);

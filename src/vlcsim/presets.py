@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from ._numerics import brentq
-from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, FrontEnd, Obstacle, Scene,
-                      incidence, lambertian_order, path_gain)
+from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, Obstacle, Receiver, Scene,
+                      Transmitter, incidence, lambertian_order, path_gain)
 from .phy import mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
@@ -43,14 +43,14 @@ def _unit(v) -> np.ndarray:
 
 
 def _tx(fe_id, position, boresight, power_dbm, semi_angle=TX_SEMI_ANGLE_DEG):
-    return FrontEnd(id=fe_id, role="tx", position=np.asarray(position, float),
-                    boresight=_unit(boresight), half_power_semi_angle=semi_angle,
-                    tx_electrical_power_dbm=power_dbm)
+    return Transmitter(id=fe_id, position=np.asarray(position, float),
+                       boresight=_unit(boresight), half_power_semi_angle=semi_angle,
+                       tx_electrical_power_dbm=power_dbm)
 
 
 def _rx(fe_id, position, boresight, fov=RX_FOV_DEG, area=RX_AREA_M2,
         conversion_gain_db=RX_CONVERSION_GAIN_DB):
-    return FrontEnd(id=fe_id, role="rx", position=np.asarray(position, float),
+    return Receiver(id=fe_id, position=np.asarray(position, float),
                     boresight=_unit(boresight), fov_half_angle=fov,
                     active_area=area, conversion_gain_db=conversion_gain_db)
 
@@ -128,12 +128,12 @@ _AREA_RX_X = {1: -1.2, 2: 0.0, 3: 1.2}
 _AREA_RX_Z = (0.1, -0.1)
 
 
-def _area_tx(side: str) -> FrontEnd:
+def _area_tx(side: str) -> Transmitter:
     x = -_AREA_TX_X if side == "a" else _AREA_TX_X
     return _tx(f"tx_{side}", (x, 0, 0), _AREA_TX_BORESIGHT, power_dbm=_AREA_TX_POWER_DBM)
 
 
-def _area_rx(fe_id: str, area: int, z: float, tilt_deg: float = 0.0) -> FrontEnd:
+def _area_rx(fe_id: str, area: int, z: float, tilt_deg: float = 0.0) -> Receiver:
     """A rail receiver in coverage `area`, its boresight tilted `tilt_deg` toward TX B."""
     a = math.radians(tilt_deg)
     return _rx(fe_id, (_AREA_RX_X[area], _AREA_RAIL_Y, z), (math.sin(a), -math.cos(a), 0.0),

@@ -26,28 +26,28 @@ Format (INI-style, parsed with configparser)::
 
 Vectors and `frames` are separated by whitespace or commas; boresights are
 normalized while parsing. Every key must be one its section knows, and a
-front-end's one its role knows.
+front-end's one its role knows; each role key but `conversion_gain_db` is required.
 `frames` is the half-open active interval [start, end); `blocks` is a
-comma-separated list of tx->rx pairs.
+comma-separated list of tx->rx pairs, each naming a TX and then an RX.
 """
 
 import configparser
+import dataclasses
 import math
 
 import numpy as np
 
-from .channel import DEFAULT_NOISE_FLOOR_DBM, FrontEnd, Obstacle, Scene, ValidationError
+from .channel import DEFAULT_NOISE_FLOOR_DBM, Obstacle, Receiver, Scene, Transmitter, ValidationError
 
 _SCENE_KEYS = {"noise_floor_dbm"}
-# Every front-end's keys, then each role's own, in file order, with the FrontEnd
-# field each sets. A key of the other role is refused: the front-end would
-# ignore it and `scene_to_text` drop it.
+# Every front-end's keys, then each role's type and its keys in file order, with the field each sets.
+# A key of the other role is refused; one of its own is required unless its field has a default.
 _COMMON_KEYS = ("role", "position_m", "boresight")
-_ROLE_FIELDS = {"tx": {"half_power_semi_angle_deg": "half_power_semi_angle",
-                       "tx_power_dbm": "tx_electrical_power_dbm"},
-                "rx": {"fov_half_angle_deg": "fov_half_angle", "active_area_m2": "active_area",
-                       "conversion_gain_db": "conversion_gain_db"}}
-_FRONTEND_KEYS = {*_COMMON_KEYS, *_ROLE_FIELDS["tx"], *_ROLE_FIELDS["rx"]}
+_ROLES = {"tx": (Transmitter, {"half_power_semi_angle_deg": "half_power_semi_angle",
+                               "tx_power_dbm": "tx_electrical_power_dbm"}),
+          "rx": (Receiver, {"fov_half_angle_deg": "fov_half_angle", "active_area_m2": "active_area",
+                            "conversion_gain_db": "conversion_gain_db"})}
+_FRONTEND_KEYS = {*_COMMON_KEYS, *(key for _, fields in _ROLES.values() for key in fields)}
 _OBSTACLE_KEYS = {"blocks", "frames"}
 
 
@@ -71,14 +71,15 @@ def _numbers(where: str, sec, key: str, count: int, kind=float) -> list:
         raise ValidationError(f"{where}: {key}: {exc}") from None
 
 
-def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
+def _frontend_from_section(fe_id: str, sec) -> Transmitter | Receiver:
     where = f"front-end '{fe_id}'"
     role = sec.get("role", "").lower()
-    # An unknown role's fields are not read: FrontEnd refuses the role itself.
-    fields = _ROLE_FIELDS.get(role, {})
+    # An unknown role's fields are not read: the role itself is refused.
+    cls, fields = _ROLES.get(role, (None, {}))
     if fields:
         _check_keys(f"{where}, role {role}", sec, {*_COMMON_KEYS, *fields})
-    _check_keys(where, sec, _FRONTEND_KEYS, _COMMON_KEYS)
+    required = [k for k, f in fields.items() if cls.__dataclass_fields__[f].default is dataclasses.MISSING]
+    _check_keys(where, sec, _FRONTEND_KEYS, (*_COMMON_KEYS, *required))
     boresight = np.array(_numbers(where, sec, "boresight", 3))
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(boresight)
@@ -91,11 +92,12 @@ def _frontend_from_section(fe_id: str, sec) -> FrontEnd:
             raise ValidationError(f"{where}: boresight must be nonzero and finite, got '{sec['boresight']}'")
         boresight = boresight / scale
         norm = np.linalg.norm(boresight)
-    return FrontEnd(id=fe_id, role=sec["role"],
-                    position=np.array(_numbers(where, sec, "position_m", 3)),
-                    boresight=boresight / norm,
-                    **{field: _numbers(where, sec, key, 1)[0]
-                       for key, field in fields.items() if key in sec})
+    position = np.array(_numbers(where, sec, "position_m", 3))
+    if cls is None:
+        raise ValidationError(f"{where}: role must be 'tx' or 'rx', got '{role}'")
+    return cls(id=fe_id, position=position, boresight=boresight / norm,
+               **{field: _numbers(where, sec, key, 1)[0]
+                  for key, field in fields.items() if key in sec})
 
 
 def _obstacle_from_section(name: str, sec) -> Obstacle:
@@ -166,10 +168,11 @@ def scene_to_text(scene: Scene) -> str:
     """Serialize a Scene back to the text format (round-trips with parse_scene)."""
     lines = ["[scene]", f"noise_floor_dbm = {scene.noise_floor_dbm!r}", ""]
     for fe in scene.front_ends:
-        lines += [f"[frontend {fe.id}]", f"role = {fe.role}",
+        role = next(role for role, (cls, _) in _ROLES.items() if isinstance(fe, cls))
+        lines += [f"[frontend {fe.id}]", f"role = {role}",
                   f"position_m = {_fmt_vec(fe.position)}",
                   f"boresight = {_fmt_vec(fe.boresight)}"]
-        lines += [f"{key} = {getattr(fe, field)!r}" for key, field in _ROLE_FIELDS[fe.role].items()]
+        lines += [f"{key} = {getattr(fe, field)!r}" for key, field in _ROLES[role][1].items()]
         lines.append("")
     for n, obs in enumerate(scene.obstacles):
         pairs = ", ".join(f"{t}->{r}" for t, r in sorted(obs.blocked_pairs))

@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 
 from vlcsim import _numerics, cli, oracle, presets
-from vlcsim.channel import ChannelMatrix, FrontEnd, Obstacle, channel_matrix, Scene, \
+from vlcsim.channel import ChannelMatrix, Obstacle, Receiver, Transmitter, channel_matrix, Scene, \
     dbm_to_mw, linear_to_db, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_subcarrier, \
     mrc_combine, zf_decode, zf_decode_links
@@ -74,14 +74,14 @@ def gain_distance_monotonicity(n_cases: int, seed: int = 103) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         direction = _unit(rng.standard_normal(3))
-        tx = FrontEnd(id="t", role="tx", position=np.zeros(3), boresight=direction,
-                      half_power_semi_angle=float(rng.uniform(10.0, 80.0)),
-                      tx_electrical_power_dbm=0.0)
+        tx = Transmitter(id="t", position=np.zeros(3), boresight=direction,
+                         half_power_semi_angle=float(rng.uniform(10.0, 80.0)),
+                         tx_electrical_power_dbm=0.0)
         d1 = float(rng.uniform(0.2, 5.0))
         d2 = d1 * float(rng.uniform(1.01, 4.0))
         gains = []
         for d in (d1, d2):
-            rx = FrontEnd(id="r", role="rx", position=d * direction,
+            rx = Receiver(id="r", position=d * direction,
                           boresight=-direction, fov_half_angle=60.0,
                           active_area=1e-4)
             gains.append(los_gain(tx, rx)[0])
@@ -205,15 +205,15 @@ def scenario_reproducibility(seed: int = 109) -> None:
 
 def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
     """TXs near the origin firing along +x, RXs 1-3 m away staring roughly back."""
-    txs = [FrontEnd(id=f"tx{j}", role="tx", position=rng.uniform(-0.3, 0.3, size=3),
-                    boresight=_unit(np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.3, 0.3, 3)),
-                    half_power_semi_angle=float(rng.uniform(15.0, 70.0)),
-                    tx_electrical_power_dbm=float(rng.uniform(-10.0, 10.0)))
+    txs = [Transmitter(id=f"tx{j}", position=rng.uniform(-0.3, 0.3, size=3),
+                       boresight=_unit(np.array([1.0, 0.0, 0.0]) + rng.uniform(-0.3, 0.3, 3)),
+                       half_power_semi_angle=float(rng.uniform(15.0, 70.0)),
+                       tx_electrical_power_dbm=float(rng.uniform(-10.0, 10.0)))
            for j in range(n_tx)]
     rxs = []
     for i in range(n_rx):
         pos = np.array([rng.uniform(1.0, 3.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3)])
-        rxs.append(FrontEnd(id=f"rx{i}", role="rx", position=pos,
+        rxs.append(Receiver(id=f"rx{i}", position=pos,
                             boresight=_unit(-pos + rng.uniform(-0.4, 0.4, 3)),
                             fov_half_angle=float(rng.uniform(20.0, 90.0)),
                             active_area=float(rng.uniform(1e-5, 1e-3)),
@@ -313,7 +313,7 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
         draws = np.random.default_rng(s)
         expected = []
         for d in distances:
-            moved = FrontEnd(id=rx.id, role="rx", position=tx.position + float(d) * direction,
+            moved = Receiver(id=rx.id, position=tx.position + float(d) * direction,
                              boresight=rx.boresight, fov_half_angle=rx.fov_half_angle,
                              active_area=rx.active_area,
                              conversion_gain_db=rx.conversion_gain_db)
@@ -380,10 +380,10 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
         expected = []
         for az in azimuths:
             a = math.radians(float(az))
-            aimed = FrontEnd(id=tx.id, role="tx", position=tx.position,
-                             boresight=np.array([math.cos(a), math.sin(a), 0.0]),
-                             half_power_semi_angle=tx.half_power_semi_angle,
-                             tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
+            aimed = Transmitter(id=tx.id, position=tx.position,
+                                boresight=np.array([math.cos(a), math.sin(a), 0.0]),
+                                half_power_semi_angle=tx.half_power_semi_angle,
+                                tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
             probe = Scene(front_ends=(aimed, *scene.receivers),
                           noise_floor_dbm=scene.noise_floor_dbm)
             rssi = rssi_per_chain(channel_matrix(probe, 0, freqs), probe.tx_power_dbm)
@@ -697,7 +697,7 @@ def _reference_area2_tilt(imbalance_db, z):
 
     def skew(tilt):
         a = math.radians(tilt)
-        probe = FrontEnd(id="probe", role="rx", position=np.array([0.0, 2.0, z]),
+        probe = Receiver(id="probe", position=np.array([0.0, 2.0, z]),
                          boresight=_unit(np.array([math.sin(a), -math.cos(a), 0.0])),
                          fov_half_angle=30.0, active_area=1e-4)
         ga, _ = los_gain(tx_a, probe)

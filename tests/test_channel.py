@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vlcsim.channel import (ChannelMatrix, FrontEnd, Obstacle, Scene, ValidationError,
+from vlcsim.channel import (ChannelMatrix, Obstacle, Receiver, Scene, Transmitter, ValidationError,
                             channel_matrix, lambertian_order, los_gain,
                             rssi_per_chain, subcarrier_frequencies)
 
@@ -13,15 +13,15 @@ from vlcsim.channel import (ChannelMatrix, FrontEnd, Obstacle, Scene, Validation
 def make_tx(fe_id="tx_a", position=(0, 0, 0), boresight=(1, 0, 0),
             semi_angle=60.0, power_dbm=0.0):
     b = np.asarray(boresight, float)
-    return FrontEnd(id=fe_id, role="tx", position=np.asarray(position, float),
-                    boresight=b / np.linalg.norm(b),
-                    half_power_semi_angle=semi_angle, tx_electrical_power_dbm=power_dbm)
+    return Transmitter(id=fe_id, position=np.asarray(position, float),
+                       boresight=b / np.linalg.norm(b),
+                       half_power_semi_angle=semi_angle, tx_electrical_power_dbm=power_dbm)
 
 
 def make_rx(fe_id="rx_a", position=(1, 0, 0), boresight=(-1, 0, 0),
             fov=90.0, area=1e-4, conversion_gain_db=0.0):
     b = np.asarray(boresight, float)
-    return FrontEnd(id=fe_id, role="rx", position=np.asarray(position, float),
+    return Receiver(id=fe_id, position=np.asarray(position, float),
                     boresight=b / np.linalg.norm(b), fov_half_angle=fov,
                     active_area=area, conversion_gain_db=conversion_gain_db)
 
@@ -89,6 +89,9 @@ class TestLosGain:
     def test_role_check(self):
         with pytest.raises(ValueError):
             los_gain(make_rx(), make_rx(fe_id="rx_b", position=(2, 0, 0)))
+        with pytest.raises(ValueError) as exc:
+            los_gain(make_rx(), make_tx())
+        assert str(exc.value) == "los_gain needs a TX and an RX, got Receiver and Transmitter"
 
     def test_geometry_reciprocity(self):
         # swapping the two positions (with m=1 and wide FOV) leaves the
@@ -103,11 +106,11 @@ class TestLosGain:
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_needle_beam_overflow_is_refused_as_a_gain_past_1(self):
-        # A boresight norm a hair above 1 (FrontEnd allows 1e-9) makes cos(phi)
+        # A boresight norm a hair above 1 (a front-end allows 1e-9) makes cos(phi)
         # exceed 1, and cos(phi) ** m overflows for m about 6e15.
-        tx = FrontEnd(id="tx_a", role="tx", position=np.zeros(3),
-                      boresight=np.array([1 + 5e-10, 0.0, 0.0]),
-                      half_power_semi_angle=1e-6, tx_electrical_power_dbm=0.0)
+        tx = Transmitter(id="tx_a", position=np.zeros(3),
+                         boresight=np.array([1 + 5e-10, 0.0, 0.0]),
+                         half_power_semi_angle=1e-6, tx_electrical_power_dbm=0.0)
         with pytest.raises(ValidationError, match=r"^path tx_a->rx_a: optical gain inf is not <= 1"):
             los_gain(tx, make_rx())
 
@@ -122,9 +125,9 @@ class TestLosGain:
 class TestFrontEndValidation:
     def test_boresight_must_be_unit(self):
         with pytest.raises(ValidationError, match="unit vector"):
-            FrontEnd(id="t", role="tx", position=np.zeros(3),
-                     boresight=np.array([1.0, 1.0, 0.0]),
-                     half_power_semi_angle=30.0, tx_electrical_power_dbm=0.0)
+            Transmitter(id="t", position=np.zeros(3),
+                        boresight=np.array([1.0, 1.0, 0.0]),
+                        half_power_semi_angle=30.0, tx_electrical_power_dbm=0.0)
 
     def test_fov_bound_named(self):
         with pytest.raises(ValidationError, match=r"\(0, 90\]"):
@@ -157,9 +160,9 @@ class TestFrontEndValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_boresight_finite(self, bad):
         with pytest.raises(ValidationError, match="unit vector"):
-            FrontEnd(id="t", role="tx", position=np.zeros(3),
-                     boresight=np.array([1.0, bad, 0.0]),
-                     half_power_semi_angle=30.0, tx_electrical_power_dbm=0.0)
+            Transmitter(id="t", position=np.zeros(3),
+                        boresight=np.array([1.0, bad, 0.0]),
+                        half_power_semi_angle=30.0, tx_electrical_power_dbm=0.0)
 
     def test_tx_power_finite(self):
         with pytest.raises(ValidationError, match="tx_electrical_power_dbm must be a finite"):
@@ -169,6 +172,14 @@ class TestFrontEndValidation:
     def test_tx_power_within_100_dbm(self, power):
         with pytest.raises(ValidationError, match=r"tx_electrical_power_dbm .* \[-100, 100\] dBm"):
             make_tx(power_dbm=power)
+
+    def test_a_field_of_the_other_role_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Receiver(id="r", position=np.zeros(3), boresight=np.array([1.0, 0.0, 0.0]),
+                     fov_half_angle=45.0, active_area=1e-4, tx_electrical_power_dbm=1e9)
+        with pytest.raises(TypeError):
+            Transmitter(id="t", position=np.zeros(3), boresight=np.array([1.0, 0.0, 0.0]),
+                        half_power_semi_angle=30.0, tx_electrical_power_dbm=0.0, active_area=1e-4)
 
     def test_db_values_at_their_bounds_are_accepted(self):
         for db in (-100.0, 100.0):
@@ -189,6 +200,15 @@ class TestSceneValidation:
         obs = Obstacle(blocked_pairs=frozenset({("tx_a", "rx_missing")}),
                        active_frames=(0, 10))
         with pytest.raises(ValidationError, match="rx_missing"):
+            Scene(front_ends=(make_tx(), make_rx()), obstacles=(obs,))
+
+    def test_first_bad_pair_in_sorted_order_is_named(self):
+        # Pick two unknown pairs that the frozenset lists out of sorted order.
+        for i in range(1, 100):
+            obs = Obstacle(blocked_pairs={("tx_a", "rx_0"), ("tx_a", f"rx_{i}")}, active_frames=(0, 10))
+            if next(iter(obs.blocked_pairs)) != ("tx_a", "rx_0"):
+                break
+        with pytest.raises(ValidationError, match="unknown front-end id 'rx_0'"):
             Scene(front_ends=(make_tx(), make_rx()), obstacles=(obs,))
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, 1e308, -100.5])

@@ -146,6 +146,19 @@ def test_key_of_the_other_role_exits_1_with_one_line(after, key, where, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair", ["rx_b->tx_a", "rx_a->rx_b"])
+def test_obstacle_pair_not_from_a_tx_to_an_rx_exits_1_with_one_line(pair, tmp_path, capsys):
+    # Such a pair names no path, so it would block nothing.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text((SCENES / "simo_blockage.cfg").read_text().replace("blocks = tx_a->rx_b",
+                                                                     f"blocks = {pair}"))
+    out = tmp_path / "out"
+    assert main(["--scenario", "blockage-timeline", "--scene", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"invalid scene: obstacle: blocked pair {pair} must name a TX and then an RX"]
+    assert not out.exists()
+
+
 def test_unknown_section_is_one_short_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text((SCENES / "siso.cfg").read_text() + "\n[mystery]\nfoo = 1\n")

@@ -1,13 +1,14 @@
 """Scene text format: parsing, validation diagnostics, and round-tripping."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from vlcsim import presets
-from vlcsim.channel import Scene, ValidationError
-from vlcsim.sceneconfig import parse_scene, read_scene_file, scene_to_text
+from vlcsim.channel import Scene, Transmitter, ValidationError
+from vlcsim.sceneconfig import _ROLES, parse_scene, read_scene_file, scene_to_text
 
 PRESETS = {
     "siso": presets.siso_scene,
@@ -47,6 +48,18 @@ conversion_gain_db = 3
 blocks = tx_a->rx_b
 frames = 100 181
 """
+
+
+# A section of GOOD that holds every key of its role.
+ROLE_SECTIONS = {"tx": "tx_a", "rx": "rx_b"}
+
+
+def without_key(fe_id, key):
+    """GOOD with `key` removed from the section of front-end `fe_id`."""
+    head, rest = GOOD.split(f"[frontend {fe_id}]\n", 1)
+    body, sep, tail = rest.partition("\n\n")
+    body = "\n".join(line for line in body.split("\n") if not line.startswith(f"{key} ="))
+    return f"{head}[frontend {fe_id}]\n{body}{sep}{tail}"
 
 
 class TestParse:
@@ -95,6 +108,27 @@ class TestParse:
         with pytest.raises(ValidationError) as exc:
             parse_scene(GOOD.replace(after, f"{after}{key}\n", 1))
         assert str(exc.value) == f"{where}: unknown key(s) ['{key.split()[0]}']"
+
+    @pytest.mark.parametrize("fe_id,key", [
+        ("tx_a", "half_power_semi_angle_deg"), ("tx_a", "tx_power_dbm"),
+        ("rx_b", "fov_half_angle_deg"), ("rx_b", "active_area_m2")])
+    def test_missing_role_key_is_named(self, fe_id, key):
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(without_key(fe_id, key))
+        assert exc.value.args == (f"front-end '{fe_id}': missing required key '{key}'",)
+
+    @pytest.mark.parametrize("role", sorted(_ROLES))
+    def test_role_table_matches_its_type(self, role, tmp_path):
+        # A field with no key would be dropped by scene_to_text; a key is
+        # required exactly when its field has no default.
+        cls, keys = _ROLES[role]
+        fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+        assert set(keys.values()) == set(fields) - {"id", "position", "boresight"}
+        fe_id = ROLE_SECTIONS[role]
+        required = {key for key in keys if scene_diagnostics(tmp_path, without_key(fe_id, key))
+                    == [f"front-end '{fe_id}': missing required key '{key}'"]}
+        assert required == {key for key, field in keys.items()
+                            if fields[field].default is dataclasses.MISSING}
 
     def test_role_is_matched_without_case(self):
         text = GOOD.replace("role = tx", "role = TX").replace(
@@ -199,10 +233,10 @@ class TestRoundTrip:
         recovered = parse_scene(scene_to_text(original))
         assert len(recovered.front_ends) == len(original.front_ends)
         for a, b in zip(original.front_ends, recovered.front_ends):
-            assert a.id == b.id and a.role == b.role
+            assert a.id == b.id and type(a) is type(b)
             np.testing.assert_allclose(b.position, a.position, rtol=0, atol=1e-12)
             np.testing.assert_allclose(b.boresight, a.boresight, rtol=0, atol=1e-12)
-            if a.role == "tx":
+            if isinstance(a, Transmitter):
                 assert b.half_power_semi_angle == a.half_power_semi_angle
                 assert b.tx_electrical_power_dbm == a.tx_electrical_power_dbm
             else:
