@@ -167,41 +167,39 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable snapshot of all front-ends, obstacles, and the RX noise floor."""
+    """Immutable snapshot of the transmitters, receivers, obstacles, and RX noise floor."""
 
-    front_ends: tuple
+    transmitters: tuple
+    receivers: tuple
     obstacles: tuple = ()
     noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM
 
     def __post_init__(self):
-        object.__setattr__(self, "front_ends", tuple(self.front_ends))
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        for name in ("transmitters", "receivers", "obstacles"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not abs(self.noise_floor_dbm) <= DB_LIMIT:
             raise ValidationError(f"scene: noise_floor_dbm must be finite and in "
                                   f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm, got {self.noise_floor_dbm}")
-        ids = [fe.id for fe in self.front_ends]
+        for fes, cls in ((self.transmitters, Transmitter), (self.receivers, Receiver)):
+            for fe in fes:
+                if not isinstance(fe, cls):
+                    raise ValidationError(f"scene: {cls.__name__.lower()}s must all be {cls.__name__}s, "
+                                          f"got a {type(fe).__name__}")
+        ids = [fe.id for fe in (*self.transmitters, *self.receivers)]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"scene: front-end ids must be unique, got {ids}")
         if not self.transmitters or not self.receivers:
             raise ValidationError("scene: at least one TX and one RX front-end are required")
-        by_id = dict(zip(ids, self.front_ends))
+        tx_ids, rx_ids = {tx.id for tx in self.transmitters}, {rx.id for rx in self.receivers}
         for obs in self.obstacles:
             # Sorted: a frozenset's order follows the per-process string hash.
             for tx_id, rx_id in sorted(obs.blocked_pairs):
                 for ref in (tx_id, rx_id):
-                    if ref not in by_id:
+                    if ref not in ids:
                         raise ValidationError(f"obstacle: blocked pair {tx_id}->{rx_id} "
                                               f"references unknown front-end id '{ref}'")
-                if not (isinstance(by_id[tx_id], Transmitter) and isinstance(by_id[rx_id], Receiver)):
+                if tx_id not in tx_ids or rx_id not in rx_ids:
                     raise ValidationError(f"obstacle: blocked pair {tx_id}->{rx_id} must name a TX and then an RX")
-
-    @property
-    def transmitters(self) -> tuple:
-        return tuple(fe for fe in self.front_ends if isinstance(fe, Transmitter))
-
-    @property
-    def receivers(self) -> tuple:
-        return tuple(fe for fe in self.front_ends if isinstance(fe, Receiver))
 
     @property
     def tx_power_dbm(self) -> np.ndarray:
@@ -301,8 +299,6 @@ class ChannelMatrix:
     receiver conversion gain); blocked paths carry exactly zero gain.
     """
 
-    n_tx: int
-    n_rx: int
     subcarrier_freqs: np.ndarray
     entries: np.ndarray
     path_gains: np.ndarray
@@ -317,12 +313,18 @@ class ChannelMatrix:
             raise ValueError("path_gains and path_delays must be matching 2-D arrays")
         if np.any(gains < 0.0):
             raise ValueError("path gains must be non-negative")
-        n_rx, n_tx = gains.shape
         amp = np.sqrt(gains)
         phase = np.exp(-2j * np.pi * freqs[:, None, None] * delays[None, :, :])
         entries = amp[None, :, :] * phase
-        return cls(n_tx=n_tx, n_rx=n_rx, subcarrier_freqs=freqs, entries=entries,
-                   path_gains=gains, path_delays=delays)
+        return cls(subcarrier_freqs=freqs, entries=entries, path_gains=gains, path_delays=delays)
+
+    @property
+    def n_tx(self) -> int:
+        return self.entries.shape[2]
+
+    @property
+    def n_rx(self) -> int:
+        return self.entries.shape[1]
 
     @property
     def n_subcarriers(self) -> int:

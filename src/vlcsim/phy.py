@@ -21,7 +21,6 @@ FSR = FSR_ref ** (payload_bytes / 1000).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -39,14 +38,14 @@ RELIABLE_DECODE_MARGIN_DB = 3.0  # sigmoid(3/0.4) = 0.99945 >= 0.999
 
 _BASE_LADDER = (
     # modulation, code rate, 20 MHz Mbit/s (800 ns GI), 40 MHz Mbit/s (400 ns GI)
-    ("BPSK", Fraction(1, 2), 6.5, 15.0),
-    ("QPSK", Fraction(1, 2), 13.0, 30.0),
-    ("QPSK", Fraction(3, 4), 19.5, 45.0),
-    ("16QAM", Fraction(1, 2), 26.0, 60.0),
-    ("16QAM", Fraction(3, 4), 39.0, 90.0),
-    ("64QAM", Fraction(2, 3), 52.0, 120.0),
-    ("64QAM", Fraction(3, 4), 58.5, 135.0),
-    ("64QAM", Fraction(5, 6), 65.0, 150.0),
+    ("BPSK", 1 / 2, 6.5, 15.0),
+    ("QPSK", 1 / 2, 13.0, 30.0),
+    ("QPSK", 3 / 4, 19.5, 45.0),
+    ("16QAM", 1 / 2, 26.0, 60.0),
+    ("16QAM", 3 / 4, 39.0, 90.0),
+    ("64QAM", 2 / 3, 52.0, 120.0),
+    ("64QAM", 3 / 4, 58.5, 135.0),
+    ("64QAM", 5 / 6, 65.0, 150.0),
 )
 
 MODULATION_BITS = {"BPSK": 1, "QPSK": 2, "16QAM": 4, "64QAM": 6}
@@ -56,7 +55,7 @@ MODULATION_BITS = {"BPSK": 1, "QPSK": 2, "16QAM": 4, "64QAM": 6}
 class McsEntry:
     index: int
     modulation: str
-    code_rate: Fraction
+    code_rate: float
     n_streams: int
     data_rate_20mhz_mbps: float
     data_rate_40mhz_mbps: float

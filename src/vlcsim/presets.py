@@ -61,10 +61,8 @@ def siso_scene() -> Scene:
     At 0 dBm TX power the RSSI is about -40.3 - 20*log10(d) dBm, so sweeping
     d from 0.15 m to 12.5 m covers roughly -24 dBm down to the noise floor.
     """
-    return Scene(front_ends=(
-        _tx("tx_a", (0, 0, 0), (1, 0, 0), power_dbm=0.0),
-        _rx("rx_a", (2.0, 0, 0), (-1, 0, 0)),
-    ))
+    return Scene((_tx("tx_a", (0, 0, 0), (1, 0, 0), power_dbm=0.0),),
+                 (_rx("rx_a", (2.0, 0, 0), (-1, 0, 0)),))
 
 
 def siso_sweep_distances(n_points: int = 64, d_min: float = 0.15,
@@ -81,11 +79,8 @@ def simo_blockage_scene() -> Scene:
     rx_a_pos = np.array([2.0, 0.3, 0.0])
     rx_b_pos = np.array([2.0, -0.3, 0.0])
     return Scene(
-        front_ends=(
-            _tx("tx_a", tx_pos, (1, 0, 0), power_dbm=0.0),
-            _rx("rx_a", rx_a_pos, tx_pos - rx_a_pos),
-            _rx("rx_b", rx_b_pos, tx_pos - rx_b_pos),
-        ),
+        (_tx("tx_a", tx_pos, (1, 0, 0), power_dbm=0.0),),
+        (_rx("rx_a", rx_a_pos, tx_pos - rx_a_pos), _rx("rx_b", rx_b_pos, tx_pos - rx_b_pos)),
         obstacles=(
             Obstacle(blocked_pairs=frozenset({("tx_a", "rx_b")}), active_frames=BLOCK_B_FRAMES),
             Obstacle(blocked_pairs=frozenset({("tx_a", "rx_a")}), active_frames=BLOCK_A_FRAMES),
@@ -102,11 +97,8 @@ def handover_scene() -> Scene:
     a = math.radians(HANDOVER_RX_AZIMUTH_DEG)
     rx_a_pos = HANDOVER_DISTANCE_M * np.array([math.cos(a), math.sin(a), 0.0])
     rx_b_pos = HANDOVER_DISTANCE_M * np.array([math.cos(a), -math.sin(a), 0.0])
-    return Scene(front_ends=(
-        _tx("tx_a", (0, 0, 0), rx_a_pos, power_dbm=0.0),
-        _rx("rx_a", rx_a_pos, -rx_a_pos),
-        _rx("rx_b", rx_b_pos, -rx_b_pos),
-    ))
+    return Scene((_tx("tx_a", (0, 0, 0), rx_a_pos, power_dbm=0.0),),
+                 (_rx("rx_a", rx_a_pos, -rx_a_pos), _rx("rx_b", rx_b_pos, -rx_b_pos)))
 
 
 def handover_angles(n_points: int = 61) -> np.ndarray:
@@ -197,12 +189,10 @@ def mimo_area_scene(imbalance_db: float) -> Scene:
     what keeps the (2, 2) matrix barely invertible.
     """
     z_a, z_b = _AREA_RX_Z
-    return Scene(front_ends=(
-        _area_tx("a"), _area_tx("b"),
-        _area_rx("rx_a1", 1, z_a), _area_rx("rx_a2", 2, z_a),
-        _area_rx("rx_b3", 3, z_b), _area_rx("rx_b2", 2, z_b),
-        _area_rx("rx_b2_tilted", 2, z_b, area2_tilt_for_imbalance(imbalance_db, z_b)),
-    ))
+    return Scene((_area_tx("a"), _area_tx("b")),
+                 (_area_rx("rx_a1", 1, z_a), _area_rx("rx_a2", 2, z_a),
+                  _area_rx("rx_b3", 3, z_b), _area_rx("rx_b2", 2, z_b),
+                  _area_rx("rx_b2_tilted", 2, z_b, area2_tilt_for_imbalance(imbalance_db, z_b))))
 
 
 def csi_siso_scene() -> Scene:
@@ -223,11 +213,9 @@ def csi_miso_scene() -> Scene:
     d_far = d_near + SPEED_OF_LIGHT_M_S * delta_tau
     power_a = 0.0
     power_b = power_a + 20.0 * math.log10(d_far / d_near)  # match field amplitudes
-    return Scene(front_ends=(
-        _tx("tx_a", (0, 0, 0), (1, 0, 0), power_dbm=power_a),
-        _tx("tx_b", (-(d_far - d_near), 0, 0), (1, 0, 0), power_dbm=power_b),
-        _rx("rx_a", (d_near, 0, 0), (-1, 0, 0)),
-    ))
+    return Scene((_tx("tx_a", (0, 0, 0), (1, 0, 0), power_dbm=power_a),
+                  _tx("tx_b", (-(d_far - d_near), 0, 0), (1, 0, 0), power_dbm=power_b)),
+                 (_rx("rx_a", (d_near, 0, 0), (-1, 0, 0)),))
 
 
 def mrc_point_snrs_db() -> tuple[float, float]:

@@ -129,7 +129,8 @@ def parse_scene(text: str) -> Scene:
     except configparser.Error as exc:
         raise ValidationError(f"scene file: not parseable as sectioned key-value: {exc}") from exc
     noise_floor = DEFAULT_NOISE_FLOOR_DBM
-    front_ends, obstacles, diagnostics = [], [], []
+    by_type = {Transmitter: [], Receiver: []}
+    obstacles, diagnostics = [], []
     for section in parser.sections():
         sec = parser[section]
         try:
@@ -138,7 +139,8 @@ def parse_scene(text: str) -> Scene:
                 if "noise_floor_dbm" in sec:
                     noise_floor = _numbers("scene", sec, "noise_floor_dbm", 1)[0]
             elif section.startswith("frontend "):
-                front_ends.append(_frontend_from_section(section.split(None, 1)[1], sec))
+                fe = _frontend_from_section(section.split(None, 1)[1], sec)
+                by_type[type(fe)].append(fe)
             elif section.startswith("obstacle "):
                 obstacles.append(_obstacle_from_section(section.split(None, 1)[1], sec))
             else:
@@ -150,8 +152,7 @@ def parse_scene(text: str) -> Scene:
         # front-end leaves the scene short of a TX or RX, or an obstacle
         # pointing at an unknown id.
         raise ValidationError(*diagnostics)
-    return Scene(front_ends=tuple(front_ends), obstacles=tuple(obstacles),
-                 noise_floor_dbm=noise_floor)
+    return Scene(by_type[Transmitter], by_type[Receiver], obstacles, noise_floor_dbm=noise_floor)
 
 
 def read_scene_file(path) -> Scene:
@@ -167,13 +168,14 @@ def _fmt_vec(v) -> str:
 def scene_to_text(scene: Scene) -> str:
     """Serialize a Scene back to the text format (round-trips with parse_scene)."""
     lines = ["[scene]", f"noise_floor_dbm = {scene.noise_floor_dbm!r}", ""]
-    for fe in scene.front_ends:
-        role = next(role for role, (cls, _) in _ROLES.items() if isinstance(fe, cls))
-        lines += [f"[frontend {fe.id}]", f"role = {role}",
-                  f"position_m = {_fmt_vec(fe.position)}",
-                  f"boresight = {_fmt_vec(fe.boresight)}"]
-        lines += [f"{key} = {getattr(fe, field)!r}" for key, field in _ROLES[role][1].items()]
-        lines.append("")
+    # `_ROLES` lists tx before rx, so every TX section comes before every RX section.
+    for (role, (_, fields)), fes in zip(_ROLES.items(), (scene.transmitters, scene.receivers)):
+        for fe in fes:
+            lines += [f"[frontend {fe.id}]", f"role = {role}",
+                      f"position_m = {_fmt_vec(fe.position)}",
+                      f"boresight = {_fmt_vec(fe.boresight)}"]
+            lines += [f"{key} = {getattr(fe, field)!r}" for key, field in fields.items()]
+            lines.append("")
     for n, obs in enumerate(scene.obstacles):
         pairs = ", ".join(f"{t}->{r}" for t, r in sorted(obs.blocked_pairs))
         lines += [f"[obstacle obstacle_{n}]", f"blocks = {pairs}",

@@ -133,7 +133,7 @@ def zf_orthogonal_exactness(n_cases: int, seed: int = 106) -> None:
         c2 -= c1 * np.vdot(c1, c2) / np.vdot(c1, c1)
         h = np.stack([c1, c2], axis=1)
         # entries built directly: this check is about the ZF algebra alone
-        cm = ChannelMatrix(n_tx=2, n_rx=n_rx, subcarrier_freqs=np.array([2.4e9]),
+        cm = ChannelMatrix(subcarrier_freqs=np.array([2.4e9]),
                            entries=h[None, :, :],
                            path_gains=np.abs(h) ** 2,
                            path_delays=np.zeros_like(h, dtype=float))
@@ -229,7 +229,7 @@ def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
         blocked = [pairs[c] for c in rng.choice(len(pairs), size=k, replace=False)]
         obstacles.append(Obstacle(blocked_pairs=frozenset(blocked),
                                   active_frames=(int(start), int(end))))
-    return Scene(front_ends=(*txs, *rxs), obstacles=obstacles,
+    return Scene(txs, rxs, obstacles=obstacles,
                  noise_floor_dbm=float(rng.uniform(-75.0, -40.0)))
 
 
@@ -317,7 +317,7 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
                              boresight=rx.boresight, fov_half_angle=rx.fov_half_angle,
                              active_area=rx.active_area,
                              conversion_gain_db=rx.conversion_gain_db)
-            probe = Scene(front_ends=(tx, moved), noise_floor_dbm=scene.noise_floor_dbm)
+            probe = Scene((tx,), (moved,), noise_floor_dbm=scene.noise_floor_dbm)
             rssi = float(rssi_per_chain(channel_matrix(probe, 0, freqs),
                                         probe.tx_power_dbm)[0])
             snr_db = rssi - scene.noise_floor_dbm
@@ -353,7 +353,7 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
             if kind == "grazing":
                 tx = dataclasses.replace(tx, boresight=np.array([0.0, 0.0, 1.0]))
             rx = _zero_gain_receiver(rx, tx, kind)
-        scene = Scene(front_ends=(tx, rx), noise_floor_dbm=scene.noise_floor_dbm)
+        scene = Scene((tx,), (rx,), noise_floor_dbm=scene.noise_floor_dbm)
         distances = _repeats(rng, rng.uniform(*span, size=int(rng.integers(1, 10))))
         mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 4)), replace=False)]
         frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
@@ -384,8 +384,7 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
                                 boresight=np.array([math.cos(a), math.sin(a), 0.0]),
                                 half_power_semi_angle=tx.half_power_semi_angle,
                                 tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
-            probe = Scene(front_ends=(aimed, *scene.receivers),
-                          noise_floor_dbm=scene.noise_floor_dbm)
+            probe = Scene((aimed,), scene.receivers, noise_floor_dbm=scene.noise_floor_dbm)
             rssi = rssi_per_chain(channel_matrix(probe, 0, freqs), probe.tx_power_dbm)
             expected.append(HandoverRow(float(az), float(rssi[0]), float(rssi[1]),
                                         float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
@@ -418,7 +417,7 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
             rx_a = _zero_gain_receiver(rx_a, tx, kind.split()[-1])
         if kind == "both outside":
             rx_b = _zero_gain_receiver(rx_b, tx, "outside")
-        scene = Scene(front_ends=(tx, rx_a, rx_b), noise_floor_dbm=scene.noise_floor_dbm)
+        scene = Scene((tx,), (rx_a, rx_b), noise_floor_dbm=scene.noise_floor_dbm)
         azimuths = _repeats(rng, np.concatenate([[90.0, -90.0], azimuths]))
         for row in check(scene, azimuths):
             seen.update(name for name, value in zip(("a", "b", "mrc"), (
@@ -454,8 +453,8 @@ def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
             if kind == "siso-sweep":
                 scene = _random_link_scene(rng, 1, 1)
                 if dark:
-                    scene = Scene(front_ends=(scene.transmitters[0], _zero_gain_receiver(
-                        scene.receivers[0], scene.transmitters[0], "outside")),
+                    scene = Scene(scene.transmitters, (_zero_gain_receiver(
+                        scene.receivers[0], scene.transmitters[0], "outside"),),
                         noise_floor_dbm=scene.noise_floor_dbm)
                 d_min, d_max = sorted(float(d) for d in rng.uniform(0.1, 15.0, size=2))
                 if case // 3 % 3 == 2:
@@ -481,8 +480,8 @@ def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
                 scene = _random_link_scene(rng, 1, 2)
                 if dark:
                     tx, (rx_a, rx_b) = scene.transmitters[0], scene.receivers
-                    scene = Scene(front_ends=(tx, _zero_gain_receiver(rx_a, tx, "outside"),
-                                              rx_b), noise_floor_dbm=scene.noise_floor_dbm)
+                    scene = Scene((tx,), (_zero_gain_receiver(rx_a, tx, "outside"), rx_b),
+                                  noise_floor_dbm=scene.noise_floor_dbm)
                 n = int(rng.integers(1, 40))
                 settings = [f"n_angles={n}"]
             with open(scene_path, "w") as f:
@@ -634,7 +633,7 @@ def _random_zf_link(rng, kind, n_subc, n_rx, n_tx):
         gains = np.abs(entries[0]) ** 2
     if rng.random() < 0.3:
         gains[rng.integers(n_rx), rng.integers(n_tx)] = 0.0  # a blocked path
-    return ChannelMatrix(n_tx=n_tx, n_rx=n_rx, subcarrier_freqs=subcarrier_frequencies(
+    return ChannelMatrix(subcarrier_freqs=subcarrier_frequencies(
         20 if n_subc == 52 else 40), entries=entries, path_gains=gains,
         path_delays=np.zeros((n_rx, n_tx)))
 

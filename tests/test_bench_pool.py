@@ -1,0 +1,44 @@
+"""The benchmark's recorded digests: one pool invocation per scenario and workload.
+
+`bench/golden.json` holds the SHA-256 of the outputs of every invocation a
+benchmark run may draw. A change that moves one of them fails the benchmark;
+replaying one invocation of each scenario here fails the same change in the
+test suite first. The module only reads `bench/`.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from vlcsim.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def _first_of_each_scenario():
+    for workload in workloads.WORKLOADS:
+        seen = set()
+        for argv in workloads.pool(workload):
+            scenario = argv[argv.index("--scenario") + 1]
+            if scenario not in seen:
+                seen.add(scenario)
+                yield pytest.param(argv, id=f"{workload}-{scenario}")
+
+
+CASES = list(_first_of_each_scenario())
+
+
+def test_every_scenario_of_each_workload_is_replayed():
+    assert len(CASES) == 7
+
+
+@pytest.mark.parametrize("argv", CASES)
+def test_pool_invocation_writes_its_recorded_digests(argv, tmp_path, monkeypatch):
+    # Pool invocations name their scene files relative to the repository root.
+    monkeypatch.chdir(ROOT)
+    outcome = workloads.invoke(main, argv, str(tmp_path), workloads.load_golden())
+    assert outcome.ok, outcome.reason

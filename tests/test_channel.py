@@ -184,23 +184,29 @@ class TestFrontEndValidation:
     def test_db_values_at_their_bounds_are_accepted(self):
         for db in (-100.0, 100.0):
             make_tx(power_dbm=db)
-            Scene(front_ends=(make_tx(), make_rx(conversion_gain_db=db)), noise_floor_dbm=db)
+            Scene((make_tx(),), (make_rx(conversion_gain_db=db),), noise_floor_dbm=db)
 
 
 class TestSceneValidation:
     def test_needs_tx_and_rx(self):
         with pytest.raises(ValidationError, match="at least one TX"):
-            Scene(front_ends=(make_tx(),))
+            Scene((make_tx(),), ())
+
+    def test_each_role_holds_only_its_type(self):
+        with pytest.raises(ValidationError, match="transmitters must all be Transmitters, got a Receiver"):
+            Scene((make_tx(), make_rx(fe_id="rx_b")), (make_rx(),))
+        with pytest.raises(ValidationError, match="receivers must all be Receivers, got a Transmitter"):
+            Scene((make_tx(),), (make_rx(), make_tx(fe_id="tx_b")))
 
     def test_unique_ids(self):
         with pytest.raises(ValidationError, match="unique"):
-            Scene(front_ends=(make_tx(), make_rx(fe_id="tx_a")))
+            Scene((make_tx(),), (make_rx(fe_id="tx_a"),))
 
     def test_obstacle_refs_must_exist(self):
         obs = Obstacle(blocked_pairs=frozenset({("tx_a", "rx_missing")}),
                        active_frames=(0, 10))
         with pytest.raises(ValidationError, match="rx_missing"):
-            Scene(front_ends=(make_tx(), make_rx()), obstacles=(obs,))
+            Scene((make_tx(),), (make_rx(),), obstacles=(obs,))
 
     def test_first_bad_pair_in_sorted_order_is_named(self):
         # Pick two unknown pairs that the frozenset lists out of sorted order.
@@ -209,12 +215,12 @@ class TestSceneValidation:
             if next(iter(obs.blocked_pairs)) != ("tx_a", "rx_0"):
                 break
         with pytest.raises(ValidationError, match="unknown front-end id 'rx_0'"):
-            Scene(front_ends=(make_tx(), make_rx()), obstacles=(obs,))
+            Scene((make_tx(),), (make_rx(),), obstacles=(obs,))
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, 1e308, -100.5])
     def test_noise_floor_finite(self, noise):
         with pytest.raises(ValidationError, match="noise_floor_dbm must be finite"):
-            Scene(front_ends=(make_tx(), make_rx()), noise_floor_dbm=noise)
+            Scene((make_tx(),), (make_rx(),), noise_floor_dbm=noise)
 
     def test_obstacle_interval_ordering(self):
         with pytest.raises(ValidationError, match="start"):
@@ -229,7 +235,7 @@ class TestSceneValidation:
 
 class TestChannelMatrix:
     def test_siso_is_frequency_flat(self):
-        scene = Scene(front_ends=(make_tx(), make_rx(position=(2, 0, 0))))
+        scene = Scene((make_tx(),), (make_rx(position=(2, 0, 0)),))
         cm = channel_matrix(scene, 0, subcarrier_frequencies(20))
         mags = np.abs(cm.entries[:, 0, 0])
         assert np.ptp(mags) < 1e-15 * mags[0]
@@ -237,10 +243,9 @@ class TestChannelMatrix:
     def test_blocked_row_is_zero(self):
         obs = Obstacle(blocked_pairs=frozenset({("tx_a", "rx_b")}),
                        active_frames=(100, 181))
-        scene = Scene(front_ends=(make_tx(),
-                                  make_rx(position=(2, 0.3, 0), boresight=(-1, 0, 0)),
-                                  make_rx(fe_id="rx_b", position=(2, -0.3, 0),
-                                          boresight=(-1, 0, 0))),
+        scene = Scene((make_tx(),),
+                      (make_rx(position=(2, 0.3, 0), boresight=(-1, 0, 0)),
+                       make_rx(fe_id="rx_b", position=(2, -0.3, 0), boresight=(-1, 0, 0))),
                       obstacles=(obs,))
         cm = channel_matrix(scene, 150, subcarrier_frequencies(20))
         assert np.all(cm.path_gains[1, :] == 0.0)
@@ -252,16 +257,14 @@ class TestChannelMatrix:
 
     def test_miso_superposition_is_frequency_selective(self):
         # two TX at different distances: the summed column varies over frequency
-        scene = Scene(front_ends=(make_tx(position=(0, 0, 0)),
-                                  make_tx(fe_id="tx_b", position=(-0.4, 0, 0)),
-                                  make_rx(position=(2, 0, 0))))
+        scene = Scene((make_tx(position=(0, 0, 0)), make_tx(fe_id="tx_b", position=(-0.4, 0, 0))),
+                      (make_rx(position=(2, 0, 0)),))
         cm = channel_matrix(scene, 0, subcarrier_frequencies(40))
         combined = np.abs(cm.column_sum([1.0, 1.0])[:, 0])
         assert np.ptp(combined) > 0.05 * np.max(combined)
 
     def test_phase_delay_consistency(self):
-        scene = Scene(front_ends=(make_tx(), make_rx(position=(1.7, 0.4, 0.2),
-                                                     boresight=(-1, 0, 0))))
+        scene = Scene((make_tx(),), (make_rx(position=(1.7, 0.4, 0.2), boresight=(-1, 0, 0)),))
         freqs = subcarrier_frequencies(20)
         cm = channel_matrix(scene, 0, freqs)
         tau = cm.path_delays[0, 0]
@@ -273,20 +276,24 @@ class TestChannelMatrix:
 
     def test_blockage_idempotence(self):
         obs = Obstacle(blocked_pairs=frozenset({("tx_a", "rx_a")}), active_frames=(0, 10))
-        base = (make_tx(), make_rx(position=(2, 0, 0)))
-        once = channel_matrix(Scene(front_ends=base, obstacles=(obs,)), 5,
-                              subcarrier_frequencies(20))
-        twice = channel_matrix(Scene(front_ends=base, obstacles=(obs, obs)), 5,
-                               subcarrier_frequencies(20))
+        base = ((make_tx(),), (make_rx(position=(2, 0, 0)),))
+        once = channel_matrix(Scene(*base, obstacles=(obs,)), 5, subcarrier_frequencies(20))
+        twice = channel_matrix(Scene(*base, obstacles=(obs, obs)), 5, subcarrier_frequencies(20))
         np.testing.assert_array_equal(once.entries, twice.entries)
 
     def test_conversion_gain_folded_into_path_gain(self):
-        plain = Scene(front_ends=(make_tx(), make_rx(position=(2, 0, 0))))
-        boosted = Scene(front_ends=(make_tx(),
-                                    make_rx(position=(2, 0, 0), conversion_gain_db=10.0)))
+        plain = Scene((make_tx(),), (make_rx(position=(2, 0, 0)),))
+        boosted = Scene((make_tx(),), (make_rx(position=(2, 0, 0), conversion_gain_db=10.0),))
         g0 = channel_matrix(plain, 0, [1e9]).path_gains[0, 0]
         g1 = channel_matrix(boosted, 0, [1e9]).path_gains[0, 0]
         assert g1 / g0 == pytest.approx(10.0, rel=1e-12)
+
+    def test_shape_is_that_of_the_entries(self):
+        cm = ChannelMatrix.from_paths(np.ones((3, 2)), np.zeros((3, 2)), [1e9, 2e9])
+        assert (cm.n_subcarriers, cm.n_rx, cm.n_tx) == cm.entries.shape == (2, 3, 2)
+        direct = ChannelMatrix(subcarrier_freqs=np.array([1e9]), entries=np.ones((1, 4, 1)),
+                               path_gains=np.ones((4, 1)), path_delays=np.zeros((4, 1)))
+        assert (direct.n_rx, direct.n_tx) == (4, 1)
 
     def test_from_paths_rejects_negative_gain(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,24 @@ def test_obstacle_pair_not_from_a_tx_to_an_rx_exits_1_with_one_line(pair, tmp_pa
     assert not out.exists()
 
 
+def test_rx_first_scene_file_runs_and_hashes_as_its_tx_first_order(tmp_path):
+    # Only the order of the sections within a role makes a scene; TX and RX
+    # sections may interleave.
+    sections = (SCENES / "simo_blockage.cfg").read_text().split("\n\n")
+    rx_first = [s for s in sections if "role = rx" in s] + [s for s in sections if "role = rx" not in s]
+    assert rx_first != sections
+    summaries, csvs = [], []
+    for name, text in (("tx_first", sections), ("rx_first", rx_first)):
+        scene, out = tmp_path / f"{name}.cfg", tmp_path / name
+        scene.write_text("\n\n".join(text))
+        assert main(["--scenario", "blockage-timeline", "--scene", str(scene), "--seed", "3",
+                     "--set", "n_frames=300", "--out", str(out)]) == 0
+        csvs.append((out / "blockage-timeline.csv").read_bytes())
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    assert csvs[0] == csvs[1]
+    assert summaries[0]["config_hash"] == summaries[1]["config_hash"]
+
+
 def test_unknown_section_is_one_short_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text((SCENES / "siso.cfg").read_text() + "\n[mystery]\nfoo = 1\n")
@@ -192,6 +210,12 @@ def fresh_python(code):
 def test_import_does_not_load_scipy():
     # The CLI imports every module of the package.
     code = "import sys, vlcsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh_python(code) == "[]"
+
+
+def test_import_does_not_load_fractions_or_decimal():
+    # The MCS code rates are floats; `fractions` would bring `decimal` along.
+    code = "import sys, vlcsim.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     assert fresh_python(code) == "[]"
 
 

@@ -265,7 +265,7 @@ class TestCsiReport:
     def test_fully_blocked_scene_raises(self):
         scene = presets.csi_siso_scene()
         blocked = Scene(
-            front_ends=scene.front_ends,
+            scene.transmitters, scene.receivers,
             obstacles=(Obstacle(blocked_pairs=frozenset({("tx_a", "rx_a")}),
                                 active_frames=(0, 10)),),
             noise_floor_dbm=scene.noise_floor_dbm)

@@ -65,7 +65,8 @@ def without_key(fe_id, key):
 class TestParse:
     def test_good_scene(self):
         scene = parse_scene(GOOD)
-        assert [fe.id for fe in scene.front_ends] == ["tx_a", "rx_a", "rx_b"]
+        assert [tx.id for tx in scene.transmitters] == ["tx_a"]
+        assert [rx.id for rx in scene.receivers] == ["rx_a", "rx_b"]
         assert scene.noise_floor_dbm == -60.0
         assert scene.receivers[1].conversion_gain_db == 3.0
         obs = scene.obstacles[0]
@@ -231,8 +232,10 @@ class TestRoundTrip:
     def test_preset_round_trips(self, name):
         original = PRESETS[name]()
         recovered = parse_scene(scene_to_text(original))
-        assert len(recovered.front_ends) == len(original.front_ends)
-        for a, b in zip(original.front_ends, recovered.front_ends):
+        assert len(recovered.transmitters) == len(original.transmitters)
+        assert len(recovered.receivers) == len(original.receivers)
+        for a, b in zip((*original.transmitters, *original.receivers),
+                        (*recovered.transmitters, *recovered.receivers)):
             assert a.id == b.id and type(a) is type(b)
             np.testing.assert_allclose(b.position, a.position, rtol=0, atol=1e-12)
             np.testing.assert_allclose(b.boresight, a.boresight, rtol=0, atol=1e-12)
