@@ -26,7 +26,8 @@ import numpy as np
 from . import presets, scenarios
 from .channel import ChannelMatrix, ValidationError, subcarrier_frequencies
 from .oracle import empirical_fsr, oracle_snr_for
-from .phy import FrameSpec, fsr_at, mcs, snr_for_fsr
+# Imported under another name: `mcs` is the --set key of an MCS list.
+from .phy import FrameSpec, fsr_at, mcs as mcs_entry
 from .sceneconfig import read_scene_file, scene_to_text
 
 
@@ -61,9 +62,17 @@ def _positive(parse):
     return parse_positive
 
 
-def _parse_int_list(text):
-    """Distinct ints: a repeated MCS index would repeat its summary key."""
-    values = _parse_list(int)(text)
+def _bandwidth_mhz(text):
+    """A channel width of the 802.11n PHY."""
+    value = int(text)
+    if value not in (20, 40):
+        raise ValueError(f"must be 20 or 40, got {value}")
+    return value
+
+
+def _parse_mcs_list(text):
+    """Distinct MCS indices: a repeated one would repeat its summary key."""
+    values = _parse_list(_mcs_index)(text)
     if len(set(values)) != len(values):
         raise ValueError(f"repeats an index: {values}")
     return values
@@ -91,6 +100,7 @@ _payload_bytes = _number(int, 1, 65535)
 # zero past about 1e153 m, where the row would read -inf RSSI.
 _sweep_distance = _positive(_number(float, hi=1e6))
 _csi_bits = _number(int, *scenarios.CSI_BITS_RANGE)
+_mcs_index = _number(int, 0, 15)  # the 802.11n MCS table
 # The FSR waterfall spans a few dB, and an offset of some -3000 dB overflows the
 # oracle's noise power, so +-100 dB is ample.
 _parse_offsets_db = _parse_list(_number(float, -100.0, 100.0))
@@ -111,13 +121,12 @@ def _cell_texts(cache: dict, values: tuple) -> tuple:
     return texts
 
 
-def _run_siso_sweep(scene, seed, ov):
-    frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
-                      count=ov.get("count", 1000))
-    d_range = {key: ov[key] for key in ("d_min", "d_max") if key in ov}
-    distances = presets.siso_sweep_distances(ov.get("n_distances", 64), **d_range)
-    mcs_list = ov.get("mcs", list(range(8)))
-    rows = scenarios.run_siso_sweep(scene, mcs_list, distances, frame, seed)
+def _run_siso_sweep(scene, seed, *, payload_bytes=1000, count=1000, n_distances=64,
+                    d_min=0.15, d_max=12.5, mcs=tuple(range(8))):
+    if scene is None:
+        scene = presets.siso_scene()
+    distances = presets.siso_sweep_distances(n_distances, d_min, d_max)
+    rows = scenarios.run_siso_sweep(scene, mcs, distances, FrameSpec(payload_bytes, count), seed)
     header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic", "fsr_realized"]
     # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
     # sort need not keep them adjacent, so they are formatted by value.
@@ -126,16 +135,16 @@ def _run_siso_sweep(scene, seed, ov):
                 for d, rssi, snr, m, p, q in rows]
     # Rows are sorted by RSSI, so walking them backwards the last reliable row
     # of an MCS written is its reliable row of lowest RSSI.
-    first_reliable = dict.fromkeys(map(str, mcs_list))
+    first_reliable = dict.fromkeys(map(str, mcs))
     first_reliable.update((str(m), rssi) for _, rssi, _, m, _, q in reversed(rows) if q >= 0.99)
     return header, csv_rows, {"first_rssi_dbm_with_fsr_0p99": first_reliable}
 
 
-def _run_blockage(scene, seed, ov):
-    frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000), count=1)
-    traces = scenarios.run_blockage_timeline(
-        scene, frame, seed, mcs_index=ov.get("mcs_index", 0),
-        n_frames=ov.get("n_frames", scenarios.TIMELINE_TOTAL_FRAMES))
+def _run_blockage(scene, seed, *, payload_bytes=1000, n_frames=350, mcs_index=0):
+    if scene is None:
+        scene = presets.simo_blockage_scene()
+    traces = scenarios.run_blockage_timeline(scene, FrameSpec(payload_bytes, count=1), seed,
+                                             mcs_index, n_frames)
     n_chains = len(traces[0].per_chain_rssi_dbm)
     header = (["frame_index"] + [f"rssi_chain_{i}_dbm" for i in range(n_chains)]
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
@@ -147,12 +156,10 @@ def _run_blockage(scene, seed, ov):
                               "success_rate": sum(t.success for t in traces) / len(traces)}
 
 
-def _run_mrc_point(scene, seed, ov):
-    frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
-                      count=ov.get("count", 1000))
-    entry = mcs(0)
-    snr_a = snr_for_fsr(entry, ov.get("fsr_a", presets.MRC_POINT_TARGET_FSR[0]), frame)
-    snr_b = snr_for_fsr(entry, ov.get("fsr_b", presets.MRC_POINT_TARGET_FSR[1]), frame)
+def _run_mrc_point(scene, seed, *, payload_bytes=1000, count=1000,
+                   fsr_a=presets.MRC_POINT_TARGET_FSR[0], fsr_b=presets.MRC_POINT_TARGET_FSR[1]):
+    frame = FrameSpec(payload_bytes, count)
+    snr_a, snr_b = presets.mrc_point_snrs_db((fsr_a, fsr_b), frame)
     point = scenarios.run_mrc_fsr_point((snr_a, snr_b), frame, seed)
     header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
     csv_rows = [["A", snr_a, point.analytic_a, point.fsr_a],
@@ -162,9 +169,10 @@ def _run_mrc_point(scene, seed, ov):
                               "fsr_mrc": point.fsr_mrc}
 
 
-def _run_handover(scene, seed, ov):
-    angles = presets.handover_angles(ov.get("n_angles", 61))
-    rows = scenarios.run_handover_sweep(scene, angles)
+def _run_handover(scene, seed, *, n_angles=61):
+    if scene is None:
+        scene = presets.handover_scene()
+    rows = scenarios.run_handover_sweep(scene, presets.handover_angles(n_angles))
     # A HandoverRow's fields are the CSV columns, so the rows are written as they are.
     header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
     mrc = [r.rssi_mrc_dbm for r in rows]
@@ -173,11 +181,9 @@ def _run_handover(scene, seed, ov):
     return header, rows, {"mrc_excursion_db": excursion}
 
 
-def _run_area_grid(scene, seed, ov):
-    frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000),
-                      count=ov.get("count", 1000))
-    rows = scenarios.run_mimo_area_grid(ov.get("mcs", [8, 9, 10, 11, 12]), frame, seed,
-                                        ov.get("imbalance_db", 0.5))
+def _run_area_grid(scene, seed, *, payload_bytes=1000, count=1000, imbalance_db=0.5,
+                   mcs=(8, 9, 10, 11, 12)):
+    rows = scenarios.run_mimo_area_grid(mcs, FrameSpec(payload_bytes, count), seed, imbalance_db)
     header = ["placement", "imbalance_db", "mcs_index", "snr_stream_a_db",
               "snr_stream_b_db", "solvable", "condition_number",
               "fsr_analytic", "fsr_realized"]
@@ -189,15 +195,13 @@ def _run_area_grid(scene, seed, ov):
     return header, csv_rows, {"fsr_realized": summary}
 
 
-def _run_csi(scene, seed, ov):
-    bits = ov.get("bits", 6)
-    bw = ov.get("bandwidth_mhz", 40)
+def _run_csi(scene, seed, *, bits=6, bandwidth_mhz=40):
     variants = ([("custom", scene)] if scene is not None else
                 [("siso", presets.csi_siso_scene()), ("miso", presets.csi_miso_scene())])
     header = ["variant", "rx", "tx", "subcarrier_hz", "re", "im", "scale"]
     csv_rows, ripple = [], {}
     for name, sc in variants:
-        report = scenarios.run_csi_report(sc, bits=bits, bandwidth_mhz=bw)
+        report = scenarios.run_csi_report(sc, bits, bandwidth_mhz)
         freqs, re, im = (a.tolist() for a in (report.subcarrier_freqs, report.re, report.im))
         csv_rows += [[name, i, j, freqs[k], re[i][j][k], im[i][j][k], report.scale]
                      for i, j, k in product(*map(range, report.re.shape))]
@@ -205,18 +209,17 @@ def _run_csi(scene, seed, ov):
     return header, csv_rows, {"magnitude_ripple_db": ripple}
 
 
-def _run_oracle_check(scene, seed, ov):
-    frame = FrameSpec(payload_bytes=ov.get("payload_bytes", 1000), count=1)
-    n_frames = ov.get("n_frames", 1000)
-    offsets = ov.get("offsets_db", [-2.0, -1.0, 0.0, 1.0, 2.0])
+def _run_oracle_check(scene, seed, *, payload_bytes=1000, n_frames=1000, mcs=(0, 1, 8, 9),
+                      offsets_db=(-2.0, -1.0, 0.0, 1.0, 2.0)):
+    frame = FrameSpec(payload_bytes, count=1)
     header = ["mcs_index", "offset_db", "analytic_snr_db", "oracle_snr_db",
               "fsr_analytic", "fsr_empirical", "abs_err"]
     csv_rows, max_err = [], 0.0
-    for m in ov.get("mcs", [0, 1, 8, 9]):
-        entry = mcs(m)
+    for m in mcs:
+        entry = mcs_entry(m)
         n = entry.n_streams  # a unit-gain n x n channel
         cm = ChannelMatrix.from_paths(np.eye(n), np.zeros((n, n)), subcarrier_frequencies(20))
-        for off in offsets:
+        for off in offsets_db:
             snr = entry.snr_threshold_db + off
             analytic = fsr_at(entry, snr, frame.payload_bytes)
             oracle_snr = oracle_snr_for(entry, snr, frame)
@@ -230,36 +233,35 @@ def _run_oracle_check(scene, seed, ov):
 class Scenario(NamedTuple):
     """How one scenario runs and what it accepts."""
 
-    runner: Callable  # (scene or None, seed, overrides) -> (header, csv rows, aggregates)
+    # (scene or None, seed, **set values) -> (header, csv rows, aggregates). Its
+    # keyword defaults are the scenario's defaults, and given no scene it builds
+    # its preset one.
+    runner: Callable
     keys: dict  # its --set keys, each with the parser that checks its value's bounds
     takes_scene: bool = False
-    # The scene of a run without --scene; a lambda, so that a wrapper rebound
-    # on `presets` (bench/tracer.py) sees the call.
-    preset: Callable | None = None
 
 
 REGISTRY = {
     "siso-sweep": Scenario(_run_siso_sweep, {
         "payload_bytes": _payload_bytes, "count": _count, "n_distances": _n_distances,
-        "d_min": _sweep_distance, "d_max": _sweep_distance, "mcs": _parse_int_list},
-        takes_scene=True, preset=lambda: presets.siso_scene()),
+        "d_min": _sweep_distance, "d_max": _sweep_distance, "mcs": _parse_mcs_list},
+        takes_scene=True),
     "blockage-timeline": Scenario(_run_blockage, {
-        "payload_bytes": _payload_bytes, "n_frames": _n_rows, "mcs_index": int},
-        takes_scene=True, preset=lambda: presets.simo_blockage_scene()),
+        "payload_bytes": _payload_bytes, "n_frames": _n_rows, "mcs_index": _mcs_index},
+        takes_scene=True),
     "mrc-fsr-point": Scenario(_run_mrc_point, {
         "payload_bytes": _payload_bytes, "count": _count,
         "fsr_a": _finite_float, "fsr_b": _finite_float}),
-    "handover-sweep": Scenario(_run_handover, {"n_angles": _n_rows},
-                               takes_scene=True, preset=lambda: presets.handover_scene()),
+    "handover-sweep": Scenario(_run_handover, {"n_angles": _n_rows}, takes_scene=True),
     "mimo-area-grid": Scenario(_run_area_grid, {
         "payload_bytes": _payload_bytes, "count": _count,
-        "imbalance_db": _finite_float, "mcs": _parse_int_list}),
+        "imbalance_db": _finite_float, "mcs": _parse_mcs_list}),
     # Without --scene it reports both CSI presets.
-    "csi-report": Scenario(_run_csi, {"bits": _csi_bits, "bandwidth_mhz": int},
+    "csi-report": Scenario(_run_csi, {"bits": _csi_bits, "bandwidth_mhz": _bandwidth_mhz},
                            takes_scene=True),
     "oracle-check": Scenario(_run_oracle_check, {
         "payload_bytes": _payload_bytes, "n_frames": _n_oracle_frames,
-        "mcs": _parse_int_list, "offsets_db": _parse_offsets_db}),
+        "mcs": _parse_mcs_list, "offsets_db": _parse_offsets_db}),
 }
 
 
@@ -280,9 +282,7 @@ def run(name: str, scene_path: str | None, seed: int, output_dir: str,
             reason = getattr(exc, "strerror", None) or exc
             raise OSError(f"cannot read scene: {scene_path}: {reason}") from None
         scene_text = scene_to_text(scene)
-    elif scenario.preset is not None:
-        scene = scenario.preset()
-    header, csv_rows, aggregates = scenario.runner(scene, seed, overrides)
+    header, csv_rows, aggregates = scenario.runner(scene, seed, **overrides)
 
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, f"{name}.csv")

@@ -18,12 +18,11 @@ import numpy as np
 from ._numerics import brentq
 from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, Obstacle, Receiver, Scene,
                       Transmitter, incidence, lambertian_order, path_gain)
-from .phy import mcs, snr_for_fsr
+from .phy import FrameSpec, mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
 RX_FOV_DEG = 45.0
 RX_AREA_M2 = 1e-4              # 1 cm^2 photodiode
-RX_CONVERSION_GAIN_DB = 0.0
 
 # Blockage timeline covers, half-open [start, end) frame intervals.
 BLOCK_B_FRAMES = (100, 181)
@@ -42,17 +41,16 @@ def _unit(v) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _tx(fe_id, position, boresight, power_dbm, semi_angle=TX_SEMI_ANGLE_DEG):
+def _tx(fe_id, position, boresight, power_dbm):
     return Transmitter(id=fe_id, position=np.asarray(position, float),
-                       boresight=_unit(boresight), half_power_semi_angle=semi_angle,
+                       boresight=_unit(boresight), half_power_semi_angle=TX_SEMI_ANGLE_DEG,
                        tx_electrical_power_dbm=power_dbm)
 
 
-def _rx(fe_id, position, boresight, fov=RX_FOV_DEG, area=RX_AREA_M2,
-        conversion_gain_db=RX_CONVERSION_GAIN_DB):
+def _rx(fe_id, position, boresight, fov=RX_FOV_DEG):
+    """A receiver of `RX_AREA_M2` at the default 0 dB conversion gain."""
     return Receiver(id=fe_id, position=np.asarray(position, float),
-                    boresight=_unit(boresight), fov_half_angle=fov,
-                    active_area=area, conversion_gain_db=conversion_gain_db)
+                    boresight=_unit(boresight), fov_half_angle=fov, active_area=RX_AREA_M2)
 
 
 def siso_scene() -> Scene:
@@ -65,8 +63,7 @@ def siso_scene() -> Scene:
                  (_rx("rx_a", (2.0, 0, 0), (-1, 0, 0)),))
 
 
-def siso_sweep_distances(n_points: int = 64, d_min: float = 0.15,
-                         d_max: float = 12.5) -> np.ndarray:
+def siso_sweep_distances(n_points: int, d_min: float, d_max: float) -> np.ndarray:
     """`n_points` receiver distances (m), log-spaced from `d_min` to `d_max`."""
     if d_min > d_max:
         raise ValueError(f"d_min={d_min} must not exceed d_max={d_max}")
@@ -101,7 +98,7 @@ def handover_scene() -> Scene:
                  (_rx("rx_a", rx_a_pos, -rx_a_pos), _rx("rx_b", rx_b_pos, -rx_b_pos)))
 
 
-def handover_angles(n_points: int = 61) -> np.ndarray:
+def handover_angles(n_points: int) -> np.ndarray:
     """TX boresight azimuths sweeping from RX A across to RX B."""
     return np.linspace(HANDOVER_RX_AZIMUTH_DEG, -HANDOVER_RX_AZIMUTH_DEG, n_points)
 
@@ -218,7 +215,7 @@ def csi_miso_scene() -> Scene:
                  (_rx("rx_a", (d_near, 0, 0), (-1, 0, 0)),))
 
 
-def mrc_point_snrs_db() -> tuple[float, float]:
-    """Per-path MCS0 SNRs that hit the two reference single-path FSRs."""
+def mrc_point_snrs_db(target_fsrs, frame: FrameSpec) -> tuple:
+    """Per-path MCS 0 SNRs at which `frame` succeeds with the single-path `target_fsrs`."""
     entry = mcs(0)
-    return tuple(snr_for_fsr(entry, t) for t in MRC_POINT_TARGET_FSR)
+    return tuple(snr_for_fsr(entry, t, frame) for t in target_fsrs)

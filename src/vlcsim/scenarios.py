@@ -20,7 +20,6 @@ from .mimo import mrc_combine, zf_decode_links
 from .phy import FrameSpec, check_streams, fsr_at, mcs
 from .presets import AREA_LINKS, mimo_area_scene
 
-TIMELINE_TOTAL_FRAMES = 350
 # 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
 # quantizer takes, and past 16 bits the integer range means nothing.
 CSI_BITS_RANGE = (2, 16)
@@ -138,9 +137,8 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     return rows
 
 
-def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int,
-                          mcs_index: int = 0,
-                          n_frames: int = TIMELINE_TOTAL_FRAMES) -> list:
+def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int, mcs_index: int,
+                          n_frames: int) -> list:
     """Per-frame MRC trace across the scripted obstacle schedule.
 
     Emits exactly one FrameTrace per frame index. Blocked chains read the
@@ -295,7 +293,7 @@ class CsiReport:
             return np.where(peak > 0.0, 20.0 * np.log10(peak / trough), 0.0)
 
 
-def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int = 6) -> CsiReport:
+def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int) -> CsiReport:
     """Quantize the channel the way a CSI-reporting receiver would.
 
     The receiver sees one stream sounded through every transmit element: the
@@ -321,11 +319,11 @@ def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int = 6) -> CsiReport
                      subcarrier_freqs=cm.subcarrier_freqs)
 
 
-def run_csi_report(scene: Scene, bits: int = 6, bandwidth_mhz: int = 40) -> CsiReport:
+def run_csi_report(scene: Scene, bits: int, bandwidth_mhz: int) -> CsiReport:
     """Sound a single stream through every TX of the scene and report CSI."""
     cm = channel_matrix(scene, 0, subcarrier_frequencies(bandwidth_mhz))
     weights = np.sqrt(dbm_to_mw(scene.tx_power_dbm))
-    report = report_csi(cm, weights, bits=bits)
+    report = report_csi(cm, weights, bits)
     if report.is_empty:
         raise ValidationError("every path is blocked; nothing to report")
     return report

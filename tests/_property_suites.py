@@ -199,8 +199,8 @@ def scenario_reproducibility(seed: int = 109) -> None:
     from vlcsim.scenarios import run_blockage_timeline
     scene = simo_blockage_scene()
     frame = FrameSpec()
-    assert run_blockage_timeline(scene, frame, seed) == \
-        run_blockage_timeline(scene, frame, seed)
+    assert run_blockage_timeline(scene, frame, seed, 0, 350) == \
+        run_blockage_timeline(scene, frame, seed, 0, 350)
 
 
 def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):

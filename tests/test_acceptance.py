@@ -50,7 +50,8 @@ def test_criterion_01_mrc_gain():
 def test_criterion_02_blockage_resilience():
     with criterion(2, 1.0, "350-frame blockage timeline: no frame lost, "
                            "combined RSSI tracks the surviving path"):
-        traces = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7)
+        traces = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7,
+                                       mcs_index=0, n_frames=350)
         assert len(traces) == 350
         assert all(t.success for t in traces)
         for t in traces[100:181]:  # path to RX B covered
@@ -62,7 +63,9 @@ def test_criterion_02_blockage_resilience():
 def test_criterion_03_mrc_fsr_point():
     with criterion(3, 5.0, "weak-branch pair (0.626 / 0.365) recovers to "
                            "MRC FSR >= 0.90"):
-        point = run_mrc_fsr_point(presets.mrc_point_snrs_db(), FRAME, seed=11)
+        point = run_mrc_fsr_point(
+            presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR, FrameSpec()),
+            FRAME, seed=11)
         assert abs(point.fsr_a - 0.626) <= 0.05
         assert abs(point.fsr_b - 0.365) <= 0.05
         assert point.fsr_mrc >= 0.90
@@ -72,7 +75,7 @@ def test_criterion_04_siso_ladder_anchors():
     with criterion(4, 10.0, "MCS0 error-free from -55 dBm; MCS7 needs "
                             "30 +- 3 dB more"):
         rows = run_siso_sweep(presets.siso_scene(), [0, 7],
-                              presets.siso_sweep_distances(), FRAME, seed=3)
+                              presets.siso_sweep_distances(64, 0.15, 12.5), FRAME, seed=3)
         anchor = [r for r in rows if r.mcs_index == 0 and r.rssi_dbm >= -55.0]
         assert anchor and all(r.fsr_realized >= 0.99 for r in anchor)
         c7 = min(r.rssi_dbm for r in rows
@@ -106,7 +109,7 @@ def test_criterion_06_csi_shape():
 def test_criterion_07_handover_flatness():
     with criterion(7, 1.0, "MRC RSSI stays within 3 dB while each path "
                            "swings >= 10 dB"):
-        rows = run_handover_sweep(presets.handover_scene(), presets.handover_angles())
+        rows = run_handover_sweep(presets.handover_scene(), presets.handover_angles(61))
         mrc = [r.rssi_mrc_dbm for r in rows]
         assert max(mrc) - min(mrc) <= 3.0
         for path in ("rssi_a_dbm", "rssi_b_dbm"):

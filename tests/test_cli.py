@@ -411,6 +411,9 @@ def test_non_finite_set_value_names_the_key(key, value, tmp_path, capsys):
 @pytest.mark.parametrize("scenario,key,value", [
     ("siso-sweep", "d_min", "1e150"), ("siso-sweep", "d_max", "1e154"),
     ("csi-report", "bits", "2000"), ("oracle-check", "offsets_db", "0,-1e308"),
+    # The 802.11n MCS table has indices 0 to 15.
+    ("blockage-timeline", "mcs_index", "99"), ("blockage-timeline", "mcs_index", "-1"),
+    ("siso-sweep", "mcs", "99"), ("mimo-area-grid", "mcs", "8,16"), ("oracle-check", "mcs", "-1"),
     # Too large for a float, which math.isfinite would try to convert it to.
     pytest.param("csi-report", "bits", "1" + "0" * 400, id="csi-report-bits-401-digits"),
     # 65535 octets is the largest PSDU the 802.11n HT-SIG length field carries.
@@ -422,6 +425,16 @@ def test_out_of_bound_set_value_names_the_key(scenario, key, value, tmp_path, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith(f"vlcsim: error: --set {key}: cannot use '{value}': must be in [")
+
+
+def test_bandwidth_other_than_20_or_40_names_the_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "csi-report", "--set", "bandwidth_mhz=30", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "vlcsim: error: --set bandwidth_mhz: cannot use '30': must be 20 or 40, got 30")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario,value", [("siso-sweep", "0,7,0"),
@@ -522,11 +535,34 @@ def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and str(out) in err[0]
 
 
+def as_set_value(default):
+    """A runner default written as a --set value: a tuple as its comma-joined items."""
+    return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+
+
 def test_readme_lists_the_set_keys_of_every_scenario():
-    row = re.compile(r"^\| `([a-z-]+)` \| .* \| `([a-z_ ]+)` \|$")
-    table = {m[1]: m[2].split() for m in map(row.match, (ROOT / "README.md").read_text()
-                                              .splitlines()) if m}
-    assert table == {name: list(scenario.keys) for name, scenario in cli.REGISTRY.items()}
+    # Each key as `key=default`, the default written as --set would take it.
+    row = re.compile(r"^\| `([a-z-]+)` \| .* \| `([a-z_ ]+=[^`]*)` \|$")
+    table = {m[1]: [tuple(item.split("=")) for item in m[2].split()]
+             for m in map(row.match, (ROOT / "README.md").read_text().splitlines()) if m}
+    assert table == {name: [(key, as_set_value(scenario.runner.__kwdefaults__[key]))
+                            for key in scenario.keys]
+                     for name, scenario in cli.REGISTRY.items()}
+
+
+@pytest.mark.parametrize("name", sorted(cli.REGISTRY))
+def test_set_keys_are_the_keyword_parameters_of_the_runner(name):
+    scenario = cli.REGISTRY[name]
+    assert set(scenario.keys) == set(scenario.runner.__kwdefaults__)
+
+
+@pytest.mark.parametrize("name", sorted(cli.REGISTRY))
+def test_each_default_is_a_value_its_parser_accepts(name):
+    # A default outside the key's bounds could not be written back with --set.
+    scenario = cli.REGISTRY[name]
+    for key, default in scenario.runner.__kwdefaults__.items():
+        parsed = scenario.keys[key](as_set_value(default))
+        assert (tuple(parsed) if isinstance(default, tuple) else parsed) == default, key
 
 
 def test_readme_names_only_api_that_exists():

@@ -11,29 +11,30 @@ from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, ValidationError, cha
                             los_gain, subcarrier_frequencies)
 from vlcsim.mimo import mrc_combine
 from vlcsim.phy import FrameSpec, mcs
-from vlcsim.scenarios import (TIMELINE_TOTAL_FRAMES, report_csi,
-                              run_blockage_timeline, run_csi_report,
+from vlcsim.scenarios import (report_csi, run_blockage_timeline, run_csi_report,
                               run_handover_sweep, run_mimo_area_grid,
                               run_mrc_fsr_point, run_siso_sweep)
 
 GAIN_3DB = 10.0 * math.log10(2.0)
 FRAME = FrameSpec()
+MRC_POINT_SNRS_DB = presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR, FRAME)
 
 
 @pytest.fixture(scope="module")
 def traces():
-    return run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7)
+    return run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7, mcs_index=0,
+                                 n_frames=350)
 
 
 @pytest.fixture(scope="module")
 def handover_rows():
-    return run_handover_sweep(presets.handover_scene(), presets.handover_angles())
+    return run_handover_sweep(presets.handover_scene(), presets.handover_angles(61))
 
 
 @pytest.fixture(scope="module")
 def sweep_rows():
     return run_siso_sweep(presets.siso_scene(), [0, 7],
-                          presets.siso_sweep_distances(), FRAME, seed=3)
+                          presets.siso_sweep_distances(64, 0.15, 12.5), FRAME, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def grid_rows():
 
 class TestBlockageTimeline:
     def test_exactly_one_trace_per_frame(self, traces):
-        assert [t.frame_index for t in traces] == list(range(TIMELINE_TOTAL_FRAMES))
+        assert [t.frame_index for t in traces] == list(range(350))
 
     def test_all_frames_succeed(self, traces):
         assert all(t.success for t in traces)
@@ -75,14 +76,14 @@ class TestBlockageTimeline:
             assert t.mcs_index == 0
 
     def test_deterministic(self):
-        a = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7)
-        b = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7)
+        a = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, 7, 0, 350)
+        b = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, 7, 0, 350)
         assert a == b
 
 
 class TestMrcFsrPoint:
     def test_reference_point(self):
-        point = run_mrc_fsr_point(presets.mrc_point_snrs_db(), FRAME, seed=11)
+        point = run_mrc_fsr_point(MRC_POINT_SNRS_DB, FRAME, seed=11)
         assert point.analytic_a == pytest.approx(0.626, abs=1e-9)
         assert point.analytic_b == pytest.approx(0.365, abs=1e-9)
         assert abs(point.fsr_a - 0.626) <= 0.05
@@ -95,7 +96,7 @@ class TestMrcFsrPoint:
         assert point.fsr_a == point.fsr_b == point.fsr_mrc == 1.0
 
     def test_mrc_beats_independent_selection(self):
-        point = run_mrc_fsr_point(presets.mrc_point_snrs_db(), FRAME, seed=11)
+        point = run_mrc_fsr_point(MRC_POINT_SNRS_DB, FRAME, seed=11)
         bound = 1.0 - (1.0 - point.fsr_a) * (1.0 - point.fsr_b) - 0.02
         assert point.fsr_mrc >= bound
 
@@ -218,7 +219,7 @@ class TestMimoAreaGrid:
 
 class TestCsiReport:
     def test_integers_within_6bit_range(self):
-        report = run_csi_report(presets.csi_siso_scene())
+        report = run_csi_report(presets.csi_siso_scene(), 6, 40)
         assert report.quantization_bits == 6
         for arr in (report.re, report.im):
             assert arr.min() >= -32 and arr.max() <= 31
@@ -228,15 +229,15 @@ class TestCsiReport:
         assert 30.0 <= peak <= 31.8
 
     def test_flat_channel_ripple_within_3db(self):
-        report = run_csi_report(presets.csi_siso_scene(), bits=6)
+        report = run_csi_report(presets.csi_siso_scene(), bits=6, bandwidth_mhz=40)
         assert float(np.max(report.magnitude_ripple_db())) <= 3.0
 
     def test_two_tx_superposition_is_selective(self):
-        report = run_csi_report(presets.csi_miso_scene(), bits=6)
+        report = run_csi_report(presets.csi_miso_scene(), bits=6, bandwidth_mhz=40)
         assert float(np.max(report.magnitude_ripple_db())) >= 10.0
 
     def test_16_bits_make_ripple_vanish(self):
-        report = run_csi_report(presets.csi_siso_scene(), bits=16)
+        report = run_csi_report(presets.csi_siso_scene(), bits=16, bandwidth_mhz=40)
         assert float(np.max(report.magnitude_ripple_db())) <= 0.01
 
     def test_dequantized_matches_true_channel(self):
@@ -254,12 +255,12 @@ class TestCsiReport:
                                       subcarrier_frequencies(20))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ripple = report_csi(cm, [1.0]).magnitude_ripple_db()
+            ripple = report_csi(cm, [1.0], 6).magnitude_ripple_db()
         assert ripple[1, 0] == 0.0 and 0.0 <= ripple[0, 0] < math.inf
 
     def test_all_zero_channel_gives_empty_report(self):
         cm = ChannelMatrix.from_paths([[0.0]], [[1e-9]], subcarrier_frequencies(20))
-        report = report_csi(cm, [1.0])
+        report = report_csi(cm, [1.0], 6)
         assert report.is_empty and report.scale == 0.0
 
     def test_fully_blocked_scene_raises(self):
@@ -270,7 +271,7 @@ class TestCsiReport:
                                 active_frames=(0, 10)),),
             noise_floor_dbm=scene.noise_floor_dbm)
         with pytest.raises(ValidationError, match="every path is blocked"):
-            run_csi_report(blocked)
+            run_csi_report(blocked, 6, 40)
 
     def test_bits_lower_bound(self):
         cm = ChannelMatrix.from_paths([[1.0]], [[0.0]], subcarrier_frequencies(20))
@@ -280,4 +281,4 @@ class TestCsiReport:
     @pytest.mark.parametrize("bits", [1, 2000])
     def test_bits_outside_2_to_16_rejected(self, bits):
         with pytest.raises(ValueError, match="2 to 16 bits"):
-            run_csi_report(presets.csi_siso_scene(), bits=bits)
+            run_csi_report(presets.csi_siso_scene(), bits, 40)

@@ -1,6 +1,7 @@
 """Scene text format: parsing, validation diagnostics, and round-tripping."""
 
 import dataclasses
+import pathlib
 import warnings
 
 import numpy as np
@@ -265,9 +266,16 @@ class TestRoundTrip:
 
 
 def test_shipped_example_scenes_are_valid():
-    import pathlib
     scene_dir = pathlib.Path(__file__).resolve().parent.parent / "scenes"
     files = sorted(scene_dir.glob("*.cfg"))
     assert files, "expected example scene files in scenes/"
     for f in files:
         assert isinstance(read_scene_file(f), Scene), f.name
+
+
+@pytest.mark.parametrize("file_name,preset", [
+    ("siso.cfg", "siso"), ("simo_blockage.cfg", "simo-blockage"),
+    ("handover.cfg", "handover"), ("csi_miso.cfg", "csi-miso")])
+def test_shipped_scene_is_its_preset_written_out(file_name, preset):
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenes" / file_name
+    assert path.read_bytes() == scene_to_text(PRESETS[preset]()).encode()
