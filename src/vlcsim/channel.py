@@ -381,8 +381,3 @@ def wideband_rssi_dbm(path_gains, tx_power_dbm) -> np.ndarray:
     if p_mw.shape != (n_tx,):
         raise ValueError(f"need one TX power per transmit element ({n_tx}), got shape {p_mw.shape}")
     return mw_to_dbm(path_gains @ p_mw)
-
-
-def rssi_per_chain(cm: ChannelMatrix, tx_power_dbm) -> np.ndarray:
-    """Wideband received power per RX chain of a channel matrix, in dBm."""
-    return wideband_rssi_dbm(cm.path_gains, tx_power_dbm)

@@ -27,7 +27,7 @@ from . import presets, scenarios
 from .channel import ChannelMatrix, ValidationError, subcarrier_frequencies
 from .oracle import empirical_fsr, oracle_snr_for
 # Imported under another name: `mcs` is the --set key of an MCS list.
-from .phy import FrameSpec, fsr_at, mcs as mcs_entry
+from .phy import FrameSpec, fsr, mcs as mcs_entry
 from .sceneconfig import read_scene_file, scene_to_text
 
 
@@ -79,6 +79,16 @@ def _parse_mcs_list(text):
 
 
 _finite_float = _number(float)
+
+
+def _target_fsr(text):
+    """A single-path frame success rate that an SNR can give: in (0, 1)."""
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must be in (0, 1), got {value}")
+    return value
+
+
 # Run sizes are bounded, each far above what a study or the benchmark uses, so
 # that a mistyped size exits 2 rather than exhausting memory, running for hours
 # or overflowing numpy.
@@ -143,8 +153,7 @@ def _run_siso_sweep(scene, seed, *, payload_bytes=1000, count=1000, n_distances=
 def _run_blockage(scene, seed, *, payload_bytes=1000, n_frames=350, mcs_index=0):
     if scene is None:
         scene = presets.simo_blockage_scene()
-    traces = scenarios.run_blockage_timeline(scene, FrameSpec(payload_bytes, count=1), seed,
-                                             mcs_index, n_frames)
+    traces = scenarios.run_blockage_timeline(scene, payload_bytes, seed, mcs_index, n_frames)
     n_chains = len(traces[0].per_chain_rssi_dbm)
     header = (["frame_index"] + [f"rssi_chain_{i}_dbm" for i in range(n_chains)]
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
@@ -158,9 +167,8 @@ def _run_blockage(scene, seed, *, payload_bytes=1000, n_frames=350, mcs_index=0)
 
 def _run_mrc_point(scene, seed, *, payload_bytes=1000, count=1000,
                    fsr_a=presets.MRC_POINT_TARGET_FSR[0], fsr_b=presets.MRC_POINT_TARGET_FSR[1]):
-    frame = FrameSpec(payload_bytes, count)
-    snr_a, snr_b = presets.mrc_point_snrs_db((fsr_a, fsr_b), frame)
-    point = scenarios.run_mrc_fsr_point((snr_a, snr_b), frame, seed)
+    snr_a, snr_b = presets.mrc_point_snrs_db((fsr_a, fsr_b), payload_bytes)
+    point = scenarios.run_mrc_fsr_point((snr_a, snr_b), FrameSpec(payload_bytes, count), seed)
     header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
     csv_rows = [["A", snr_a, point.analytic_a, point.fsr_a],
                 ["B", snr_b, point.analytic_b, point.fsr_b],
@@ -211,7 +219,7 @@ def _run_csi(scene, seed, *, bits=6, bandwidth_mhz=40):
 
 def _run_oracle_check(scene, seed, *, payload_bytes=1000, n_frames=1000, mcs=(0, 1, 8, 9),
                       offsets_db=(-2.0, -1.0, 0.0, 1.0, 2.0)):
-    frame = FrameSpec(payload_bytes, count=1)
+    frame = FrameSpec(payload_bytes, n_frames)
     header = ["mcs_index", "offset_db", "analytic_snr_db", "oracle_snr_db",
               "fsr_analytic", "fsr_empirical", "abs_err"]
     csv_rows, max_err = [], 0.0
@@ -221,9 +229,9 @@ def _run_oracle_check(scene, seed, *, payload_bytes=1000, n_frames=1000, mcs=(0,
         cm = ChannelMatrix.from_paths(np.eye(n), np.zeros((n, n)), subcarrier_frequencies(20))
         for off in offsets_db:
             snr = entry.snr_threshold_db + off
-            analytic = fsr_at(entry, snr, frame.payload_bytes)
+            analytic = fsr(entry, snr, payload_bytes)
             oracle_snr = oracle_snr_for(entry, snr, frame)
-            emp = empirical_fsr(cm, entry, frame, oracle_snr, n_frames, seed)
+            emp = empirical_fsr(cm, entry, frame, oracle_snr, seed)
             err = abs(analytic - emp)
             max_err = max(max_err, err)
             csv_rows.append([m, off, snr, oracle_snr, analytic, emp, err])
@@ -251,7 +259,7 @@ REGISTRY = {
         takes_scene=True),
     "mrc-fsr-point": Scenario(_run_mrc_point, {
         "payload_bytes": _payload_bytes, "count": _count,
-        "fsr_a": _finite_float, "fsr_b": _finite_float}),
+        "fsr_a": _target_fsr, "fsr_b": _target_fsr}),
     "handover-sweep": Scenario(_run_handover, {"n_angles": _n_rows}, takes_scene=True),
     "mimo-area-grid": Scenario(_run_area_grid, {
         "payload_bytes": _payload_bytes, "count": _count,

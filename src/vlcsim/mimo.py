@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, NO_SIGNAL_DBM, linear_to_db
+from .channel import NO_SIGNAL_DBM, linear_to_db
 from .phy import check_streams, collapse_subcarrier_snr_db
 
 # A subcarrier whose Gram matrix is worse conditioned than this is treated as
@@ -96,24 +96,19 @@ def _median_of_smallest(ascending: list, n: int) -> float:
     return ascending[half] if n % 2 else (ascending[half - 1] + ascending[half]) / 2
 
 
-def zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain) -> PostSnr:
-    """Zero-forcing spatial demultiplexing of direct-mapped streams.
+def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
+    """Zero-forcing spatial demultiplexing of direct-mapped streams, one `PostSnr` per link.
 
     Per subcarrier the receiver applies W = (H^H H)^-1 H^H; the post-SNR of
     stream k is tx_power / (noise * [(H^H H)^-1]_kk) for equal chain noise.
     Powers are linear mW, noise linear mW per chain. Subcarriers whose Gram
     matrix exceeds the singularity cutoff are excluded; if they are the
     majority the whole link is reported unsolvable.
-    """
-    return zf_decode_links((cm,), tx_power_per_stream, noise_per_chain)[0]
 
-
-def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
-    """`zf_decode` of each of several links of one shape, in one stacked kernel call.
-
-    The links' subcarriers go through one Gram, condition number and inverse
-    (LAPACK works matrix by matrix, so a taller stack gives the same bits);
-    each link then gets its own `PostSnr` from its slice of the stack.
+    The links, all of one shape, go through one stacked Gram, condition number
+    and inverse (LAPACK works matrix by matrix, so a taller stack gives the
+    same bits); each link then gets its own `PostSnr` from its slice of the
+    stack.
     """
     cms = tuple(cms)
     if not cms:

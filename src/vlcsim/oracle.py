@@ -246,16 +246,14 @@ def simulate_frame(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
 
 
 def empirical_fsr(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
-                  snr_db: float, n_frames: int, seed: int) -> float:
-    """Fraction of error-free frames over per-frame seeds seed, seed+1, ..."""
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+                  snr_db: float, seed: int) -> float:
+    """Fraction of error-free frames of `frame.count`, seeded seed, seed+1, ..."""
     link = _prepare(cm, mcs, snr_db)
     ok = 0
-    for i in range(n_frames):
+    for i in range(frame.count):
         _, frame_ok = _run_frame(link, frame, seed + i)
         ok += frame_ok
-    return ok / n_frames
+    return ok / frame.count
 
 
 def q_function(x) -> np.ndarray:

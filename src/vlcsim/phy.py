@@ -66,8 +66,8 @@ class McsEntry:
 class FrameSpec:
     """Payload size and number of frames per measurement point."""
 
-    payload_bytes: int = 1000
-    count: int = 1000
+    payload_bytes: int
+    count: int
 
     def __post_init__(self):
         if self.payload_bytes <= 0:
@@ -115,23 +115,13 @@ def phy_rate(entry: McsEntry, bandwidth_mhz: int) -> float:
     raise ValueError(f"bandwidth must be 20 or 40 MHz, got {bandwidth_mhz}")
 
 
-def fsr(entry: McsEntry, per_stream_snr_db, frame: FrameSpec) -> float:
-    """Frame success probability for the given per-stream post-processing SNRs.
+def fsr(entry: McsEntry, snr_db: float, payload_bytes: int) -> float:
+    """Frame success probability of a `payload_bytes` frame at SNR `snr_db` (a float).
 
-    All streams run the same MCS, so the weakest stream limits the frame.
-    """
-    snrs = np.atleast_1d(np.asarray(per_stream_snr_db, dtype=float))
-    if snrs.shape != (entry.n_streams,):
-        raise ValueError(
-            f"MCS {entry.index} carries {entry.n_streams} stream(s), got {snrs.shape[0]} SNR value(s)")
-    return fsr_at(entry, float(np.min(snrs)), frame.payload_bytes)
-
-
-def fsr_at(entry: McsEntry, snr_db: float, payload_bytes: int) -> float:
-    """`fsr` of a `payload_bytes` frame whose weakest stream sees `snr_db` (a float).
-
-    Plain float arithmetic: the logistic is `_numerics.expit` and the length
-    scaling Python `**`, so a caller may evaluate it point by point.
+    All streams run the same MCS, so a caller with several streams passes the
+    weakest one's SNR. Plain float arithmetic: the logistic is
+    `_numerics.expit` and the length scaling Python `**`, so a caller may
+    evaluate it point by point.
     """
     if snr_db == float("-inf"):
         return 0.0
@@ -139,12 +129,11 @@ def fsr_at(entry: McsEntry, snr_db: float, payload_bytes: int) -> float:
     return base ** (payload_bytes / REFERENCE_PAYLOAD_BYTES)
 
 
-def snr_for_fsr(entry: McsEntry, target_fsr: float,
-                frame: FrameSpec = FrameSpec()) -> float:
+def snr_for_fsr(entry: McsEntry, target_fsr: float, payload_bytes: int) -> float:
     """Invert the waterfall: SNR (dB) at which `fsr` returns `target_fsr`."""
     if not 0.0 < target_fsr < 1.0:
         raise ValueError(f"target FSR must be in (0, 1), got {target_fsr}")
-    base = target_fsr ** (REFERENCE_PAYLOAD_BYTES / frame.payload_bytes)
+    base = target_fsr ** (REFERENCE_PAYLOAD_BYTES / payload_bytes)
     return entry.snr_threshold_db + FSR_SLOPE_DB * logit(base)
 
 

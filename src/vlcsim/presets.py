@@ -18,7 +18,7 @@ import numpy as np
 from ._numerics import brentq
 from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, Obstacle, Receiver, Scene,
                       Transmitter, incidence, lambertian_order, path_gain)
-from .phy import FrameSpec, mcs, snr_for_fsr
+from .phy import mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
 RX_FOV_DEG = 45.0
@@ -215,7 +215,7 @@ def csi_miso_scene() -> Scene:
                  (_rx("rx_a", (d_near, 0, 0), (-1, 0, 0)),))
 
 
-def mrc_point_snrs_db(target_fsrs, frame: FrameSpec) -> tuple:
-    """Per-path MCS 0 SNRs at which `frame` succeeds with the single-path `target_fsrs`."""
+def mrc_point_snrs_db(target_fsrs, payload_bytes: int) -> tuple:
+    """Per-path MCS 0 SNRs at which a `payload_bytes` frame succeeds with `target_fsrs`."""
     entry = mcs(0)
-    return tuple(snr_for_fsr(entry, t, frame) for t in target_fsrs)
+    return tuple(snr_for_fsr(entry, t, payload_bytes) for t in target_fsrs)

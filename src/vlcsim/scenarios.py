@@ -17,7 +17,7 @@ from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_
                       dbm_to_mw, incidence, lambertian_order, los_gain, mw_to_dbm, path_gain,
                       path_length, scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
 from .mimo import mrc_combine, zf_decode_links
-from .phy import FrameSpec, check_streams, fsr_at, mcs
+from .phy import FrameSpec, check_streams, fsr, mcs
 from .presets import AREA_LINKS, mimo_area_scene
 
 # 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
@@ -127,7 +127,7 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
             gains.append(g * conv)
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 1, 1)), scene.tx_power_dbm)[:, 0].tolist()
     snrs = [r - scene.noise_floor_dbm for r in rssi]
-    analytic = [fsr_at(entry, snr_db, frame.payload_bytes) for snr_db in snrs for entry in entries]
+    analytic = [fsr(entry, snr_db, frame.payload_bytes) for snr_db in snrs for entry in entries]
     # One draw for every cell, in (distance, MCS) order, the order of `analytic`.
     realized = _realize(rng, analytic, frame.count)
     cells = zip(product(zip(distances, rssi, snrs), entries), analytic, realized)
@@ -137,7 +137,7 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     return rows
 
 
-def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int, mcs_index: int,
+def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index: int,
                           n_frames: int) -> list:
     """Per-frame MRC trace across the scripted obstacle schedule.
 
@@ -168,7 +168,7 @@ def run_blockage_timeline(scene: Scene, frame: FrameSpec, seed: int, mcs_index: 
         _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
         per_chain.append(tuple(float(r) for r in rssi))
         combined.append(_combined_rssi_dbm(rssi))
-        success_p.append(fsr_at(entry, combined_snr_db, frame.payload_bytes))
+        success_p.append(fsr(entry, combined_snr_db, payload_bytes))
     rng = np.random.default_rng(seed)
     successes = rng.random(n_frames) < np.array(success_p)[state_of_frame]
     return [FrameTrace(i, per_chain[k], combined[k], entry.index, ok)
@@ -179,10 +179,10 @@ def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int) -> MrcFsrPoi
     """Monte-Carlo MCS 0 FSR of each path alone and of their MRC combination."""
     snr_a, snr_b = (float(s) for s in per_path_snr_db)
     entry = mcs(0)
-    analytic_a = fsr_at(entry, snr_a, frame.payload_bytes)
-    analytic_b = fsr_at(entry, snr_b, frame.payload_bytes)
+    analytic_a = fsr(entry, snr_a, frame.payload_bytes)
+    analytic_b = fsr(entry, snr_b, frame.payload_bytes)
     _, mrc_db = mrc_combine([10.0 ** (snr_a / 10.0), 10.0 ** (snr_b / 10.0)])
-    analytic_mrc = fsr_at(entry, mrc_db, frame.payload_bytes)
+    analytic_mrc = fsr(entry, mrc_db, frame.payload_bytes)
     fsr_a, fsr_b, fsr_mrc = _realize(np.random.default_rng(seed),
                                      [analytic_a, analytic_b, analytic_mrc], frame.count)
     return MrcFsrPoint(
@@ -245,10 +245,10 @@ def run_mimo_area_grid(mcs_indices, frame: FrameSpec, seed: int, imbalance_db: f
     cms = [ChannelMatrix.from_paths(gains[list(rows)], delays[list(rows)], freqs)
            for _, rows, _ in AREA_LINKS]
     posts = zf_decode_links(cms, dbm_to_mw(scene.tx_power_dbm), dbm_to_mw(scene.noise_floor_dbm))
-    # `fsr` of a link is `fsr_at` of its weakest stream, the row's np.min.
+    # A link's frame is limited by its weakest stream, the row's np.min.
     weakest = np.min([post.per_stream_snr_db for post in posts], axis=1).tolist()
     cells = [(placement, imbalance_db if skewed else 0.0, entry, post,
-              fsr_at(entry, snr_db, frame.payload_bytes))
+              fsr(entry, snr_db, frame.payload_bytes))
              for (placement, _, skewed), post, snr_db in zip(AREA_LINKS, posts, weakest)
              for entry in entries]
     analytic = [cell[-1] for cell in cells]

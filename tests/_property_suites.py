@@ -16,9 +16,9 @@ import numpy as np
 
 from vlcsim import _numerics, cli, oracle, presets
 from vlcsim.channel import ChannelMatrix, Obstacle, Receiver, Transmitter, channel_matrix, Scene, \
-    dbm_to_mw, linear_to_db, los_gain, mw_to_dbm, rssi_per_chain, subcarrier_frequencies
+    dbm_to_mw, linear_to_db, los_gain, mw_to_dbm, subcarrier_frequencies, wideband_rssi_dbm
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_subcarrier, \
-    mrc_combine, zf_decode, zf_decode_links
+    mrc_combine, zf_decode_links
 from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
     simulate_frame
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
@@ -57,16 +57,15 @@ def mrc_properties(n_cases: int, seed: int = 101) -> None:
 
 
 def fsr_monotonicity(n_cases: int, seed: int = 102) -> None:
-    """FSR never decreases when any per-stream SNR goes up."""
+    """FSR, priced at the weakest stream, never decreases when any per-stream SNR goes up."""
     rng = np.random.default_rng(seed)
-    frame = FrameSpec()
     table = mcs_table()
     for _ in range(n_cases):
         entry = table[rng.integers(0, 16)]
         snrs = rng.uniform(-20.0, 45.0, size=entry.n_streams)
         bumped = snrs.copy()
         bumped[rng.integers(0, entry.n_streams)] += rng.uniform(0.0, 10.0)
-        assert fsr(entry, bumped, frame) >= fsr(entry, snrs, frame) - 1e-12
+        assert fsr(entry, min(bumped), 1000) >= fsr(entry, min(snrs), 1000) - 1e-12
 
 
 def gain_distance_monotonicity(n_cases: int, seed: int = 103) -> None:
@@ -137,7 +136,7 @@ def zf_orthogonal_exactness(n_cases: int, seed: int = 106) -> None:
                            entries=h[None, :, :],
                            path_gains=np.abs(h) ** 2,
                            path_delays=np.zeros_like(h, dtype=float))
-        post = zf_decode(cm, 1.0, 1.0)
+        post = zf_decode_links([cm], 1.0, 1.0)[0]
         for k, col in enumerate((c1, c2)):
             matched_db = 10.0 * math.log10(np.vdot(col, col).real)
             assert abs(post.per_stream_snr_db[k] - matched_db) <= 1e-8
@@ -184,13 +183,12 @@ def blockage_continuity(n_cases: int, seed: int = 108) -> None:
     """One healthy branch (threshold + 5 dB) keeps the MRC frame flowing."""
     rng = np.random.default_rng(seed)
     entry = mcs(0)
-    frame = FrameSpec()
     for _ in range(n_cases):
         n = int(rng.integers(1, 5))
         snr_db = rng.uniform(-40.0, 20.0, size=n)
         snr_db[rng.integers(0, n)] = entry.snr_threshold_db + rng.uniform(5.0, 25.0)
         _, combined_db = mrc_combine(10.0 ** (snr_db / 10.0))
-        assert fsr(entry, [combined_db], frame) >= 0.99
+        assert fsr(entry, combined_db, 1000) >= 0.99
 
 
 def scenario_reproducibility(seed: int = 109) -> None:
@@ -198,9 +196,8 @@ def scenario_reproducibility(seed: int = 109) -> None:
     from vlcsim.presets import simo_blockage_scene
     from vlcsim.scenarios import run_blockage_timeline
     scene = simo_blockage_scene()
-    frame = FrameSpec()
-    assert run_blockage_timeline(scene, frame, seed, 0, 350) == \
-        run_blockage_timeline(scene, frame, seed, 0, 350)
+    assert run_blockage_timeline(scene, 1000, seed, 0, 350) == \
+        run_blockage_timeline(scene, 1000, seed, 0, 350)
 
 
 def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
@@ -233,7 +230,7 @@ def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
                  noise_floor_dbm=float(rng.uniform(-75.0, -40.0)))
 
 
-def _reference_timeline(scene, frame, seed, mcs_index, n_frames):
+def _reference_timeline(scene, payload_bytes, seed, mcs_index, n_frames):
     """The blockage timeline evaluated frame by frame, one scalar draw per frame."""
     entry = mcs(mcs_index)
     freqs = subcarrier_frequencies(20)
@@ -241,9 +238,9 @@ def _reference_timeline(scene, frame, seed, mcs_index, n_frames):
     noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
     traces = []
     for i in range(n_frames):
-        rssi = rssi_per_chain(channel_matrix(scene, i, freqs), scene.tx_power_dbm)
+        rssi = wideband_rssi_dbm(channel_matrix(scene, i, freqs).path_gains, scene.tx_power_dbm)
         _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
-        p = fsr(entry, [combined_snr_db] * entry.n_streams, frame)
+        p = fsr(entry, combined_snr_db, payload_bytes)
         traces.append(FrameTrace(
             frame_index=i, per_chain_rssi_dbm=tuple(float(r) for r in rssi),
             combined_rssi_dbm=float(mw_to_dbm(np.sum(dbm_to_mw(rssi)))),
@@ -259,10 +256,10 @@ def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
         n_frames = int(rng.integers(1, 120))
         scene = _random_link_scene(rng, n_tx, n_rx, int(rng.integers(0, 5)), n_frames)
         mcs_index = int(rng.integers(0, 8)) + (8 if min(n_tx, n_rx) == 2 and rng.random() < 0.5 else 0)
-        frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)), count=1)
+        payload = int(rng.integers(100, 3000))
         s = int(rng.integers(0, 2 ** 31))
-        assert run_blockage_timeline(scene, frame, s, mcs_index, n_frames) == \
-            _reference_timeline(scene, frame, s, mcs_index, n_frames)
+        assert run_blockage_timeline(scene, payload, s, mcs_index, n_frames) == \
+            _reference_timeline(scene, payload, s, mcs_index, n_frames)
 
 
 def _zero_gain_receiver(rx, tx, kind):
@@ -318,11 +315,11 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
                              active_area=rx.active_area,
                              conversion_gain_db=rx.conversion_gain_db)
             probe = Scene((tx,), (moved,), noise_floor_dbm=scene.noise_floor_dbm)
-            rssi = float(rssi_per_chain(channel_matrix(probe, 0, freqs),
-                                        probe.tx_power_dbm)[0])
+            rssi = float(wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains,
+                                           probe.tx_power_dbm)[0])
             snr_db = rssi - scene.noise_floor_dbm
             for m in mcs_indices:
-                p = fsr(mcs(m), [snr_db], frame)
+                p = fsr(mcs(m), snr_db, frame.payload_bytes)
                 realized = float(draws.binomial(frame.count, min(1.0, max(0.0, p))) / frame.count)
                 expected.append(SisoSweepRow(float(d), rssi, snr_db, m, p, realized))
         expected.sort(key=lambda r: (r.rssi_dbm, r.mcs_index))
@@ -385,7 +382,8 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
                                 half_power_semi_angle=tx.half_power_semi_angle,
                                 tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
             probe = Scene((aimed,), scene.receivers, noise_floor_dbm=scene.noise_floor_dbm)
-            rssi = rssi_per_chain(channel_matrix(probe, 0, freqs), probe.tx_power_dbm)
+            rssi = wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains,
+                                     probe.tx_power_dbm)
             expected.append(HandoverRow(float(az), float(rssi[0]), float(rssi[1]),
                                         float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
         assert run_handover_sweep(scene, azimuths) == expected
@@ -501,8 +499,7 @@ def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
                           r.fsr_realized] for r in rows]
                 assert not dark or all(r.rssi_dbm == -math.inf for r in rows)
             elif kind == "blockage-timeline":
-                traces = run_blockage_timeline(scene, FrameSpec(payload_bytes=payload, count=1),
-                                               s, mcs_index, n)
+                traces = run_blockage_timeline(scene, payload, s, mcs_index, n)
                 header = (["frame_index"]
                           + [f"rssi_chain_{i}_dbm" for i in range(n_rx)]
                           + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
@@ -589,7 +586,7 @@ def zf_batched_exactness(n_cases: int, seed: int = 113) -> None:
 
 
 def _reference_zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain):
-    """`zf_decode` as it was before links were stacked: one kernel call per link."""
+    """One link's `zf_decode_links` as it was before links were stacked: one kernel call each."""
     n_streams = cm.n_tx
     if cm.n_rx < n_streams:
         raise ValueError("underdetermined")
@@ -668,7 +665,7 @@ def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
             seen["solvable" if want.solvable else "unsolvable"] += 1
             seen["infinite-cond"] += want.condition_number == math.inf
         seen["stack"] += len(cms) > 1
-        assert zf_decode(cms[0], power, noise) == got[0]
+        assert zf_decode_links(cms[:1], power, noise) == got[:1]
     if n_cases >= 20:
         assert min(seen.values()) > 0, seen
     assert zf_decode_links([], 1.0, 1.0) == []
@@ -844,7 +841,7 @@ def oracle_frame_exactness(n_cases: int, seed: int = 114) -> None:
         seen["rounding-decided"] += ties and n_streams == 2 and snr > 100.0
         if case % 10 == 0:
             n = int(rng.integers(2, 6))
-            assert empirical_fsr(cm, entry, frame, snr, n, s) == \
+            assert empirical_fsr(cm, entry, dataclasses.replace(frame, count=n), snr, s) == \
                 _reference_fsr(cm, entry, frame, snr, n, s)
     if n_cases >= 100:
         assert min(seen.values()) > 0, seen

@@ -50,8 +50,8 @@ def test_criterion_01_mrc_gain():
 def test_criterion_02_blockage_resilience():
     with criterion(2, 1.0, "350-frame blockage timeline: no frame lost, "
                            "combined RSSI tracks the surviving path"):
-        traces = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7,
-                                       mcs_index=0, n_frames=350)
+        traces = run_blockage_timeline(presets.simo_blockage_scene(), FRAME.payload_bytes,
+                                       seed=7, mcs_index=0, n_frames=350)
         assert len(traces) == 350
         assert all(t.success for t in traces)
         for t in traces[100:181]:  # path to RX B covered
@@ -64,7 +64,7 @@ def test_criterion_03_mrc_fsr_point():
     with criterion(3, 5.0, "weak-branch pair (0.626 / 0.365) recovers to "
                            "MRC FSR >= 0.90"):
         point = run_mrc_fsr_point(
-            presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR, FrameSpec()),
+            presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR, FRAME.payload_bytes),
             FRAME, seed=11)
         assert abs(point.fsr_a - 0.626) <= 0.05
         assert abs(point.fsr_b - 0.365) <= 0.05
@@ -136,10 +136,10 @@ def test_criterion_09_oracle_equivalence():
                                           subcarrier_frequencies(20))
             for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
                 snr = entry.snr_threshold_db + x * FSR_SLOPE_DB
-                analytic = fsr(entry, [snr] * entry.n_streams, FRAME)
+                analytic = fsr(entry, snr, FRAME.payload_bytes)
+                # FRAME.count: 1000 frames per point
                 empirical = empirical_fsr(cm, entry, FRAME,
-                                          oracle_snr_for(entry, snr, FRAME),
-                                          n_frames=1000, seed=42)
+                                          oracle_snr_for(entry, snr, FRAME), seed=42)
                 assert abs(analytic - empirical) <= 0.1, (m, x, analytic, empirical)
         # noiseless full-rank 2x2 decodes exactly
         full = ChannelMatrix.from_paths(np.array([[1.0, 0.09], [0.04, 1.0]]),

@@ -3,7 +3,10 @@
 `bench/golden.json` holds the SHA-256 of the outputs of every invocation a
 benchmark run may draw. A change that moves one of them fails the benchmark;
 replaying one invocation of each scenario here fails the same change in the
-test suite first. The module only reads `bench/`.
+test suite first. The same invocations are replayed again under
+`bench/tracer.py`, whose probes read some layer functions' arguments by name,
+so a renamed parameter that would crash a traced benchmark run fails here too.
+The module only reads `bench/`.
 """
 
 import importlib.util
@@ -11,12 +14,21 @@ import pathlib
 
 import pytest
 
+from vlcsim import cli
 from vlcsim.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_module("workloads")
+tracer = _bench_module("tracer")
 
 
 def _first_of_each_scenario():
@@ -42,3 +54,18 @@ def test_pool_invocation_writes_its_recorded_digests(argv, tmp_path, monkeypatch
     monkeypatch.chdir(ROOT)
     outcome = workloads.invoke(main, argv, str(tmp_path), workloads.load_golden())
     assert outcome.ok, outcome.reason
+
+
+@pytest.mark.parametrize("argv", CASES)
+def test_traced_pool_invocation_writes_its_recorded_digests(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        tr.invocation = 0
+        # Looked up after install: the tracer rebinds `cli.main` to its wrapper.
+        outcome = workloads.invoke(cli.main, argv, str(tmp_path), workloads.load_golden())
+    finally:
+        tr.uninstall()
+    assert outcome.ok, outcome.reason
+    assert tr.spans()["name"][0] == "cli.main"

@@ -7,7 +7,7 @@ import pytest
 
 from vlcsim.channel import (ChannelMatrix, Obstacle, Receiver, Scene, Transmitter, ValidationError,
                             channel_matrix, lambertian_order, los_gain,
-                            rssi_per_chain, subcarrier_frequencies)
+                            subcarrier_frequencies, wideband_rssi_dbm)
 
 
 def make_tx(fe_id="tx_a", position=(0, 0, 0), boresight=(1, 0, 0),
@@ -301,27 +301,30 @@ class TestChannelMatrix:
 
 
 class TestRssiPerChain:
+    """Wideband RSSI of each chain of a channel matrix, from its path gains."""
+
     def test_single_path_definition(self):
         cm = ChannelMatrix.from_paths([[1e-5]], [[3e-9]], [1e9])
-        rssi = rssi_per_chain(cm, [0.0])
+        rssi = wideband_rssi_dbm(cm.path_gains, [0.0])
         assert rssi[0] == pytest.approx(10.0 * math.log10(1e-5), rel=1e-12)
 
     def test_blocked_chain_reads_no_signal(self):
         cm = ChannelMatrix.from_paths([[1e-5], [0.0]], [[3e-9], [3e-9]], [1e9])
-        rssi = rssi_per_chain(cm, [0.0])
+        rssi = wideband_rssi_dbm(cm.path_gains, [0.0])
         assert rssi[1] == float("-inf")
         assert np.isfinite(rssi[0])
 
     def test_two_equal_paths_add_3dB(self):
         cm = ChannelMatrix.from_paths([[1e-5, 1e-5]], [[0.0, 1e-9]], [1e9])
-        one = rssi_per_chain(ChannelMatrix.from_paths([[1e-5]], [[0.0]], [1e9]), [0.0])[0]
-        both = rssi_per_chain(cm, [0.0, 0.0])[0]
+        single = ChannelMatrix.from_paths([[1e-5]], [[0.0]], [1e9])
+        one = wideband_rssi_dbm(single.path_gains, [0.0])[0]
+        both = wideband_rssi_dbm(cm.path_gains, [0.0, 0.0])[0]
         assert both - one == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
 
     def test_power_count_must_match(self):
         cm = ChannelMatrix.from_paths([[1e-5]], [[0.0]], [1e9])
         with pytest.raises(ValueError):
-            rssi_per_chain(cm, [0.0, 0.0])
+            wideband_rssi_dbm(cm.path_gains, [0.0, 0.0])
 
 
 def test_subcarrier_grids():

@@ -437,6 +437,19 @@ def test_bandwidth_other_than_20_or_40_names_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["fsr_a", "fsr_b"])
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.5"])
+def test_target_fsr_outside_0_1_names_the_key(key, value, tmp_path, capsys):
+    # An SNR gives a frame success strictly between 0 and 1.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "mrc-fsr-point", "--set", f"{key}={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"vlcsim: error: --set {key}: cannot use '{value}': must be in (0, 1), got {float(value)}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario,value", [("siso-sweep", "0,7,0"),
                                             ("mimo-area-grid", "8,8"),
                                             ("oracle-check", "1,01")])

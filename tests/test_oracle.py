@@ -12,6 +12,7 @@ from vlcsim.oracle import (_MOD_NORM, _demod_axis, demodulate, empirical_fsr, mo
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs
 
 MODULATIONS = ("BPSK", "QPSK", "16QAM", "64QAM")
+ONE_FRAME = FrameSpec(payload_bytes=1000, count=1)
 
 
 def flat_cm(n, bandwidth_mhz=20):
@@ -77,18 +78,18 @@ class TestModulation:
 class TestSimulateFrame:
     def test_deterministic(self):
         cm = flat_cm(2)
-        a = simulate_frame(cm, mcs(9), FrameSpec(), 10.0, seed=77)
-        b = simulate_frame(cm, mcs(9), FrameSpec(), 10.0, seed=77)
+        a = simulate_frame(cm, mcs(9), ONE_FRAME, 10.0, seed=77)
+        b = simulate_frame(cm, mcs(9), ONE_FRAME, 10.0, seed=77)
         assert a == b
         assert a[0] > 0  # inside the waterfall: errors actually occur
-        c = simulate_frame(cm, mcs(9), FrameSpec(), 10.0, seed=78)
+        c = simulate_frame(cm, mcs(9), ONE_FRAME, 10.0, seed=78)
         assert a != c  # at this SNR the noise realization shows
 
     def test_noiseless_full_rank_2x2_is_exact(self):
         gains = np.array([[1.0, 0.09], [0.04, 1.0]])
         cm = ChannelMatrix.from_paths(gains, np.zeros((2, 2)), subcarrier_frequencies(20))
         for m in (8, 12, 15):
-            errors, ok = simulate_frame(cm, mcs(m), FrameSpec(), 200.0, seed=3)
+            errors, ok = simulate_frame(cm, mcs(m), ONE_FRAME, 200.0, seed=3)
             assert errors == 0 and ok
 
     def test_noiseless_zf_residual_tiny(self):
@@ -105,7 +106,7 @@ class TestSimulateFrame:
         cm = ChannelMatrix.from_paths(gains, np.zeros((2, 2)), subcarrier_frequencies(20))
         for m in (9, 12):
             for seed in range(25 if m == 9 else 5):
-                _, ok = simulate_frame(cm, mcs(m), FrameSpec(), 60.0, seed=seed)
+                _, ok = simulate_frame(cm, mcs(m), ONE_FRAME, 60.0, seed=seed)
                 assert not ok
 
     def test_bpsk_awgn_matches_q_function(self):
@@ -122,7 +123,7 @@ class TestSimulateFrame:
         cm = ChannelMatrix.from_paths([[1.0, 1.0]], [[0.0, 0.0]],
                                       subcarrier_frequencies(20))
         with pytest.raises(ValueError, match=r"exceeds min\(n_tx, n_rx\)"):
-            simulate_frame(cm, mcs(8), FrameSpec(), 10.0, seed=0)
+            simulate_frame(cm, mcs(8), ONE_FRAME, 10.0, seed=0)
 
     def test_energy_conservation(self):
         # mean received power per subcarrier equals the incoherent gain sum
@@ -142,25 +143,24 @@ class TestSimulateFrame:
 class TestEmpiricalFsr:
     def test_saturation_high(self):
         e = mcs(0)
-        snr = oracle_snr_for(e, e.snr_threshold_db + 30.0, FrameSpec())
-        assert empirical_fsr(flat_cm(1), e, FrameSpec(), snr, 200, seed=5) == 1.0
+        frame = FrameSpec(payload_bytes=1000, count=200)
+        snr = oracle_snr_for(e, e.snr_threshold_db + 30.0, frame)
+        assert empirical_fsr(flat_cm(1), e, frame, snr, seed=5) == 1.0
 
     def test_saturation_low(self):
         e = mcs(0)
-        snr = oracle_snr_for(e, e.snr_threshold_db - 20.0, FrameSpec())
-        assert empirical_fsr(flat_cm(1), e, FrameSpec(), snr, 100, seed=5) == 0.0
+        frame = FrameSpec(payload_bytes=1000, count=100)
+        snr = oracle_snr_for(e, e.snr_threshold_db - 20.0, frame)
+        assert empirical_fsr(flat_cm(1), e, frame, snr, seed=5) == 0.0
 
     def test_midpoint_near_half(self):
         # where the analytic model says 0.5, the calibrated oracle lands in
         # [0.40, 0.60] over 1000 frames
         e = mcs(0)
-        snr = oracle_snr_for(e, e.snr_threshold_db, FrameSpec())
-        value = empirical_fsr(flat_cm(1), e, FrameSpec(), snr, 1000, seed=21)
+        frame = FrameSpec(payload_bytes=1000, count=1000)
+        snr = oracle_snr_for(e, e.snr_threshold_db, frame)
+        value = empirical_fsr(flat_cm(1), e, frame, snr, seed=21)
         assert 0.40 <= value <= 0.60
-
-    def test_frame_count_validated(self):
-        with pytest.raises(ValueError):
-            empirical_fsr(flat_cm(1), mcs(0), FrameSpec(), 10.0, 0, seed=1)
 
 
 class TestCalibration:
@@ -188,7 +188,7 @@ class TestCalibration:
 
     def test_mapping_is_affine_in_analytic_snr(self):
         e = mcs(1)
-        frame = FrameSpec()
+        frame = ONE_FRAME
         t = e.snr_threshold_db
         lo = oracle_snr_for(e, t - 1.0, frame)
         mid = oracle_snr_for(e, t, frame)
@@ -199,11 +199,11 @@ class TestCalibration:
     def test_analytic_vs_empirical_within_tenth(self, m):
         # quick 300-frame version of the full acceptance comparison
         e = mcs(m)
-        frame = FrameSpec()
+        frame = FrameSpec(payload_bytes=1000, count=300)
         cm = flat_cm(e.n_streams)
         from vlcsim.phy import FSR_SLOPE_DB
         for x in (-2.0, 0.0, 2.0):
             snr = e.snr_threshold_db + x * FSR_SLOPE_DB
-            analytic = fsr(e, [snr] * e.n_streams, frame)
-            emp = empirical_fsr(cm, e, frame, oracle_snr_for(e, snr, frame), 300, seed=13)
+            analytic = fsr(e, snr, frame.payload_bytes)
+            emp = empirical_fsr(cm, e, frame, oracle_snr_for(e, snr, frame), seed=13)
             assert abs(analytic - emp) <= 0.1

@@ -78,81 +78,67 @@ class TestMcsTable:
 
 
 class TestFsr:
-    frame = FrameSpec()
-
     def test_saturates_high(self):
         for e in mcs_table():
-            snrs = [e.snr_threshold_db + 60.0] * e.n_streams
-            assert fsr(e, snrs, self.frame) >= 0.9999
+            assert fsr(e, e.snr_threshold_db + 60.0, 1000) >= 0.9999
 
     def test_half_at_threshold(self):
         e = mcs(0)
-        assert fsr(e, [e.snr_threshold_db], self.frame) == pytest.approx(0.5, abs=1e-12)
+        assert fsr(e, e.snr_threshold_db, 1000) == pytest.approx(0.5, abs=1e-12)
 
     def test_mcs0_reliable_at_5db(self):
         # calibrated SISO operating point: RSSI -55 dBm over a -60 dBm floor
-        assert fsr(mcs(0), [5.0], self.frame) >= 0.999
+        assert fsr(mcs(0), 5.0, 1000) >= 0.999
 
     def test_all_mcs_fail_at_noise_floor(self):
         # 0 dB SNR sits below every waterfall
         for e in mcs_table():
-            assert fsr(e, [0.0] * e.n_streams, self.frame) <= 0.01
-
-    def test_stream_count_mismatch(self):
-        with pytest.raises(ValueError, match="stream"):
-            fsr(mcs(8), [10.0], self.frame)
-        with pytest.raises(ValueError, match="stream"):
-            fsr(mcs(0), [10.0, 10.0], self.frame)
-
-    def test_weak_stream_dominates(self):
-        e = mcs(8)
-        weak = e.snr_threshold_db - 20.0
-        assert fsr(e, [weak, e.snr_threshold_db + 40.0], self.frame) <= 0.01
+            assert fsr(e, 0.0, 1000) <= 0.01
 
     def test_no_signal_sentinel_gives_zero(self):
-        assert fsr(mcs(0), [float("-inf")], self.frame) == 0.0
+        assert fsr(mcs(0), float("-inf"), 1000) == 0.0
 
     def test_doubling_payload_never_increases_fsr(self):
         e = mcs(3)
         for snr in (-5.0, e.snr_threshold_db, e.snr_threshold_db + 2.0, 40.0):
-            short = fsr(e, [snr], FrameSpec(payload_bytes=500))
-            long = fsr(e, [snr], FrameSpec(payload_bytes=1000))
+            short = fsr(e, snr, 500)
+            long = fsr(e, snr, 1000)
             assert long <= short + 1e-15
 
     def test_length_scaling(self):
         e = mcs(0)
         snr = e.snr_threshold_db + 1.0
-        ref = fsr(e, [snr], FrameSpec(payload_bytes=1000))
-        scaled = fsr(e, [snr], FrameSpec(payload_bytes=2000))
+        ref = fsr(e, snr, 1000)
+        scaled = fsr(e, snr, 2000)
         assert scaled == pytest.approx(ref ** 2.0, rel=1e-12)
 
     def test_snr_for_fsr_roundtrip(self):
         e = mcs(4)
         for target in (0.05, 0.365, 0.5, 0.626, 0.99):
-            snr = snr_for_fsr(e, target)
-            assert fsr(e, [snr], self.frame) == pytest.approx(target, abs=1e-9)
+            snr = snr_for_fsr(e, target, 1000)
+            assert fsr(e, snr, 1000) == pytest.approx(target, abs=1e-9)
 
     def test_exp_overflow_gives_zero(self):
         # exp(-x) overflows a double below x = -709.78
-        assert fsr(mcs(0), [-1000.0], FrameSpec()) == 0.0
+        assert fsr(mcs(0), -1000.0, 1000) == 0.0
 
     def test_snr_for_fsr_underflowing_base_is_minus_infinity(self):
         # 1e-300 ** 1000 underflows to 0, whose logit is -inf
-        assert snr_for_fsr(mcs(0), 1e-300, FrameSpec(payload_bytes=1)) == -math.inf
+        assert snr_for_fsr(mcs(0), 1e-300, 1) == -math.inf
 
     def test_snr_for_fsr_bounds(self):
         with pytest.raises(ValueError):
-            snr_for_fsr(mcs(0), 1.0)
+            snr_for_fsr(mcs(0), 1.0, 1000)
 
 
 class TestFrameSpec:
     def test_payload_positive(self):
         with pytest.raises(ValueError):
-            FrameSpec(payload_bytes=0)
+            FrameSpec(payload_bytes=0, count=1000)
 
     def test_count_positive(self):
         with pytest.raises(ValueError):
-            FrameSpec(count=0)
+            FrameSpec(payload_bytes=1000, count=0)
 
 
 def test_collapse_rule_is_mean_in_db():
@@ -194,5 +180,5 @@ def test_check_streams_refuses_exactly_past_min_of_tx_and_rx(tmp_path, capsys):
     assert str(exc.value) == refusal(2, 2, 1, "zero-forcing")
     for cm in (one_rx, one_tx):
         with pytest.raises(ValueError) as exc:
-            simulate_frame(cm, mcs(8), FrameSpec(), 10.0, seed=0)
+            simulate_frame(cm, mcs(8), FrameSpec(1000, 1), 10.0, seed=0)
         assert str(exc.value) == refusal(2, cm.n_tx, cm.n_rx, "MCS 8")

@@ -10,20 +10,21 @@ from vlcsim import presets
 from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, ValidationError, channel_matrix,
                             los_gain, subcarrier_frequencies)
 from vlcsim.mimo import mrc_combine
-from vlcsim.phy import FrameSpec, mcs
+from vlcsim.phy import FrameSpec, fsr, mcs
 from vlcsim.scenarios import (report_csi, run_blockage_timeline, run_csi_report,
                               run_handover_sweep, run_mimo_area_grid,
                               run_mrc_fsr_point, run_siso_sweep)
 
 GAIN_3DB = 10.0 * math.log10(2.0)
-FRAME = FrameSpec()
-MRC_POINT_SNRS_DB = presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR, FRAME)
+FRAME = FrameSpec(payload_bytes=1000, count=1000)
+MRC_POINT_SNRS_DB = presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR,
+                                              FRAME.payload_bytes)
 
 
 @pytest.fixture(scope="module")
 def traces():
-    return run_blockage_timeline(presets.simo_blockage_scene(), FRAME, seed=7, mcs_index=0,
-                                 n_frames=350)
+    return run_blockage_timeline(presets.simo_blockage_scene(), FRAME.payload_bytes, seed=7,
+                                 mcs_index=0, n_frames=350)
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +77,8 @@ class TestBlockageTimeline:
             assert t.mcs_index == 0
 
     def test_deterministic(self):
-        a = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, 7, 0, 350)
-        b = run_blockage_timeline(presets.simo_blockage_scene(), FRAME, 7, 0, 350)
+        a = run_blockage_timeline(presets.simo_blockage_scene(), 1000, 7, 0, 350)
+        b = run_blockage_timeline(presets.simo_blockage_scene(), 1000, 7, 0, 350)
         assert a == b
 
 
@@ -177,6 +178,17 @@ class TestMimoAreaGrid:
         assert live[8].solvable and live[8].fsr_realized > 0.8
         for m in range(9, 13):
             assert live[m].fsr_realized <= 0.05
+
+    def test_weak_stream_dominates(self, grid_rows):
+        # Both streams run one MCS, so a link's frame is priced at its weakest stream.
+        for r in grid_rows:
+            weakest = fsr(mcs(r.mcs_index), min(r.stream_snr_db), FRAME.payload_bytes)
+            assert r.fsr_analytic == weakest
+        # The 0.5 dB link's streams differ, and there the stronger one would price higher.
+        skewed = [r for r in grid_rows if r.imbalance_db == 0.5 and r.mcs_index == 8]
+        assert len(skewed) == 1
+        strongest = fsr(mcs(8), max(skewed[0].stream_snr_db), FRAME.payload_bytes)
+        assert skewed[0].fsr_analytic < strongest
 
     def test_stream_count_checked_before_the_tilt_solve(self):
         with pytest.raises(ValueError, match="MCS 0 carries 1 stream"):
