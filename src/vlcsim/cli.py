@@ -9,6 +9,11 @@ Usage::
 Outputs `<scenario>.csv` and `summary.json` in the output directory (flag
 `--out`, else `$VLCSIM_OUT`, else `./vlcsim-out`). All randomness flows from
 `--seed`; identical configs produce byte-identical outputs.
+
+A scenario is one runner, `REGISTRY[name]`. Its annotated keyword parameters
+are its `--set` keys: the annotation is the parser that checks a value and the
+default is the scenario's value. It takes `--scene` when it has a `scene`
+parameter.
 """
 
 import argparse
@@ -19,7 +24,6 @@ import math
 import os
 import sys
 from itertools import product
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -131,13 +135,14 @@ def _cell_texts(cache: dict, values: tuple) -> tuple:
     return texts
 
 
-def _run_siso_sweep(scene, seed, *, payload_bytes=1000, count=1000, n_distances=64,
-                    d_min=0.15, d_max=12.5, mcs=tuple(range(8))):
+def _run_siso_sweep(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
+                    count: _count = 1000, n_distances: _n_distances = 64,
+                    d_min: _sweep_distance = 0.15, d_max: _sweep_distance = 12.5,
+                    mcs: _parse_mcs_list = tuple(range(8))):
     if scene is None:
         scene = presets.siso_scene()
     distances = presets.siso_sweep_distances(n_distances, d_min, d_max)
     rows = scenarios.run_siso_sweep(scene, mcs, distances, FrameSpec(payload_bytes, count), seed)
-    header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic", "fsr_realized"]
     # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
     # sort need not keep them adjacent, so they are formatted by value.
     texts = {}
@@ -147,10 +152,12 @@ def _run_siso_sweep(scene, seed, *, payload_bytes=1000, count=1000, n_distances=
     # of an MCS written is its reliable row of lowest RSSI.
     first_reliable = dict.fromkeys(map(str, mcs))
     first_reliable.update((str(m), rssi) for _, rssi, _, m, _, q in reversed(rows) if q >= 0.99)
-    return header, csv_rows, {"first_rssi_dbm_with_fsr_0p99": first_reliable}
+    return (scenarios.SisoSweepRow._fields, csv_rows,
+            {"first_rssi_dbm_with_fsr_0p99": first_reliable})
 
 
-def _run_blockage(scene, seed, *, payload_bytes=1000, n_frames=350, mcs_index=0):
+def _run_blockage(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
+                  n_frames: _n_rows = 350, mcs_index: _mcs_index = 0):
     if scene is None:
         scene = presets.simo_blockage_scene()
     traces = scenarios.run_blockage_timeline(scene, payload_bytes, seed, mcs_index, n_frames)
@@ -165,10 +172,16 @@ def _run_blockage(scene, seed, *, payload_bytes=1000, n_frames=350, mcs_index=0)
                               "success_rate": sum(t.success for t in traces) / len(traces)}
 
 
-def _run_mrc_point(scene, seed, *, payload_bytes=1000, count=1000,
-                   fsr_a=presets.MRC_POINT_TARGET_FSR[0], fsr_b=presets.MRC_POINT_TARGET_FSR[1]):
-    snr_a, snr_b = presets.mrc_point_snrs_db((fsr_a, fsr_b), payload_bytes)
-    point = scenarios.run_mrc_fsr_point((snr_a, snr_b), FrameSpec(payload_bytes, count), seed)
+def _run_mrc_point(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
+                   fsr_a: _target_fsr = presets.MRC_POINT_TARGET_FSR[0],
+                   fsr_b: _target_fsr = presets.MRC_POINT_TARGET_FSR[1]):
+    snrs = presets.mrc_point_snrs_db((fsr_a, fsr_b), payload_bytes)
+    # A target that rounds to 0 or 1 once scaled to the frame length has no SNR.
+    for key, target, snr in zip(("fsr_a", "fsr_b"), (fsr_a, fsr_b), snrs):
+        if not math.isfinite(snr):
+            raise ValueError(f"{key}={target} has no finite SNR at payload_bytes={payload_bytes}")
+    snr_a, snr_b = snrs
+    point = scenarios.run_mrc_fsr_point(snrs, FrameSpec(payload_bytes, count), seed)
     header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
     csv_rows = [["A", snr_a, point.analytic_a, point.fsr_a],
                 ["B", snr_b, point.analytic_b, point.fsr_b],
@@ -177,33 +190,26 @@ def _run_mrc_point(scene, seed, *, payload_bytes=1000, count=1000,
                               "fsr_mrc": point.fsr_mrc}
 
 
-def _run_handover(scene, seed, *, n_angles=61):
+def _run_handover(seed, *, scene=None, n_angles: _n_rows = 61):
     if scene is None:
         scene = presets.handover_scene()
     rows = scenarios.run_handover_sweep(scene, presets.handover_angles(n_angles))
-    # A HandoverRow's fields are the CSV columns, so the rows are written as they are.
-    header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
     mrc = [r.rssi_mrc_dbm for r in rows]
     # An angle where neither receiver sees the LED makes the excursion unbounded: null.
     excursion = max(mrc) - min(mrc) if min(mrc) > -math.inf else None
-    return header, rows, {"mrc_excursion_db": excursion}
+    return scenarios.HandoverRow._fields, rows, {"mrc_excursion_db": excursion}
 
 
-def _run_area_grid(scene, seed, *, payload_bytes=1000, count=1000, imbalance_db=0.5,
-                   mcs=(8, 9, 10, 11, 12)):
+def _run_area_grid(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
+                   imbalance_db: _finite_float = 0.5, mcs: _parse_mcs_list = (8, 9, 10, 11, 12)):
     rows = scenarios.run_mimo_area_grid(mcs, FrameSpec(payload_bytes, count), seed, imbalance_db)
-    header = ["placement", "imbalance_db", "mcs_index", "snr_stream_a_db",
-              "snr_stream_b_db", "solvable", "condition_number",
-              "fsr_analytic", "fsr_realized"]
-    csv_rows = [[r.placement, r.imbalance_db, r.mcs_index, *r.stream_snr_db,
-                 r.solvable, r.condition_number, r.fsr_analytic, r.fsr_realized]
-                for r in rows]
     summary = {f"{r.placement}@{r.imbalance_db}/mcs{r.mcs_index}": r.fsr_realized
                for r in rows}
-    return header, csv_rows, {"fsr_realized": summary}
+    return scenarios.AreaGridRow._fields, rows, {"fsr_realized": summary}
 
 
-def _run_csi(scene, seed, *, bits=6, bandwidth_mhz=40):
+# Without a scene it reports both CSI presets.
+def _run_csi(seed, *, scene=None, bits: _csi_bits = 6, bandwidth_mhz: _bandwidth_mhz = 40):
     variants = ([("custom", scene)] if scene is not None else
                 [("siso", presets.csi_siso_scene()), ("miso", presets.csi_miso_scene())])
     header = ["variant", "rx", "tx", "subcarrier_hz", "re", "im", "scale"]
@@ -217,8 +223,9 @@ def _run_csi(scene, seed, *, bits=6, bandwidth_mhz=40):
     return header, csv_rows, {"magnitude_ripple_db": ripple}
 
 
-def _run_oracle_check(scene, seed, *, payload_bytes=1000, n_frames=1000, mcs=(0, 1, 8, 9),
-                      offsets_db=(-2.0, -1.0, 0.0, 1.0, 2.0)):
+def _run_oracle_check(seed, *, payload_bytes: _payload_bytes = 1000,
+                      n_frames: _n_oracle_frames = 1000, mcs: _parse_mcs_list = (0, 1, 8, 9),
+                      offsets_db: _parse_offsets_db = (-2.0, -1.0, 0.0, 1.0, 2.0)):
     frame = FrameSpec(payload_bytes, n_frames)
     header = ["mcs_index", "offset_db", "analytic_snr_db", "oracle_snr_db",
               "fsr_analytic", "fsr_empirical", "abs_err"]
@@ -238,38 +245,16 @@ def _run_oracle_check(scene, seed, *, payload_bytes=1000, n_frames=1000, mcs=(0,
     return header, csv_rows, {"max_abs_err": max_err}
 
 
-class Scenario(NamedTuple):
-    """How one scenario runs and what it accepts."""
-
-    # (scene or None, seed, **set values) -> (header, csv rows, aggregates). Its
-    # keyword defaults are the scenario's defaults, and given no scene it builds
-    # its preset one.
-    runner: Callable
-    keys: dict  # its --set keys, each with the parser that checks its value's bounds
-    takes_scene: bool = False
-
-
+# (seed, **set values) -> (header, csv rows, aggregates); a runner that takes a
+# scene builds its preset one when given none.
 REGISTRY = {
-    "siso-sweep": Scenario(_run_siso_sweep, {
-        "payload_bytes": _payload_bytes, "count": _count, "n_distances": _n_distances,
-        "d_min": _sweep_distance, "d_max": _sweep_distance, "mcs": _parse_mcs_list},
-        takes_scene=True),
-    "blockage-timeline": Scenario(_run_blockage, {
-        "payload_bytes": _payload_bytes, "n_frames": _n_rows, "mcs_index": _mcs_index},
-        takes_scene=True),
-    "mrc-fsr-point": Scenario(_run_mrc_point, {
-        "payload_bytes": _payload_bytes, "count": _count,
-        "fsr_a": _target_fsr, "fsr_b": _target_fsr}),
-    "handover-sweep": Scenario(_run_handover, {"n_angles": _n_rows}, takes_scene=True),
-    "mimo-area-grid": Scenario(_run_area_grid, {
-        "payload_bytes": _payload_bytes, "count": _count,
-        "imbalance_db": _finite_float, "mcs": _parse_mcs_list}),
-    # Without --scene it reports both CSI presets.
-    "csi-report": Scenario(_run_csi, {"bits": _csi_bits, "bandwidth_mhz": _bandwidth_mhz},
-                           takes_scene=True),
-    "oracle-check": Scenario(_run_oracle_check, {
-        "payload_bytes": _payload_bytes, "n_frames": _n_oracle_frames,
-        "mcs": _parse_mcs_list, "offsets_db": _parse_offsets_db}),
+    "siso-sweep": _run_siso_sweep,
+    "blockage-timeline": _run_blockage,
+    "mrc-fsr-point": _run_mrc_point,
+    "handover-sweep": _run_handover,
+    "mimo-area-grid": _run_area_grid,
+    "csi-report": _run_csi,
+    "oracle-check": _run_oracle_check,
 }
 
 
@@ -281,16 +266,15 @@ def run(name: str, scene_path: str | None, seed: int, output_dir: str,
     unreadable scene file OSError and a configuration the runner rejects
     ValueError, all before any output file is written.
     """
-    scenario = REGISTRY[name]
-    scene = scene_text = None
+    scene_text, given = None, {}
     if scene_path is not None:
         try:
-            scene = read_scene_file(scene_path)
+            given["scene"] = read_scene_file(scene_path)
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise OSError(f"cannot read scene: {scene_path}: {reason}") from None
-        scene_text = scene_to_text(scene)
-    header, csv_rows, aggregates = scenario.runner(scene, seed, **overrides)
+        scene_text = scene_to_text(given["scene"])
+    header, csv_rows, aggregates = REGISTRY[name](seed, **given, **overrides)
 
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, f"{name}.csv")
@@ -342,20 +326,21 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     parser = _PARSER
     args = parser.parse_args(argv)
-    scenario = REGISTRY[args.scenario]
+    runner = REGISTRY[args.scenario]
+    keys = runner.__annotations__
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
             parser.error(f"--set expects KEY=VALUE, got '{item}'")
         key, value = item.split("=", 1)
-        if key not in scenario.keys:
+        if key not in keys:
             parser.error(f"unknown --set key '{key}' for scenario {args.scenario} "
-                         f"(allowed: {', '.join(sorted(scenario.keys))})")
+                         f"(allowed: {', '.join(sorted(keys))})")
         try:
-            overrides[key] = scenario.keys[key](value)
+            overrides[key] = keys[key](value)
         except ValueError as exc:
             parser.error(f"--set {key}: cannot use '{value}': {exc}")
-    if args.scene is not None and not scenario.takes_scene:
+    if args.scene is not None and "scene" not in runner.__kwdefaults__:
         parser.error(f"scenario {args.scenario} does not take a scene file")
     out_dir = args.out or os.environ.get("VLCSIM_OUT") or "vlcsim-out"
     # Exit 1 for a bad scene or a file that cannot be read or written, 2 for a

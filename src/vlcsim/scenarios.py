@@ -68,7 +68,8 @@ class AreaGridRow(NamedTuple):
     placement: str
     imbalance_db: float
     mcs_index: int
-    stream_snr_db: tuple
+    snr_stream_a_db: float
+    snr_stream_b_db: float
     solvable: bool
     condition_number: float
     fsr_analytic: float
@@ -255,7 +256,7 @@ def run_mimo_area_grid(mcs_indices, frame: FrameSpec, seed: int, imbalance_db: f
     n_grid = (len(AREA_LINKS) - 1) * len(entries)  # all but the contrast link
     realized = (_realize(np.random.default_rng(seed), analytic[:n_grid], frame.count)
                 + _realize(np.random.default_rng(seed + 1), analytic[n_grid:], frame.count))
-    return [AreaGridRow(placement, imbalance, entry.index, post.per_stream_snr_db,
+    return [AreaGridRow(placement, imbalance, entry.index, *post.per_stream_snr_db,
                         post.solvable, post.condition_number, p, q)
             for (placement, imbalance, entry, post, p), q in zip(cells, realized)]
 
@@ -266,8 +267,7 @@ class CsiReport:
 
     Real and imaginary parts are signed `quantization_bits`-wide integers
     (6 bits: -32..31); dequantized values are the integers times `scale`.
-    Arrays are indexed (rx, tx, subcarrier). An all-zero channel produces an
-    empty report (size-0 arrays, scale 0).
+    Arrays are indexed (rx, tx, subcarrier).
     """
 
     re: np.ndarray
@@ -275,10 +275,6 @@ class CsiReport:
     quantization_bits: int
     scale: float
     subcarrier_freqs: np.ndarray
-
-    @property
-    def is_empty(self) -> bool:
-        return self.re.size == 0
 
     def dequantized(self) -> np.ndarray:
         return (self.re + 1j * self.im) * self.scale
@@ -307,9 +303,7 @@ def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int) -> CsiReport:
     h = cm.column_sum(amplitude_weights).T[:, None, :]  # (n_rx, 1, K)
     max_mag = float(np.max(np.abs(h))) if h.size else 0.0
     if max_mag == 0.0:
-        empty = np.zeros((h.shape[0], h.shape[1], 0), dtype=np.int64)
-        return CsiReport(re=empty, im=empty.copy(), quantization_bits=bits,
-                         scale=0.0, subcarrier_freqs=cm.subcarrier_freqs)
+        raise ValidationError("every path is blocked; nothing to report")
     q_hi = 2 ** (bits - 1) - 1
     q_lo = -(2 ** (bits - 1))
     scale = max_mag / q_hi
@@ -323,7 +317,4 @@ def run_csi_report(scene: Scene, bits: int, bandwidth_mhz: int) -> CsiReport:
     """Sound a single stream through every TX of the scene and report CSI."""
     cm = channel_matrix(scene, 0, subcarrier_frequencies(bandwidth_mhz))
     weights = np.sqrt(dbm_to_mw(scene.tx_power_dbm))
-    report = report_csi(cm, weights, bits)
-    if report.is_empty:
-        raise ValidationError("every path is blocked; nothing to report")
-    return report
+    return report_csi(cm, weights, bits)

@@ -302,6 +302,23 @@ def test_mrc_fsr_point_targets_hold_at_any_payload(payload_bytes, targets, tmp_p
         assert abs(float(row[2]) - target) <= 1e-12, (row, target)
 
 
+@pytest.mark.parametrize("settings,key", [
+    # 0.365 ** 1000 underflows to 0, and 0.9999999999999999 ** (1000 / 65535) rounds to 1.
+    (["payload_bytes=1"], "fsr_b"),
+    (["fsr_a=0.9999999999999999", "payload_bytes=65535"], "fsr_a")])
+def test_mrc_target_without_a_finite_snr_names_the_key(settings, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--scenario", "mrc-fsr-point", "--out", str(out)]
+    for item in settings:
+        argv += ["--set", item]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"vlcsim: error: {key}=") and "payload_bytes=" in err[-1]
+    assert not out.exists()
+
+
 def test_csi_report_scenario(tmp_path):
     out = tmp_path / "out"
     assert main(["--scenario", "csi-report", "--out", str(out)]) == 0
@@ -417,8 +434,8 @@ def test_non_finite_set_value_names_the_key(key, value, tmp_path, capsys):
     # Too large for a float, which math.isfinite would try to convert it to.
     pytest.param("csi-report", "bits", "1" + "0" * 400, id="csi-report-bits-401-digits"),
     # 65535 octets is the largest PSDU the 802.11n HT-SIG length field carries.
-    *[(name, "payload_bytes", "65536") for name, scenario in cli.REGISTRY.items()
-      if "payload_bytes" in scenario.keys]])
+    *[(name, "payload_bytes", "65536") for name, runner in cli.REGISTRY.items()
+      if "payload_bytes" in runner.__annotations__]])
 def test_out_of_bound_set_value_names_the_key(scenario, key, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", scenario, "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
@@ -474,7 +491,7 @@ SIZE_BOUNDS = [("siso-sweep", "count", 10**9), ("mrc-fsr-point", "count", 10**9)
 def test_size_bound_is_accepted_and_one_past_it_names_the_key(scenario, key, bound, tmp_path,
                                                                 capsys):
     # The bound itself is checked at the parser: a run that large is slow.
-    assert cli.REGISTRY[scenario].keys[key](str(bound)) == bound
+    assert cli.REGISTRY[scenario].__annotations__[key](str(bound)) == bound
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", scenario, "--set", f"{key}={bound + 1}",
               "--out", str(tmp_path / "out")])
@@ -485,8 +502,8 @@ def test_size_bound_is_accepted_and_one_past_it_names_the_key(scenario, key, bou
 
 
 def test_every_size_key_is_bounded():
-    sizes = {(name, key) for name, scenario in cli.REGISTRY.items() for key in scenario.keys
-             if key in ("count", "n_frames", "n_distances", "n_angles")}
+    sizes = {(name, key) for name, runner in cli.REGISTRY.items()
+             for key in runner.__annotations__ if key in ("count", "n_frames", "n_distances", "n_angles")}
     assert sizes == {(scenario, key) for scenario, key, _ in SIZE_BOUNDS}
 
 
@@ -558,24 +575,54 @@ def test_readme_lists_the_set_keys_of_every_scenario():
     row = re.compile(r"^\| `([a-z-]+)` \| .* \| `([a-z_ ]+=[^`]*)` \|$")
     table = {m[1]: [tuple(item.split("=")) for item in m[2].split()]
              for m in map(row.match, (ROOT / "README.md").read_text().splitlines()) if m}
-    assert table == {name: [(key, as_set_value(scenario.runner.__kwdefaults__[key]))
-                            for key in scenario.keys]
-                     for name, scenario in cli.REGISTRY.items()}
+    assert table == {name: [(key, as_set_value(runner.__kwdefaults__[key]))
+                            for key in runner.__annotations__]
+                     for name, runner in cli.REGISTRY.items()}
 
 
 @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
 def test_set_keys_are_the_keyword_parameters_of_the_runner(name):
-    scenario = cli.REGISTRY[name]
-    assert set(scenario.keys) == set(scenario.runner.__kwdefaults__)
+    # Every keyword parameter but `scene` is a --set key, annotated with its parser.
+    runner = cli.REGISTRY[name]
+    assert set(runner.__annotations__) == set(runner.__kwdefaults__) - {"scene"}
 
 
 @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
 def test_each_default_is_a_value_its_parser_accepts(name):
     # A default outside the key's bounds could not be written back with --set.
-    scenario = cli.REGISTRY[name]
-    for key, default in scenario.runner.__kwdefaults__.items():
-        parsed = scenario.keys[key](as_set_value(default))
+    runner = cli.REGISTRY[name]
+    for key, parse in runner.__annotations__.items():
+        default = runner.__kwdefaults__[key]
+        parsed = parse(as_set_value(default))
         assert (tuple(parsed) if isinstance(default, tuple) else parsed) == default, key
+
+
+# Each scenario at a small size, enough to write its header.
+SMALL_RUNS = {"siso-sweep": ["n_distances=3", "mcs=0"], "blockage-timeline": ["n_frames=3"],
+              "mrc-fsr-point": ["count=10"], "handover-sweep": ["n_angles=3"],
+              "mimo-area-grid": ["count=10", "mcs=8"], "csi-report": [],
+              "oracle-check": ["n_frames=1", "mcs=0", "offsets_db=0"]}
+
+
+def test_readme_csv_schemas_are_the_written_headers(tmp_path):
+    bullet = re.compile(r"^- `([a-z-]+)\.csv`: `([^`]*)`")
+    schemas = {m[1]: m[2].split(", ")
+               for m in map(bullet.match, (ROOT / "README.md").read_text().splitlines()) if m}
+    assert schemas.keys() == cli.REGISTRY.keys() == SMALL_RUNS.keys()
+    for name, columns in schemas.items():
+        out = tmp_path / name
+        argv = ["--scenario", name, "--out", str(out)]
+        for item in SMALL_RUNS[name]:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        header = read_csv(out / f"{name}.csv")[0]
+        # `rssi_chain_<i>_dbm...` stands for one column per receive chain.
+        if "rssi_chain_<i>_dbm..." in columns:
+            at = columns.index("rssi_chain_<i>_dbm...")
+            n_chains = len(header) - len(columns) + 1
+            assert n_chains >= 1, header
+            columns[at:at + 1] = [f"rssi_chain_{i}_dbm" for i in range(n_chains)]
+        assert header == columns, name
 
 
 def test_readme_names_only_api_that_exists():

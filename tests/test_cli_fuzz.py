@@ -10,11 +10,12 @@ of one binomial draw), so every run is short.
 import contextlib
 import csv
 import io
+import math
 import os
 import tempfile
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vlcsim import cli
 
@@ -53,7 +54,7 @@ def accepted(parse):
 @st.composite
 def invocations(draw):
     name = draw(st.sampled_from(sorted(cli.REGISTRY)))
-    keys = cli.REGISTRY[name].keys
+    keys = cli.REGISTRY[name].__annotations__
     argv = ["--scenario", name, "--seed", str(draw(st.integers(-1, 2 ** 64)))]
     for key in keys:
         if key in SMALL:
@@ -79,6 +80,11 @@ def run(argv):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(invocations())
+# mrc-fsr-point targets that no finite SNR gives at that frame length: 0.365
+# ** 1000 underflows to 0, and 0.9999999999999999 ** (1000 / 65535) rounds to 1.
+@example(("mrc-fsr-point", ["--scenario", "mrc-fsr-point", "--set", "payload_bytes=1"]))
+@example(("mrc-fsr-point", ["--scenario", "mrc-fsr-point", "--set", "fsr_a=0.9999999999999999",
+                            "--set", "payload_bytes=65535"]))
 def test_any_set_values_end_in_a_documented_exit(invocation):
     name, argv = invocation
     with tempfile.TemporaryDirectory() as out:
@@ -91,3 +97,5 @@ def test_any_set_values_end_in_a_documented_exit(invocation):
                 rows = list(csv.reader(f))[1:]
             assert rows, argv
             assert not any(cell.lower() == "nan" for row in rows for cell in row), argv
+            if name == "mrc-fsr-point":  # each path sits at a finite SNR
+                assert all(math.isfinite(float(row[1])) for row in rows), argv

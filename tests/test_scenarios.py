@@ -182,12 +182,14 @@ class TestMimoAreaGrid:
     def test_weak_stream_dominates(self, grid_rows):
         # Both streams run one MCS, so a link's frame is priced at its weakest stream.
         for r in grid_rows:
-            weakest = fsr(mcs(r.mcs_index), min(r.stream_snr_db), FRAME.payload_bytes)
+            weakest = fsr(mcs(r.mcs_index), min(r.snr_stream_a_db, r.snr_stream_b_db),
+                          FRAME.payload_bytes)
             assert r.fsr_analytic == weakest
         # The 0.5 dB link's streams differ, and there the stronger one would price higher.
         skewed = [r for r in grid_rows if r.imbalance_db == 0.5 and r.mcs_index == 8]
         assert len(skewed) == 1
-        strongest = fsr(mcs(8), max(skewed[0].stream_snr_db), FRAME.payload_bytes)
+        strongest = fsr(mcs(8), max(skewed[0].snr_stream_a_db, skewed[0].snr_stream_b_db),
+                        FRAME.payload_bytes)
         assert skewed[0].fsr_analytic < strongest
 
     def test_stream_count_checked_before_the_tilt_solve(self):
@@ -270,10 +272,10 @@ class TestCsiReport:
             ripple = report_csi(cm, [1.0], 6).magnitude_ripple_db()
         assert ripple[1, 0] == 0.0 and 0.0 <= ripple[0, 0] < math.inf
 
-    def test_all_zero_channel_gives_empty_report(self):
+    def test_all_zero_channel_raises(self):
         cm = ChannelMatrix.from_paths([[0.0]], [[1e-9]], subcarrier_frequencies(20))
-        report = report_csi(cm, [1.0], 6)
-        assert report.is_empty and report.scale == 0.0
+        with pytest.raises(ValidationError, match="every path is blocked"):
+            report_csi(cm, [1.0], 6)
 
     def test_fully_blocked_scene_raises(self):
         scene = presets.csi_siso_scene()

@@ -26,7 +26,8 @@ from vlcsim.sceneconfig import _FRONTEND_KEYS, _OBSTACLE_KEYS, _SCENE_KEYS, pars
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 SCENE_FILES = sorted(p.name for p in SCENES.glob("*.cfg"))
-SCENARIOS = sorted(name for name, s in cli.REGISTRY.items() if s.takes_scene)
+SCENARIOS = sorted(name for name, runner in cli.REGISTRY.items()
+                   if "scene" in runner.__kwdefaults__)
 # Small runs; the blockage timeline is long enough to reach every shipped obstacle.
 SMALL = {"siso-sweep": ["n_distances=3", "count=10", "payload_bytes=20"],
          "blockage-timeline": ["n_frames=300", "payload_bytes=20"],
