@@ -13,11 +13,11 @@ Outputs `<scenario>.csv` and `summary.json` in the output directory (flag
 A scenario is one runner, `REGISTRY[name]`. Its annotated keyword parameters
 are its `--set` keys: the annotation is the parser that checks a value and the
 default is the scenario's value. It takes `--scene` when it has a `scene`
-parameter.
+parameter. A runner returns `(header, lines, aggregates)`: the header's cells,
+the CSV records as text, each ending in CRLF, and the summary's aggregates.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -120,19 +120,32 @@ _mcs_index = _number(int, 0, 15)  # the 802.11n MCS table
 _parse_offsets_db = _parse_list(_number(float, -100.0, 100.0))
 
 
-def _cell_texts(cache: dict, values: tuple) -> tuple:
-    """`str` of each of `values`, formatted once per distinct tuple of values.
+def _joined(cache: dict, values: tuple) -> str:
+    """The CSV cells of `values`, comma-joined once per distinct tuple of values.
 
-    `csv.writer` writes a float as `str(value)`, so a cell pre-formatted here
-    writes the same bytes. 0.0 and -0.0 are equal keys that print differently,
-    so a tuple holding a zero is not cached and keeps its own text.
+    A cell is `str(value)`, as in `_line`. 0.0 and -0.0 are equal keys that
+    print differently, so a tuple holding a zero is not cached and keeps its
+    own text.
     """
-    texts = cache.get(values)
-    if texts is None:
-        texts = tuple(map(str, values))
+    text = cache.get(values)
+    if text is None:
+        text = ",".join(map(str, values))
         if 0.0 not in values:
-            cache[values] = texts
-    return texts
+            cache[values] = text
+    return text
+
+
+def _line(cells) -> str:
+    """One CSV record: `str` of each cell, comma-separated, ending in CRLF.
+
+    A cell that holds a comma is quoted, as RFC 4180's minimal quoting does;
+    no cell vlcsim writes holds a quote or a line break.
+    """
+    texts = list(map(str, cells))
+    line = ",".join(texts)
+    if line.count(",") >= len(texts):  # a cell holds a comma
+        line = ",".join([f'"{t}"' if "," in t else t for t in texts])
+    return line + "\r\n"
 
 
 def _run_siso_sweep(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
@@ -143,16 +156,22 @@ def _run_siso_sweep(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
         scene = presets.siso_scene()
     distances = presets.siso_sweep_distances(n_distances, d_min, d_max)
     rows = scenarios.run_siso_sweep(scene, mcs, distances, FrameSpec(payload_bytes, count), seed)
-    # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
-    # sort need not keep them adjacent, so they are formatted by value.
-    texts = {}
-    csv_rows = [(*_cell_texts(texts, (d, rssi, snr)), m, p, q)
-                for d, rssi, snr, m, p, q in rows]
     # Rows are sorted by RSSI, so walking them backwards the last reliable row
     # of an MCS written is its reliable row of lowest RSSI.
     first_reliable = dict.fromkeys(map(str, mcs))
     first_reliable.update((str(m), rssi) for _, rssi, _, m, _, q in reversed(rows) if q >= 0.99)
-    return (scenarios.SisoSweepRow._fields, csv_rows,
+    # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
+    # sort need not keep them adjacent, so they are formatted by value. A
+    # realized FSR is k / count, one of count + 1 values and never -0.0, so
+    # each distinct one is formatted once.
+    texts = {}
+    realized = {q: str(q) for q in {row.fsr_realized for row in rows}}
+    # Each row gives way to its record, so that a run never holds all its rows
+    # and all its records at once.
+    lines = rows
+    for k, (d, rssi, snr, m, p, q) in enumerate(rows):
+        lines[k] = f"{_joined(texts, (d, rssi, snr))},{m},{p},{realized[q]}\r\n"
+    return (scenarios.SisoSweepRow._fields, lines,
             {"first_rssi_dbm_with_fsr_0p99": first_reliable})
 
 
@@ -164,12 +183,15 @@ def _run_blockage(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
     n_chains = len(traces[0].per_chain_rssi_dbm)
     header = (["frame_index"] + [f"rssi_chain_{i}_dbm" for i in range(n_chains)]
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
+    aggregates = {"frames": len(traces),
+                  "success_rate": sum(t.success for t in traces) / len(traces)}
     # Frames of one obstacle state share their RSSI cells; format them once.
+    # Each trace gives way to its record, as siso's rows do.
     texts = {}
-    csv_rows = [(i, *_cell_texts(texts, (*per_chain, combined)), "MRC", m, ok)
-                for i, per_chain, combined, m, ok in traces]
-    return header, csv_rows, {"frames": len(traces),
-                              "success_rate": sum(t.success for t in traces) / len(traces)}
+    lines = traces
+    for k, (i, per_chain, combined, m, ok) in enumerate(traces):
+        lines[k] = f"{i},{_joined(texts, (*per_chain, combined))},MRC,{m},{ok}\r\n"
+    return header, lines, aggregates
 
 
 def _run_mrc_point(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
@@ -183,11 +205,11 @@ def _run_mrc_point(seed, *, payload_bytes: _payload_bytes = 1000, count: _count 
     snr_a, snr_b = snrs
     point = scenarios.run_mrc_fsr_point(snrs, FrameSpec(payload_bytes, count), seed)
     header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
-    csv_rows = [["A", snr_a, point.analytic_a, point.fsr_a],
-                ["B", snr_b, point.analytic_b, point.fsr_b],
-                ["MRC", point.mrc_snr_db, point.analytic_mrc, point.fsr_mrc]]
-    return header, csv_rows, {"fsr_a": point.fsr_a, "fsr_b": point.fsr_b,
-                              "fsr_mrc": point.fsr_mrc}
+    lines = [_line(["A", snr_a, point.analytic_a, point.fsr_a]),
+             _line(["B", snr_b, point.analytic_b, point.fsr_b]),
+             _line(["MRC", point.mrc_snr_db, point.analytic_mrc, point.fsr_mrc])]
+    return header, lines, {"fsr_a": point.fsr_a, "fsr_b": point.fsr_b,
+                           "fsr_mrc": point.fsr_mrc}
 
 
 def _run_handover(seed, *, scene=None, n_angles: _n_rows = 61):
@@ -197,7 +219,10 @@ def _run_handover(seed, *, scene=None, n_angles: _n_rows = 61):
     mrc = [r.rssi_mrc_dbm for r in rows]
     # An angle where neither receiver sees the LED makes the excursion unbounded: null.
     excursion = max(mrc) - min(mrc) if min(mrc) > -math.inf else None
-    return scenarios.HandoverRow._fields, rows, {"mrc_excursion_db": excursion}
+    lines = rows  # each row gives way to its record, as siso's rows do
+    for k, (az, a, b, mrc_dbm) in enumerate(rows):
+        lines[k] = f"{az},{a},{b},{mrc_dbm}\r\n"
+    return scenarios.HandoverRow._fields, lines, {"mrc_excursion_db": excursion}
 
 
 def _run_area_grid(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
@@ -205,7 +230,8 @@ def _run_area_grid(seed, *, payload_bytes: _payload_bytes = 1000, count: _count 
     rows = scenarios.run_mimo_area_grid(mcs, FrameSpec(payload_bytes, count), seed, imbalance_db)
     summary = {f"{r.placement}@{r.imbalance_db}/mcs{r.mcs_index}": r.fsr_realized
                for r in rows}
-    return scenarios.AreaGridRow._fields, rows, {"fsr_realized": summary}
+    return (scenarios.AreaGridRow._fields, [_line(r) for r in rows],
+            {"fsr_realized": summary})
 
 
 # Without a scene it reports both CSI presets.
@@ -213,14 +239,15 @@ def _run_csi(seed, *, scene=None, bits: _csi_bits = 6, bandwidth_mhz: _bandwidth
     variants = ([("custom", scene)] if scene is not None else
                 [("siso", presets.csi_siso_scene()), ("miso", presets.csi_miso_scene())])
     header = ["variant", "rx", "tx", "subcarrier_hz", "re", "im", "scale"]
-    csv_rows, ripple = [], {}
+    lines, ripple = [], {}
     for name, sc in variants:
         report = scenarios.run_csi_report(sc, bits, bandwidth_mhz)
         freqs, re, im = (a.tolist() for a in (report.subcarrier_freqs, report.re, report.im))
-        csv_rows += [[name, i, j, freqs[k], re[i][j][k], im[i][j][k], report.scale]
-                     for i, j, k in product(*map(range, report.re.shape))]
+        scale = str(report.scale)  # every row of a variant repeats it
+        lines += [_line([name, i, j, freqs[k], re[i][j][k], im[i][j][k], scale])
+                  for i, j, k in product(*map(range, report.re.shape))]
         ripple[name] = float(np.max(report.magnitude_ripple_db()))
-    return header, csv_rows, {"magnitude_ripple_db": ripple}
+    return header, lines, {"magnitude_ripple_db": ripple}
 
 
 def _run_oracle_check(seed, *, payload_bytes: _payload_bytes = 1000,
@@ -229,7 +256,7 @@ def _run_oracle_check(seed, *, payload_bytes: _payload_bytes = 1000,
     frame = FrameSpec(payload_bytes, n_frames)
     header = ["mcs_index", "offset_db", "analytic_snr_db", "oracle_snr_db",
               "fsr_analytic", "fsr_empirical", "abs_err"]
-    csv_rows, max_err = [], 0.0
+    lines, max_err = [], 0.0
     for m in mcs:
         entry = mcs_entry(m)
         n = entry.n_streams  # a unit-gain n x n channel
@@ -241,12 +268,13 @@ def _run_oracle_check(seed, *, payload_bytes: _payload_bytes = 1000,
             emp = empirical_fsr(cm, entry, frame, oracle_snr, seed)
             err = abs(analytic - emp)
             max_err = max(max_err, err)
-            csv_rows.append([m, off, snr, oracle_snr, analytic, emp, err])
-    return header, csv_rows, {"max_abs_err": max_err}
+            lines.append(_line([m, off, snr, oracle_snr, analytic, emp, err]))
+    return header, lines, {"max_abs_err": max_err}
 
 
-# (seed, **set values) -> (header, csv rows, aggregates); a runner that takes a
-# scene builds its preset one when given none.
+# (seed, **set values) -> (header, lines, aggregates): the header's cells and the
+# CSV records, each ending in CRLF. A runner that takes a scene builds its
+# preset one when given none.
 REGISTRY = {
     "siso-sweep": _run_siso_sweep,
     "blockage-timeline": _run_blockage,
@@ -274,21 +302,20 @@ def run(name: str, scene_path: str | None, seed: int, output_dir: str,
             reason = getattr(exc, "strerror", None) or exc
             raise OSError(f"cannot read scene: {scene_path}: {reason}") from None
         scene_text = scene_to_text(given["scene"])
-    header, csv_rows, aggregates = REGISTRY[name](seed, **given, **overrides)
+    header, lines, aggregates = REGISTRY[name](seed, **given, **overrides)
 
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, f"{name}.csv")
     with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(csv_rows)
+        f.write(_line(header))
+        f.writelines(lines)
 
     config_blob = json.dumps(
         {"scenario": name, "seed": seed, "overrides": overrides, "scene": scene_text},
         sort_keys=True)
     summary = {"scenario": name, "seed": seed, "scene": scene_path or "preset",
                "config_hash": hashlib.sha256(config_blob.encode()).hexdigest(),
-               "rows": len(csv_rows), "aggregates": aggregates}
+               "rows": len(lines), "aggregates": aggregates}
     with open(os.path.join(output_dir, "summary.json"), "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -2,11 +2,12 @@
 
 `bench/golden.json` holds the SHA-256 of the outputs of every invocation a
 benchmark run may draw. A change that moves one of them fails the benchmark;
-replaying one invocation of each scenario here fails the same change in the
-test suite first. The same invocations are replayed again under
-`bench/tracer.py`, whose probes read some layer functions' arguments by name,
-so a renamed parameter that would crash a traced benchmark run fails here too.
-The module only reads `bench/`.
+replaying the pools here fails the same change in the test suite first: the
+whole link-scaled and zf-area pools, every 8th oracle-mc invocation, and one
+invocation of each scenario of each workload. Those last are replayed again
+under `bench/tracer.py`, whose probes read some layer functions' arguments by
+name, so a renamed parameter that would crash a traced benchmark run fails
+here too. The module only reads `bench/`.
 """
 
 import importlib.util
@@ -43,6 +44,10 @@ def _first_of_each_scenario():
 
 CASES = list(_first_of_each_scenario())
 
+# An oracle-mc invocation simulates 50-100 frames, so only every 8th (20 of
+# 160) is replayed in full; the other pools are cheap and replayed whole.
+POOL_STRIDE = {"oracle-mc": 8, "link-scaled": 1, "zf-area": 1}
+
 
 def test_every_scenario_of_each_workload_is_replayed():
     assert len(CASES) == 7
@@ -54,6 +59,16 @@ def test_pool_invocation_writes_its_recorded_digests(argv, tmp_path, monkeypatch
     monkeypatch.chdir(ROOT)
     outcome = workloads.invoke(main, argv, str(tmp_path), workloads.load_golden())
     assert outcome.ok, outcome.reason
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_pool_writes_its_recorded_digests(workload, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    golden = workloads.load_golden()
+    argvs = workloads.pool(workload)[::POOL_STRIDE[workload]]
+    failed = [workloads.key(argv) for argv in argvs
+              if not workloads.invoke(main, argv, str(tmp_path), golden).ok]
+    assert not failed
 
 
 @pytest.mark.parametrize("argv", CASES)

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _csv_check import check_written_csv
 from vlcsim import cli, sceneconfig
 from vlcsim.cli import main
 
@@ -615,6 +616,7 @@ def test_readme_csv_schemas_are_the_written_headers(tmp_path):
         for item in SMALL_RUNS[name]:
             argv += ["--set", item]
         assert main(argv) == 0
+        check_written_csv(out)
         header = read_csv(out / f"{name}.csv")[0]
         # `rssi_chain_<i>_dbm...` stands for one column per receive chain.
         if "rssi_chain_<i>_dbm..." in columns:
@@ -825,16 +827,15 @@ def test_dark_handover_excursion_is_null(edits, all_dark, tmp_path):
 
 def test_cached_cells_keep_the_sign_of_zero():
     cache = {}
-    assert cli._cell_texts(cache, (0.0, -50.5)) == ("0.0", "-50.5")
-    assert cli._cell_texts(cache, (-0.0, -50.5)) == ("-0.0", "-50.5")
-    assert cli._cell_texts(cache, (0.0, -50.5)) == ("0.0", "-50.5")
-    assert cli._cell_texts(cache, (-50.5, -0.0)) == ("-50.5", "-0.0")
-    texts = cli._cell_texts(cache, (1.25, -math.inf))
-    assert cli._cell_texts(cache, (1.25, -math.inf)) is texts
-    # A pre-formatted cell is what csv.writer writes for the float itself.
+    assert cli._joined(cache, (0.0, -50.5)) == "0.0,-50.5"
+    assert cli._joined(cache, (-0.0, -50.5)) == "-0.0,-50.5"
+    assert cli._joined(cache, (0.0, -50.5)) == "0.0,-50.5"
+    assert cli._joined(cache, (-50.5, -0.0)) == "-50.5,-0.0"
+    text = cli._joined(cache, (1.25, -math.inf))
+    assert cli._joined(cache, (1.25, -math.inf)) is text
+    # Pre-formatted cells are what csv.writer writes for the floats themselves.
     values = [0.0, -0.0, np.float64(-0.0), -math.inf, 0.1 + 0.2, np.float64(1e-300)]
-    direct, formatted = io.StringIO(), io.StringIO()
+    direct = io.StringIO()
     csv.writer(direct).writerow(values)
-    csv.writer(formatted).writerow(cli._cell_texts({}, tuple(values)))
-    assert direct.getvalue() == formatted.getvalue() == \
+    assert direct.getvalue() == cli._joined({}, tuple(values)) + "\r\n" == \
         "0.0,-0.0,-0.0,-inf,0.30000000000000004,1e-300\r\n"

@@ -17,6 +17,7 @@ import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
+from _csv_check import check_written_csv
 from vlcsim import cli
 
 SMALL = {"n_frames": "2", "n_distances": "3", "n_angles": "3", "count": "10",
@@ -93,6 +94,7 @@ def test_any_set_values_end_in_a_documented_exit(invocation):
         assert "Traceback" not in err, (argv, err)
         assert "Warning" not in err and not caught, (argv, err, [str(w) for w in caught])
         if code == 0:
+            check_written_csv(out)
             with open(os.path.join(out, f"{name}.csv"), newline="") as f:
                 rows = list(csv.reader(f))[1:]
             assert rows, argv

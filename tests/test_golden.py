@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from _csv_check import check_written_csv
 from vlcsim.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -241,5 +242,6 @@ def test_every_scenario_is_covered():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     assert run_case(name, tmp_path, monkeypatch) == DIGESTS[name]
+    check_written_csv(tmp_path / "out")
     # Strict JSON: no NaN, Infinity or -Infinity in place of a number.
     json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_refuse_constant)

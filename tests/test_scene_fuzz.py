@@ -21,6 +21,7 @@ import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
+from _csv_check import check_written_csv
 from vlcsim import cli
 from vlcsim.sceneconfig import _FRONTEND_KEYS, _OBSTACLE_KEYS, _SCENE_KEYS, parse_scene
 
@@ -167,6 +168,7 @@ def test_any_scene_edit_ends_in_a_documented_exit(case):
                                for line in err.splitlines()), (case, err)
         if code != 0:
             return
+        check_written_csv(out)
         with open(os.path.join(out, f"{scenario}.csv"), newline="") as f:
             header, *rows = csv.reader(f)
         assert rows, case
