@@ -156,10 +156,11 @@ def _run_siso_sweep(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
         scene = presets.siso_scene()
     distances = presets.siso_sweep_distances(n_distances, d_min, d_max)
     rows = scenarios.run_siso_sweep(scene, mcs, distances, FrameSpec(payload_bytes, count), seed)
-    # Rows are sorted by RSSI, so walking them backwards the last reliable row
-    # of an MCS written is its reliable row of lowest RSSI.
-    first_reliable = dict.fromkeys(map(str, mcs))
-    first_reliable.update((str(m), rssi) for _, rssi, _, m, _, q in reversed(rows) if q >= 0.99)
+    # Rows are sorted by RSSI, so an MCS's first reliable row is its lowest RSSI.
+    first_reliable = {}
+    for _, rssi, _, m, _, q in rows:
+        if q >= 0.99 and m not in first_reliable:
+            first_reliable[m] = rssi
     # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
     # sort need not keep them adjacent, so they are formatted by value. A
     # realized FSR is k / count, one of count + 1 values and never -0.0, so
@@ -172,7 +173,7 @@ def _run_siso_sweep(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
     for k, (d, rssi, snr, m, p, q) in enumerate(rows):
         lines[k] = f"{_joined(texts, (d, rssi, snr))},{m},{p},{realized[q]}\r\n"
     return (scenarios.SisoSweepRow._fields, lines,
-            {"first_rssi_dbm_with_fsr_0p99": first_reliable})
+            {"first_rssi_dbm_with_fsr_0p99": {str(m): first_reliable.get(m) for m in mcs}})
 
 
 def _run_blockage(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
@@ -195,21 +196,15 @@ def _run_blockage(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
 
 
 def _run_mrc_point(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
-                   fsr_a: _target_fsr = presets.MRC_POINT_TARGET_FSR[0],
-                   fsr_b: _target_fsr = presets.MRC_POINT_TARGET_FSR[1]):
-    snrs = presets.mrc_point_snrs_db((fsr_a, fsr_b), payload_bytes)
+                   fsr_a: _target_fsr = 0.626, fsr_b: _target_fsr = 0.365):
+    rows = scenarios.run_mrc_fsr_point((fsr_a, fsr_b), FrameSpec(payload_bytes, count), seed)
     # A target that rounds to 0 or 1 once scaled to the frame length has no SNR.
-    for key, target, snr in zip(("fsr_a", "fsr_b"), (fsr_a, fsr_b), snrs):
-        if not math.isfinite(snr):
+    for key, target, row in zip(("fsr_a", "fsr_b"), (fsr_a, fsr_b), rows):
+        if not math.isfinite(row.snr_db):
             raise ValueError(f"{key}={target} has no finite SNR at payload_bytes={payload_bytes}")
-    snr_a, snr_b = snrs
-    point = scenarios.run_mrc_fsr_point(snrs, FrameSpec(payload_bytes, count), seed)
-    header = ["path", "snr_db", "fsr_analytic", "fsr_realized"]
-    lines = [_line(["A", snr_a, point.analytic_a, point.fsr_a]),
-             _line(["B", snr_b, point.analytic_b, point.fsr_b]),
-             _line(["MRC", point.mrc_snr_db, point.analytic_mrc, point.fsr_mrc])]
-    return header, lines, {"fsr_a": point.fsr_a, "fsr_b": point.fsr_b,
-                           "fsr_mrc": point.fsr_mrc}
+    a, b, mrc = (row.fsr_realized for row in rows)
+    return (scenarios.MrcPointRow._fields, [_line(r) for r in rows],
+            {"fsr_a": a, "fsr_b": b, "fsr_mrc": mrc})
 
 
 def _run_handover(seed, *, scene=None, n_angles: _n_rows = 61):

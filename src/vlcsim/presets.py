@@ -18,7 +18,6 @@ import numpy as np
 from ._numerics import brentq
 from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, Obstacle, Receiver, Scene,
                       Transmitter, incidence, lambertian_order, path_gain)
-from .phy import mcs, snr_for_fsr
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
 RX_FOV_DEG = 45.0
@@ -27,9 +26,6 @@ RX_AREA_M2 = 1e-4              # 1 cm^2 photodiode
 # Blockage timeline covers, half-open [start, end) frame intervals.
 BLOCK_B_FRAMES = (100, 181)
 BLOCK_A_FRAMES = (200, 281)
-
-# Single-path FSR operating points for the MRC gain demonstration.
-MRC_POINT_TARGET_FSR = (0.626, 0.365)
 
 # Handover geometry: the two RX sit at +- this azimuth, this far from the TX.
 HANDOVER_RX_AZIMUTH_DEG = TX_SEMI_ANGLE_DEG
@@ -214,8 +210,3 @@ def csi_miso_scene() -> Scene:
                   _tx("tx_b", (-(d_far - d_near), 0, 0), (1, 0, 0), power_dbm=power_b)),
                  (_rx("rx_a", (d_near, 0, 0), (-1, 0, 0)),))
 
-
-def mrc_point_snrs_db(target_fsrs, payload_bytes: int) -> tuple:
-    """Per-path MCS 0 SNRs at which a `payload_bytes` frame succeeds with `target_fsrs`."""
-    entry = mcs(0)
-    return tuple(snr_for_fsr(entry, t, payload_bytes) for t in target_fsrs)

@@ -17,7 +17,7 @@ from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_
                       dbm_to_mw, incidence, lambertian_order, los_gain, mw_to_dbm, path_gain,
                       path_length, scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
 from .mimo import mrc_combine, zf_decode_links
-from .phy import FrameSpec, check_streams, fsr, mcs
+from .phy import FrameSpec, check_streams, fsr, mcs, snr_for_fsr
 from .presets import AREA_LINKS, mimo_area_scene
 
 # 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
@@ -26,8 +26,8 @@ CSI_BITS_RANGE = (2, 16)
 
 
 # The link runners emit one row per frame, distance/MCS cell or angle, tens of
-# thousands per run, so their rows are named tuples: cheap to build, and the
-# CLI can write them as they are.
+# thousands per run, so their rows are named tuples: cheap to build, and cheap
+# for the CLI to unpack into its text records.
 class FrameTrace(NamedTuple):
     """Per-frame record of the MRC receiver."""
 
@@ -47,14 +47,11 @@ class SisoSweepRow(NamedTuple):
     fsr_realized: float
 
 
-class MrcFsrPoint(NamedTuple):
-    fsr_a: float
-    fsr_b: float
-    fsr_mrc: float
-    analytic_a: float
-    analytic_b: float
-    analytic_mrc: float
-    mrc_snr_db: float
+class MrcPointRow(NamedTuple):
+    path: str
+    snr_db: float
+    fsr_analytic: float
+    fsr_realized: float
 
 
 class HandoverRow(NamedTuple):
@@ -176,20 +173,20 @@ def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index
             for i, (k, ok) in enumerate(zip(state_of_frame.tolist(), successes.tolist()))]
 
 
-def run_mrc_fsr_point(per_path_snr_db, frame: FrameSpec, seed: int) -> MrcFsrPoint:
-    """Monte-Carlo MCS 0 FSR of each path alone and of their MRC combination."""
-    snr_a, snr_b = (float(s) for s in per_path_snr_db)
+def run_mrc_fsr_point(target_fsrs, frame: FrameSpec, seed: int) -> list:
+    """Monte-Carlo MCS 0 FSR of paths A and B alone and of their MRC combination.
+
+    Each path sits at the SNR where its frame succeeds with its target FSR; a
+    target that rounds to 0 or 1 at `frame.payload_bytes` puts it at -inf or
+    inf dB. Rows come back in the order A, B, MRC.
+    """
     entry = mcs(0)
-    analytic_a = fsr(entry, snr_a, frame.payload_bytes)
-    analytic_b = fsr(entry, snr_b, frame.payload_bytes)
+    snr_a, snr_b = (snr_for_fsr(entry, t, frame.payload_bytes) for t in target_fsrs)
     _, mrc_db = mrc_combine([10.0 ** (snr_a / 10.0), 10.0 ** (snr_b / 10.0)])
-    analytic_mrc = fsr(entry, mrc_db, frame.payload_bytes)
-    fsr_a, fsr_b, fsr_mrc = _realize(np.random.default_rng(seed),
-                                     [analytic_a, analytic_b, analytic_mrc], frame.count)
-    return MrcFsrPoint(
-        fsr_a=fsr_a, fsr_b=fsr_b, fsr_mrc=fsr_mrc,
-        analytic_a=analytic_a, analytic_b=analytic_b, analytic_mrc=analytic_mrc,
-        mrc_snr_db=mrc_db)
+    snrs = (snr_a, snr_b, mrc_db)
+    analytic = [fsr(entry, snr_db, frame.payload_bytes) for snr_db in snrs]
+    realized = _realize(np.random.default_rng(seed), analytic, frame.count)
+    return [MrcPointRow(*cells) for cells in zip(("A", "B", "MRC"), snrs, analytic, realized)]
 
 
 def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:

@@ -63,12 +63,10 @@ def test_criterion_02_blockage_resilience():
 def test_criterion_03_mrc_fsr_point():
     with criterion(3, 5.0, "weak-branch pair (0.626 / 0.365) recovers to "
                            "MRC FSR >= 0.90"):
-        point = run_mrc_fsr_point(
-            presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR, FRAME.payload_bytes),
-            FRAME, seed=11)
-        assert abs(point.fsr_a - 0.626) <= 0.05
-        assert abs(point.fsr_b - 0.365) <= 0.05
-        assert point.fsr_mrc >= 0.90
+        a, b, combined = run_mrc_fsr_point((0.626, 0.365), FRAME, seed=11)
+        assert abs(a.fsr_realized - 0.626) <= 0.05
+        assert abs(b.fsr_realized - 0.365) <= 0.05
+        assert combined.fsr_realized >= 0.90
 
 
 def test_criterion_04_siso_ladder_anchors():

@@ -366,6 +366,36 @@ def test_siso_sweep_scenario_small(tmp_path):
     assert reliable["0"] < reliable["7"]
 
 
+@pytest.mark.parametrize("sizes", [
+    ("n_distances=24", "d_min=3", "d_max=12.5"),  # MCS 3 and 7 never reach 0.99
+    ("n_distances=5", "d_min=1", "d_max=1"),  # every distance repeats one RSSI
+])
+def test_siso_first_reliable_rssi_is_the_lowest_reliable_rssi(sizes, tmp_path):
+    out = tmp_path / "out"
+    argv = ["--scenario", "siso-sweep", "--set", "count=50", "--set", "mcs=7,0,3",
+            "--out", str(out)]
+    for item in sizes:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    rows = read_csv(out / "siso-sweep.csv")[1:]
+    want = {}
+    for m in ("7", "0", "3"):
+        reliable = [float(r[1]) for r in rows if r[3] == m and float(r[5]) >= 0.99]
+        want[m] = min(reliable) if reliable else None
+    assert want["7"] is None and want["0"] is not None
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aggregates"]["first_rssi_dbm_with_fsr_0p99"] == want
+
+
+def test_console_script_is_cli_main():
+    # The `vlcsim` command an install puts on PATH runs this entry point.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["vlcsim"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "blockage-timeline", "--set", "n_frames=0"],
     ["--scenario", "handover-sweep", "--set", "n_angles=0"],

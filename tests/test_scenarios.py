@@ -10,15 +10,13 @@ from vlcsim import presets
 from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, ValidationError, channel_matrix,
                             los_gain, subcarrier_frequencies)
 from vlcsim.mimo import mrc_combine
-from vlcsim.phy import FrameSpec, fsr, mcs
-from vlcsim.scenarios import (report_csi, run_blockage_timeline, run_csi_report,
-                              run_handover_sweep, run_mimo_area_grid,
+from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
+from vlcsim.scenarios import (_realize, report_csi, run_blockage_timeline,
+                              run_csi_report, run_handover_sweep, run_mimo_area_grid,
                               run_mrc_fsr_point, run_siso_sweep)
 
 GAIN_3DB = 10.0 * math.log10(2.0)
 FRAME = FrameSpec(payload_bytes=1000, count=1000)
-MRC_POINT_SNRS_DB = presets.mrc_point_snrs_db(presets.MRC_POINT_TARGET_FSR,
-                                              FRAME.payload_bytes)
 
 
 @pytest.fixture(scope="module")
@@ -84,31 +82,46 @@ class TestBlockageTimeline:
 
 class TestMrcFsrPoint:
     def test_reference_point(self):
-        point = run_mrc_fsr_point(MRC_POINT_SNRS_DB, FRAME, seed=11)
-        assert point.analytic_a == pytest.approx(0.626, abs=1e-9)
-        assert point.analytic_b == pytest.approx(0.365, abs=1e-9)
-        assert abs(point.fsr_a - 0.626) <= 0.05
-        assert abs(point.fsr_b - 0.365) <= 0.05
-        assert point.fsr_mrc >= 0.9
+        a, b, combined = run_mrc_fsr_point((0.626, 0.365), FRAME, seed=11)
+        assert [r.path for r in (a, b, combined)] == ["A", "B", "MRC"]
+        assert a.fsr_analytic == pytest.approx(0.626, abs=1e-9)
+        assert b.fsr_analytic == pytest.approx(0.365, abs=1e-9)
+        assert abs(a.fsr_realized - 0.626) <= 0.05
+        assert abs(b.fsr_realized - 0.365) <= 0.05
+        assert combined.fsr_realized >= 0.9
 
     def test_saturated_branches_stay_saturated(self):
-        e = mcs(0)
-        point = run_mrc_fsr_point([e.snr_threshold_db + 40.0] * 2, FRAME, seed=2)
-        assert point.fsr_a == point.fsr_b == point.fsr_mrc == 1.0
+        # The largest target below 1 puts each branch at an analytic FSR of
+        # 1 - 2e-16 and the combination at exactly 1.
+        top = math.nextafter(1.0, 0.0)
+        rows = run_mrc_fsr_point((top, top), FRAME, seed=2)
+        assert rows[2].fsr_analytic == 1.0
+        assert [r.fsr_realized for r in rows] == [1.0, 1.0, 1.0]
 
     def test_mrc_beats_independent_selection(self):
-        point = run_mrc_fsr_point(MRC_POINT_SNRS_DB, FRAME, seed=11)
-        bound = 1.0 - (1.0 - point.fsr_a) * (1.0 - point.fsr_b) - 0.02
-        assert point.fsr_mrc >= bound
-
-    def test_nan_probability_is_not_realized_as_zero(self):
-        with pytest.raises(ValueError, match="NaN"):
-            run_mrc_fsr_point([math.nan, 10.0], FRAME, seed=1)
+        a, b, combined = run_mrc_fsr_point((0.626, 0.365), FRAME, seed=11)
+        bound = 1.0 - (1.0 - a.fsr_realized) * (1.0 - b.fsr_realized) - 0.02
+        assert combined.fsr_realized >= bound
 
     def test_reports_the_combined_snr(self):
-        point = run_mrc_fsr_point([3.0, 6.0], FRAME, seed=1)
-        assert point.mrc_snr_db == mrc_combine([10.0 ** 0.3, 10.0 ** 0.6])[1]
-        assert point.mrc_snr_db == pytest.approx(10 * math.log10(10 ** 0.3 + 10 ** 0.6))
+        a, b, combined = run_mrc_fsr_point((0.2, 0.7), FRAME, seed=1)
+        assert combined.snr_db == mrc_combine([10.0 ** (a.snr_db / 10.0),
+                                               10.0 ** (b.snr_db / 10.0)])[1]
+        assert combined.snr_db == pytest.approx(
+            10 * math.log10(10 ** (a.snr_db / 10) + 10 ** (b.snr_db / 10)))
+
+    def test_paths_sit_at_their_targets_at_mcs0(self):
+        rows = run_mrc_fsr_point((0.2, 0.7), FrameSpec(payload_bytes=300, count=10), seed=1)
+        for row, target in zip(rows, (0.2, 0.7)):
+            assert row.snr_db == snr_for_fsr(mcs(0), target, 300)
+            assert row.fsr_analytic == fsr(mcs(0), row.snr_db, 300)
+            assert row.fsr_analytic == pytest.approx(target, abs=1e-12)
+
+
+class TestRealize:
+    def test_nan_probability_is_not_realized_as_zero(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _realize(np.random.default_rng(1), [0.5, math.nan], 1000)
 
 
 class TestHandoverSweep:
