@@ -23,7 +23,8 @@ import json
 import math
 import os
 import sys
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -120,21 +121,6 @@ _mcs_index = _number(int, 0, 15)  # the 802.11n MCS table
 _parse_offsets_db = _parse_list(_number(float, -100.0, 100.0))
 
 
-def _joined(cache: dict, values: tuple) -> str:
-    """The CSV cells of `values`, comma-joined once per distinct tuple of values.
-
-    A cell is `str(value)`, as in `_line`. 0.0 and -0.0 are equal keys that
-    print differently, so a tuple holding a zero is not cached and keeps its
-    own text.
-    """
-    text = cache.get(values)
-    if text is None:
-        text = ",".join(map(str, values))
-        if 0.0 not in values:
-            cache[values] = text
-    return text
-
-
 def _line(cells) -> str:
     """One CSV record: `str` of each cell, comma-separated, ending in CRLF.
 
@@ -155,44 +141,50 @@ def _run_siso_sweep(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
     if scene is None:
         scene = presets.siso_scene()
     distances = presets.siso_sweep_distances(n_distances, d_min, d_max)
-    rows = scenarios.run_siso_sweep(scene, mcs, distances, FrameSpec(payload_bytes, count), seed)
-    # Rows are sorted by RSSI, so an MCS's first reliable row is its lowest RSSI.
-    first_reliable = {}
-    for _, rssi, _, m, _, q in rows:
-        if q >= 0.99 and m not in first_reliable:
-            first_reliable[m] = rssi
-    # Every MCS of a distance repeats its distance, RSSI and SNR, and the RSSI
-    # sort need not keep them adjacent, so they are formatted by value. A
-    # realized FSR is k / count, one of count + 1 values and never -0.0, so
+    sweep = scenarios.run_siso_sweep(scene, mcs, distances, FrameSpec(payload_bytes, count), seed)
+    rssi, analytic, realized = sweep.rssi_dbm, sweep.fsr_analytic, sweep.fsr_realized
+    heads = [f"{d},{r},{snr}," for d, r, snr in zip(sweep.distance_m, rssi, sweep.snr_db)]
+    # A realized FSR is k / count, one of count + 1 values and never -0.0, so
     # each distinct one is formatted once.
-    texts = {}
-    realized = {q: str(q) for q in {row.fsr_realized for row in rows}}
-    # Each row gives way to its record, so that a run never holds all its rows
-    # and all its records at once.
-    lines = rows
-    for k, (d, rssi, snr, m, p, q) in enumerate(rows):
-        lines[k] = f"{_joined(texts, (d, rssi, snr))},{m},{p},{realized[q]}\r\n"
-    return (scenarios.SisoSweepRow._fields, lines,
-            {"first_rssi_dbm_with_fsr_0p99": {str(m): first_reliable.get(m) for m in mcs}})
+    realized_text = {q: str(q) for q in set(realized)}
+    # Records go out sorted by (rssi_dbm, mcs_index), as a stable sort of the
+    # cells in draw order leaves them: distances in stable ascending-RSSI order,
+    # and a group of equal RSSIs (a dark receiver's -inf, a repeated distance)
+    # MCS-major.
+    n_mcs = len(sweep.mcs_index)
+    by_mcs = [(j, f"{m},") for j, m in sorted(enumerate(sweep.mcs_index), key=itemgetter(1))]
+    order = sorted(range(len(rssi)), key=rssi.__getitem__)
+    # One group at a time, as (head, index of its first cell) per distance:
+    # holding every group at once raised the peak RSS of a mixed run.
+    lines = [f"{head}{m}{analytic[k + j]},{realized_text[realized[k + j]]}\r\n"
+             for _, group in groupby(order, key=rssi.__getitem__)
+             for cells in [[(heads[i], i * n_mcs) for i in group]]
+             for j, m in by_mcs for head, k in cells]
+    # The walk meets an MCS's cells in `order`, so its first reliable one has
+    # its lowest reliable RSSI.
+    first_reliable = {}
+    for j, m in enumerate(sweep.mcs_index):
+        column = realized[j::n_mcs]
+        first = next((i for i in order if column[i] >= 0.99), None)
+        first_reliable[str(m)] = None if first is None else rssi[first]
+    return (scenarios.SisoSweep._fields, lines,
+            {"first_rssi_dbm_with_fsr_0p99": first_reliable})
 
 
 def _run_blockage(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
                   n_frames: _n_rows = 350, mcs_index: _mcs_index = 0):
     if scene is None:
         scene = presets.simo_blockage_scene()
-    traces = scenarios.run_blockage_timeline(scene, payload_bytes, seed, mcs_index, n_frames)
-    n_chains = len(traces[0].per_chain_rssi_dbm)
-    header = (["frame_index"] + [f"rssi_chain_{i}_dbm" for i in range(n_chains)]
+    timeline = scenarios.run_blockage_timeline(scene, payload_bytes, seed, mcs_index, n_frames)
+    header = (["frame_index"] + [f"rssi_chain_{i}_dbm" for i in range(len(scene.receivers))]
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
-    aggregates = {"frames": len(traces),
-                  "success_rate": sum(t.success for t in traces) / len(traces)}
-    # Frames of one obstacle state share their RSSI cells; format them once.
-    # Each trace gives way to its record, as siso's rows do.
-    texts = {}
-    lines = traces
-    for k, (i, per_chain, combined, m, ok) in enumerate(traces):
-        lines[k] = f"{i},{_joined(texts, (*per_chain, combined))},MRC,{m},{ok}\r\n"
-    return header, lines, aggregates
+    success = timeline.success
+    # Frames of one obstacle state share every cell but their index and success.
+    cells = [f",{','.join(map(str, per_chain))},{combined},MRC,{timeline.mcs_index},"
+             for per_chain, combined in timeline.states]
+    lines = [f"{i}{cells[k]}{ok}\r\n"
+             for i, (k, ok) in enumerate(zip(timeline.state_of_frame, success))]
+    return header, lines, {"frames": len(success), "success_rate": sum(success) / len(success)}
 
 
 def _run_mrc_point(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
@@ -210,14 +202,12 @@ def _run_mrc_point(seed, *, payload_bytes: _payload_bytes = 1000, count: _count 
 def _run_handover(seed, *, scene=None, n_angles: _n_rows = 61):
     if scene is None:
         scene = presets.handover_scene()
-    rows = scenarios.run_handover_sweep(scene, presets.handover_angles(n_angles))
-    mrc = [r.rssi_mrc_dbm for r in rows]
+    sweep = scenarios.run_handover_sweep(scene, presets.handover_angles(n_angles))
+    mrc = sweep.rssi_mrc_dbm
     # An angle where neither receiver sees the LED makes the excursion unbounded: null.
     excursion = max(mrc) - min(mrc) if min(mrc) > -math.inf else None
-    lines = rows  # each row gives way to its record, as siso's rows do
-    for k, (az, a, b, mrc_dbm) in enumerate(rows):
-        lines[k] = f"{az},{a},{b},{mrc_dbm}\r\n"
-    return scenarios.HandoverRow._fields, lines, {"mrc_excursion_db": excursion}
+    lines = [f"{az},{a},{b},{mrc_dbm}\r\n" for az, a, b, mrc_dbm in zip(*sweep)]
+    return scenarios.HandoverSweep._fields, lines, {"mrc_excursion_db": excursion}
 
 
 def _run_area_grid(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,

@@ -1,14 +1,15 @@
 """Scripted link experiments producing frame traces, FSR tables, and CSI reports.
 
 Each runner is deterministic for a fixed seed: analytic frame success
-probabilities are realized as Bernoulli draws from one seeded generator, and
-frames are emitted in index order with no gaps.
+probabilities are realized as Bernoulli draws from one seeded generator. The
+three link runners return columns: the blockage timeline one entry per
+distinct obstacle state and one per frame, in index order with no gaps; the
+SISO sweep one per distance and one per (distance, MCS) cell, in draw order;
+the handover sweep one per angle.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -25,26 +26,35 @@ from .presets import AREA_LINKS, mimo_area_scene
 CSI_BITS_RANGE = (2, 16)
 
 
-# The link runners emit one row per frame, distance/MCS cell or angle, tens of
-# thousands per run, so their rows are named tuples: cheap to build, and cheap
-# for the CLI to unpack into its text records.
-class FrameTrace(NamedTuple):
-    """Per-frame record of the MRC receiver."""
+# The link runners return columns, one list per quantity, because a run holds
+# tens of thousands of frames, cells or angles and the CLI formats each value
+# once, straight from its column. The other results are one named tuple per
+# row. For the sweeps, the MRC point and the area grid, a type's fields are the
+# CSV header.
+class BlockageTimeline(NamedTuple):
+    """The MRC receiver's timeline: obstacle states and the frames in them.
 
-    frame_index: int
-    per_chain_rssi_dbm: tuple
-    combined_rssi_dbm: float
+    `states` holds one `(per_chain_rssi_dbm, combined_rssi_dbm)` per distinct
+    set of active obstacles; frame `i` is in state `state_of_frame[i]` and
+    succeeded when `success[i]`.
+    """
+
+    states: list
+    state_of_frame: list
+    success: list
     mcs_index: int
-    success: bool
 
 
-class SisoSweepRow(NamedTuple):
-    distance_m: float
-    rssi_dbm: float
-    snr_db: float
-    mcs_index: int
-    fsr_analytic: float
-    fsr_realized: float
+class SisoSweep(NamedTuple):
+    """The first three columns hold one value per distance, `mcs_index` one per
+    MCS, and the FSR columns one per (distance, MCS) cell, MCS varying fastest."""
+
+    distance_m: list
+    rssi_dbm: list
+    snr_db: list
+    mcs_index: list
+    fsr_analytic: list
+    fsr_realized: list
 
 
 class MrcPointRow(NamedTuple):
@@ -54,11 +64,11 @@ class MrcPointRow(NamedTuple):
     fsr_realized: float
 
 
-class HandoverRow(NamedTuple):
-    tx_azimuth_deg: float
-    rssi_a_dbm: float
-    rssi_b_dbm: float
-    rssi_mrc_dbm: float
+class HandoverSweep(NamedTuple):
+    tx_azimuth_deg: list
+    rssi_a_dbm: list
+    rssi_b_dbm: list
+    rssi_mrc_dbm: list
 
 
 class AreaGridRow(NamedTuple):
@@ -73,9 +83,10 @@ class AreaGridRow(NamedTuple):
     fsr_realized: float
 
 
-def _combined_rssi_dbm(per_chain_rssi_dbm) -> float:
-    """Wideband power of the MRC output: linear sum over live chains, in dBm."""
-    return float(mw_to_dbm(np.sum(dbm_to_mw(np.asarray(per_chain_rssi_dbm)))))
+def _combined_rssi_dbm(rssi):
+    """Wideband power of the MRC output: the linear sum over the chains, the
+    last axis of `rssi`, in dBm."""
+    return mw_to_dbm(np.sum(dbm_to_mw(rssi), axis=-1))
 
 
 def _realize(rng: np.random.Generator, probabilities, count: int) -> list:
@@ -91,11 +102,11 @@ def _realize(rng: np.random.Generator, probabilities, count: int) -> list:
 
 
 def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
-                   seed: int) -> list:
+                   seed: int) -> SisoSweep:
     """FSR-vs-RSSI table: slide the receiver along the link axis.
 
     For each distance/MCS cell the analytic FSR is realized over
-    `frame.count` Bernoulli draws. Rows come back sorted by RSSI.
+    `frame.count` Bernoulli draws. Distances keep their given order.
     """
     txs, rxs = scene.transmitters, scene.receivers
     if len(txs) != 1 or len(rxs) != 1:
@@ -127,21 +138,18 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     snrs = [r - scene.noise_floor_dbm for r in rssi]
     analytic = [fsr(entry, snr_db, frame.payload_bytes) for snr_db in snrs for entry in entries]
     # One draw for every cell, in (distance, MCS) order, the order of `analytic`.
-    realized = _realize(rng, analytic, frame.count)
-    cells = zip(product(zip(distances, rssi, snrs), entries), analytic, realized)
-    rows = [SisoSweepRow(d, r, snr_db, entry.index, p, q)
-            for ((d, r, snr_db), entry), p, q in cells]
-    rows.sort(key=itemgetter(1, 3))  # (rssi_dbm, mcs_index)
-    return rows
+    return SisoSweep(distances, rssi, snrs, [entry.index for entry in entries], analytic,
+                     _realize(rng, analytic, frame.count))
 
 
 def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index: int,
-                          n_frames: int) -> list:
+                          n_frames: int) -> BlockageTimeline:
     """Per-frame MRC trace across the scripted obstacle schedule.
 
-    Emits exactly one FrameTrace per frame index. Blocked chains read the
-    no-signal sentinel and contribute nothing to the combined power, so during
-    a single-path block the combined RSSI equals the surviving path's RSSI.
+    Gives every frame index its obstacle state and its success. Blocked chains
+    read the no-signal sentinel and contribute nothing to the combined power,
+    so during a single-path block the combined RSSI equals the surviving
+    path's RSSI.
     """
     entry = mcs(mcs_index)
     check_streams(entry.n_streams, len(scene.transmitters), len(scene.receivers),
@@ -159,18 +167,16 @@ def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index
     _, first_frames, state_of_frame = np.unique(
         active, axis=0, return_index=True, return_inverse=True)
     state_of_frame = state_of_frame.reshape(-1)
-    per_chain, combined, success_p = [], [], []
+    states, success_p = [], []
     for first in first_frames:
         gains, _ = scene_paths(scene, int(first))
         rssi = wideband_rssi_dbm(gains, scene.tx_power_dbm)
         _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
-        per_chain.append(tuple(float(r) for r in rssi))
-        combined.append(_combined_rssi_dbm(rssi))
+        states.append((tuple(rssi.tolist()), float(_combined_rssi_dbm(rssi))))
         success_p.append(fsr(entry, combined_snr_db, payload_bytes))
     rng = np.random.default_rng(seed)
-    successes = rng.random(n_frames) < np.array(success_p)[state_of_frame]
-    return [FrameTrace(i, per_chain[k], combined[k], entry.index, ok)
-            for i, (k, ok) in enumerate(zip(state_of_frame.tolist(), successes.tolist()))]
+    success = rng.random(n_frames) < np.array(success_p)[state_of_frame]
+    return BlockageTimeline(states, state_of_frame.tolist(), success.tolist(), entry.index)
 
 
 def run_mrc_fsr_point(target_fsrs, frame: FrameSpec, seed: int) -> list:
@@ -189,7 +195,7 @@ def run_mrc_fsr_point(target_fsrs, frame: FrameSpec, seed: int) -> list:
     return [MrcPointRow(*cells) for cells in zip(("A", "B", "MRC"), snrs, analytic, realized)]
 
 
-def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
+def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> HandoverSweep:
     """RSSI triple (path A, path B, MRC) as the TX boresight pans in the x-y plane."""
     txs, rxs = scene.transmitters, scene.receivers
     if len(txs) != 1 or len(rxs) != 2:
@@ -217,9 +223,8 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> list:
                 raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
             gains.append(g * conv)
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 2, 1)), scene.tx_power_dbm)
-    combined = mw_to_dbm(np.sum(dbm_to_mw(rssi), axis=1))
-    return [HandoverRow(az, rssi_a, rssi_b, mrc)
-            for az, (rssi_a, rssi_b), mrc in zip(azimuths, rssi.tolist(), combined.tolist())]
+    return HandoverSweep(azimuths, rssi[:, 0].tolist(), rssi[:, 1].tolist(),
+                         _combined_rssi_dbm(rssi).tolist())
 
 
 def run_mimo_area_grid(mcs_indices, frame: FrameSpec, seed: int, imbalance_db: float) -> list:

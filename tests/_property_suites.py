@@ -22,8 +22,8 @@ from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_s
 from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
     simulate_frame
 from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
-from vlcsim.scenarios import FrameTrace, HandoverRow, SisoSweepRow, \
-    run_blockage_timeline, run_handover_sweep, run_siso_sweep
+from vlcsim.scenarios import HandoverSweep, SisoSweep, run_blockage_timeline, \
+    run_handover_sweep, run_siso_sweep
 from vlcsim.sceneconfig import read_scene_file, scene_to_text
 
 
@@ -231,21 +231,23 @@ def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
 
 
 def _reference_timeline(scene, payload_bytes, seed, mcs_index, n_frames):
-    """The blockage timeline evaluated frame by frame, one scalar draw per frame."""
+    """The blockage timeline evaluated frame by frame, one scalar draw per frame.
+
+    One `(frame_index, *per_chain_rssi_dbm, combined_rssi_dbm, mcs_index,
+    success)` row per frame.
+    """
     entry = mcs(mcs_index)
     freqs = subcarrier_frequencies(20)
     rng = np.random.default_rng(seed)
     noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
-    traces = []
+    rows = []
     for i in range(n_frames):
         rssi = wideband_rssi_dbm(channel_matrix(scene, i, freqs).path_gains, scene.tx_power_dbm)
         _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
         p = fsr(entry, combined_snr_db, payload_bytes)
-        traces.append(FrameTrace(
-            frame_index=i, per_chain_rssi_dbm=tuple(float(r) for r in rssi),
-            combined_rssi_dbm=float(mw_to_dbm(np.sum(dbm_to_mw(rssi)))),
-            mcs_index=entry.index, success=bool(rng.random() < p)))
-    return traces
+        rows.append((i, *(float(r) for r in rssi), float(mw_to_dbm(np.sum(dbm_to_mw(rssi)))),
+                     entry.index, bool(rng.random() < p)))
+    return rows
 
 
 def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
@@ -258,8 +260,12 @@ def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
         mcs_index = int(rng.integers(0, 8)) + (8 if min(n_tx, n_rx) == 2 and rng.random() < 0.5 else 0)
         payload = int(rng.integers(100, 3000))
         s = int(rng.integers(0, 2 ** 31))
-        assert run_blockage_timeline(scene, payload, s, mcs_index, n_frames) == \
-            _reference_timeline(scene, payload, s, mcs_index, n_frames)
+        timeline = run_blockage_timeline(scene, payload, s, mcs_index, n_frames)
+        # Every state is one that some frame is in.
+        assert sorted(set(timeline.state_of_frame)) == list(range(len(timeline.states)))
+        frames = [(i, *timeline.states[k][0], timeline.states[k][1], timeline.mcs_index, ok)
+                  for i, (k, ok) in enumerate(zip(timeline.state_of_frame, timeline.success))]
+        assert frames == _reference_timeline(scene, payload, s, mcs_index, n_frames)
 
 
 def _zero_gain_receiver(rx, tx, kind):
@@ -295,6 +301,32 @@ def _repeats(rng, values):
     return rng.permutation(np.concatenate([values, rng.choice(values, size=len(values))]))
 
 
+def _reference_siso_rows(scene, distances, mcs_indices, frame, seed):
+    """The SISO sweep built on channel matrices, one scalar draw per cell.
+
+    One `(distance_m, rssi_dbm, snr_db, mcs_index, fsr_analytic, fsr_realized)`
+    row per cell, in (distance, MCS) order.
+    """
+    freqs = subcarrier_frequencies(20)
+    tx, rx = scene.transmitters[0], scene.receivers[0]
+    direction = _unit(rx.position - tx.position)
+    draws = np.random.default_rng(seed)
+    rows = []
+    for d in distances:
+        moved = Receiver(id=rx.id, position=tx.position + float(d) * direction,
+                         boresight=rx.boresight, fov_half_angle=rx.fov_half_angle,
+                         active_area=rx.active_area, conversion_gain_db=rx.conversion_gain_db)
+        probe = Scene((tx,), (moved,), noise_floor_dbm=scene.noise_floor_dbm)
+        rssi = float(wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains,
+                                       probe.tx_power_dbm)[0])
+        snr_db = rssi - scene.noise_floor_dbm
+        for m in mcs_indices:
+            p = fsr(mcs(m), snr_db, frame.payload_bytes)
+            realized = float(draws.binomial(frame.count, min(1.0, max(0.0, p))) / frame.count)
+            rows.append((float(d), rssi, snr_db, m, p, realized))
+    return rows
+
+
 def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
     """The RSSI-only SISO sweep equals one built on channel matrices.
 
@@ -302,29 +334,13 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
     or on the emitter plane, outside the FOV), links near 0 dBm, 1 and 1e5
     frames per cell, and repeated distances.
     """
-    freqs = subcarrier_frequencies(20)
-
     def check(scene, distances, mcs_indices, frame, s):
-        tx, rx = scene.transmitters[0], scene.receivers[0]
-        direction = _unit(rx.position - tx.position)
-        draws = np.random.default_rng(s)
-        expected = []
-        for d in distances:
-            moved = Receiver(id=rx.id, position=tx.position + float(d) * direction,
-                             boresight=rx.boresight, fov_half_angle=rx.fov_half_angle,
-                             active_area=rx.active_area,
-                             conversion_gain_db=rx.conversion_gain_db)
-            probe = Scene((tx,), (moved,), noise_floor_dbm=scene.noise_floor_dbm)
-            rssi = float(wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains,
-                                           probe.tx_power_dbm)[0])
-            snr_db = rssi - scene.noise_floor_dbm
-            for m in mcs_indices:
-                p = fsr(mcs(m), snr_db, frame.payload_bytes)
-                realized = float(draws.binomial(frame.count, min(1.0, max(0.0, p))) / frame.count)
-                expected.append(SisoSweepRow(float(d), rssi, snr_db, m, p, realized))
-        expected.sort(key=lambda r: (r.rssi_dbm, r.mcs_index))
-        assert run_siso_sweep(scene, mcs_indices, distances, frame, s) == expected
-        return expected
+        rows = _reference_siso_rows(scene, distances, mcs_indices, frame, s)
+        d, rssi, snr_db, m, p, q = map(list, zip(*rows))
+        n = len(mcs_indices)
+        assert run_siso_sweep(scene, mcs_indices, distances, frame, s) == \
+            SisoSweep(d[::n], rssi[::n], snr_db[::n], m[:n], p, q)
+        return rows
 
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
@@ -356,11 +372,30 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
         frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
                           count=(1, 100_000)[case // 5 % 2])
         rows = check(scene, distances, mcs_indices, frame, int(rng.integers(0, 2 ** 31)))
-        zero = [r for r in rows if r.rssi_dbm == -math.inf]
-        assert all(r.fsr_analytic == 0.0 == r.fsr_realized for r in zero)
+        zero = [(p, q) for _, rssi, _, _, p, q in rows if rssi == -math.inf]
+        assert all(p == 0.0 == q for p, q in zero)
         assert kind in ("live", "loud") or len(zero) == len(rows)
         zero_rows += len(zero)
     assert zero_rows > 0 or n_cases < 3
+
+
+def _reference_handover_rows(scene, azimuths):
+    """The handover sweep built on channel matrices: one `(tx_azimuth_deg,
+    rssi_a_dbm, rssi_b_dbm, rssi_mrc_dbm)` row per azimuth."""
+    freqs = subcarrier_frequencies(20)
+    tx = scene.transmitters[0]
+    rows = []
+    for az in azimuths:
+        a = math.radians(float(az))
+        aimed = Transmitter(id=tx.id, position=tx.position,
+                            boresight=np.array([math.cos(a), math.sin(a), 0.0]),
+                            half_power_semi_angle=tx.half_power_semi_angle,
+                            tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
+        probe = Scene((aimed,), scene.receivers, noise_floor_dbm=scene.noise_floor_dbm)
+        rssi = wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains, probe.tx_power_dbm)
+        rows.append((float(az), float(rssi[0]), float(rssi[1]),
+                     float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
+    return rows
 
 
 def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
@@ -370,24 +405,10 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
     gain (behind the emitter plane or outside the FOV, one or both) or near
     0 dBm, and repeated azimuths that include exactly +-90 degrees.
     """
-    freqs = subcarrier_frequencies(20)
-
     def check(scene, azimuths):
-        tx = scene.transmitters[0]
-        expected = []
-        for az in azimuths:
-            a = math.radians(float(az))
-            aimed = Transmitter(id=tx.id, position=tx.position,
-                                boresight=np.array([math.cos(a), math.sin(a), 0.0]),
-                                half_power_semi_angle=tx.half_power_semi_angle,
-                                tx_electrical_power_dbm=tx.tx_electrical_power_dbm)
-            probe = Scene((aimed,), scene.receivers, noise_floor_dbm=scene.noise_floor_dbm)
-            rssi = wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains,
-                                     probe.tx_power_dbm)
-            expected.append(HandoverRow(float(az), float(rssi[0]), float(rssi[1]),
-                                        float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
-        assert run_handover_sweep(scene, azimuths) == expected
-        return expected
+        rows = _reference_handover_rows(scene, azimuths)
+        assert run_handover_sweep(scene, azimuths) == HandoverSweep(*map(list, zip(*rows)))
+        return rows
 
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
@@ -418,8 +439,8 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
         scene = Scene((tx,), (rx_a, rx_b), noise_floor_dbm=scene.noise_floor_dbm)
         azimuths = _repeats(rng, np.concatenate([[90.0, -90.0], azimuths]))
         for row in check(scene, azimuths):
-            seen.update(name for name, value in zip(("a", "b", "mrc"), (
-                row.rssi_a_dbm, row.rssi_b_dbm, row.rssi_mrc_dbm)) if value == -math.inf)
+            seen.update(name for name, value in zip(("a", "b", "mrc"), row[1:])
+                        if value == -math.inf)
     assert seen == {"a", "b", "mrc"} or n_cases < 3
 
 
@@ -432,16 +453,19 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
-    """The CLI's link CSVs equal `csv.writer` over one list per runner row.
+    """The CLI's link CSVs equal `csv.writer` over the reference rows.
 
     Each case writes a random scene to a file, runs siso-sweep,
     blockage-timeline or handover-sweep on it through `cli.main`, and compares
-    the CSV bytes with the rows of the runner called on the same scene, written
-    as the CLI used to write them. The cases include receivers outside the FOV
-    (every siso row -inf, so distances interleave after the sort), d_min ==
-    d_max, and obstacles that blank one or every chain.
+    the CSV bytes with `csv.writer` over the rows of the frame-by-frame,
+    per-distance or per-angle channel-matrix reference on the same scene, siso
+    rows sorted by (rssi_dbm, mcs_index). The cases include receivers outside
+    the FOV (every siso row -inf, so distances interleave after the sort),
+    d_min == d_max, MCS lists in random and in descending order, and obstacles
+    that blank one or every chain.
     """
     rng = np.random.default_rng(seed)
+    descending = 0
     with tempfile.TemporaryDirectory() as tmp:
         scene_path, out = os.path.join(tmp, "scene.cfg"), os.path.join(tmp, "out")
         for case in range(n_cases):
@@ -460,6 +484,9 @@ def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
                 n = int(rng.integers(1, 25))
                 mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 5)),
                                                           replace=False)]
+                if case // 3 % 2:
+                    mcs_indices.sort(reverse=True)
+                    descending += len(mcs_indices) > 1
                 frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
                                   count=int(rng.integers(1, 300)))
                 settings = [f"d_min={d_min!r}", f"d_max={d_max!r}", f"n_distances={n}",
@@ -491,27 +518,24 @@ def link_csv_exactness(n_cases: int, seed: int = 116) -> None:
             assert cli.main(argv) == 0
 
             if kind == "siso-sweep":
-                rows = run_siso_sweep(scene, mcs_indices, np.geomspace(d_min, d_max, n),
-                                      frame, s)
+                rows = _reference_siso_rows(scene, np.geomspace(d_min, d_max, n), mcs_indices,
+                                            frame, s)
+                rows.sort(key=lambda r: (r[1], r[3]))  # (rssi_dbm, mcs_index)
                 header = ["distance_m", "rssi_dbm", "snr_db", "mcs_index", "fsr_analytic",
                           "fsr_realized"]
-                lists = [[r.distance_m, r.rssi_dbm, r.snr_db, r.mcs_index, r.fsr_analytic,
-                          r.fsr_realized] for r in rows]
-                assert not dark or all(r.rssi_dbm == -math.inf for r in rows)
+                assert not dark or all(r[1] == -math.inf for r in rows)
             elif kind == "blockage-timeline":
-                traces = run_blockage_timeline(scene, payload, s, mcs_index, n)
+                rows = [(*r[:-2], "MRC", *r[-2:])
+                        for r in _reference_timeline(scene, payload, s, mcs_index, n)]
                 header = (["frame_index"]
                           + [f"rssi_chain_{i}_dbm" for i in range(n_rx)]
                           + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
-                lists = [[t.frame_index, *t.per_chain_rssi_dbm, t.combined_rssi_dbm,
-                          "MRC", t.mcs_index, t.success] for t in traces]
             else:
-                rows = run_handover_sweep(scene, presets.handover_angles(n))
+                rows = _reference_handover_rows(scene, presets.handover_angles(n))
                 header = ["tx_azimuth_deg", "rssi_a_dbm", "rssi_b_dbm", "rssi_mrc_dbm"]
-                lists = [[r.tx_azimuth_deg, r.rssi_a_dbm, r.rssi_b_dbm, r.rssi_mrc_dbm]
-                         for r in rows]
             with open(os.path.join(out, f"{kind}.csv"), "rb") as f:
-                assert f.read() == _csv_bytes(header, lists), (kind, case)
+                assert f.read() == _csv_bytes(header, rows), (kind, case)
+    assert descending > 0 or n_cases < 12
 
 
 def _reference_stream_snr(entries, tx_power_per_stream, noise_per_chain):

@@ -50,14 +50,15 @@ def test_criterion_01_mrc_gain():
 def test_criterion_02_blockage_resilience():
     with criterion(2, 1.0, "350-frame blockage timeline: no frame lost, "
                            "combined RSSI tracks the surviving path"):
-        traces = run_blockage_timeline(presets.simo_blockage_scene(), FRAME.payload_bytes,
-                                       seed=7, mcs_index=0, n_frames=350)
-        assert len(traces) == 350
-        assert all(t.success for t in traces)
-        for t in traces[100:181]:  # path to RX B covered
-            assert t.combined_rssi_dbm == pytest.approx(t.per_chain_rssi_dbm[0], abs=0.1)
-        for t in traces[200:281]:  # path to RX A covered
-            assert t.combined_rssi_dbm == pytest.approx(t.per_chain_rssi_dbm[1], abs=0.1)
+        timeline = run_blockage_timeline(presets.simo_blockage_scene(), FRAME.payload_bytes,
+                                         seed=7, mcs_index=0, n_frames=350)
+        states = [timeline.states[k] for k in timeline.state_of_frame]
+        assert len(states) == len(timeline.success) == 350
+        assert all(timeline.success)
+        for per_chain, combined in states[100:181]:  # path to RX B covered
+            assert combined == pytest.approx(per_chain[0], abs=0.1)
+        for per_chain, combined in states[200:281]:  # path to RX A covered
+            assert combined == pytest.approx(per_chain[1], abs=0.1)
 
 
 def test_criterion_03_mrc_fsr_point():
@@ -72,12 +73,13 @@ def test_criterion_03_mrc_fsr_point():
 def test_criterion_04_siso_ladder_anchors():
     with criterion(4, 10.0, "MCS0 error-free from -55 dBm; MCS7 needs "
                             "30 +- 3 dB more"):
-        rows = run_siso_sweep(presets.siso_scene(), [0, 7],
-                              presets.siso_sweep_distances(64, 0.15, 12.5), FRAME, seed=3)
-        anchor = [r for r in rows if r.mcs_index == 0 and r.rssi_dbm >= -55.0]
-        assert anchor and all(r.fsr_realized >= 0.99 for r in anchor)
-        c7 = min(r.rssi_dbm for r in rows
-                 if r.mcs_index == 7 and r.fsr_realized >= 0.99)
+        sweep = run_siso_sweep(presets.siso_scene(), [0, 7],
+                               presets.siso_sweep_distances(64, 0.15, 12.5), FRAME, seed=3)
+        # Cells run MCS fastest, so MCS j's realized FSR at each distance is [j::2].
+        realized = {m: sweep.fsr_realized[j::2] for j, m in enumerate(sweep.mcs_index)}
+        anchor = [q for r, q in zip(sweep.rssi_dbm, realized[0]) if r >= -55.0]
+        assert anchor and all(q >= 0.99 for q in anchor)
+        c7 = min(r for r, q in zip(sweep.rssi_dbm, realized[7]) if q >= 0.99)
         assert c7 - (-55.0) == pytest.approx(30.0, abs=3.0)
 
 
@@ -107,11 +109,11 @@ def test_criterion_06_csi_shape():
 def test_criterion_07_handover_flatness():
     with criterion(7, 1.0, "MRC RSSI stays within 3 dB while each path "
                            "swings >= 10 dB"):
-        rows = run_handover_sweep(presets.handover_scene(), presets.handover_angles(61))
-        mrc = [r.rssi_mrc_dbm for r in rows]
+        sweep = run_handover_sweep(presets.handover_scene(), presets.handover_angles(61))
+        mrc = sweep.rssi_mrc_dbm
         assert max(mrc) - min(mrc) <= 3.0
         for path in ("rssi_a_dbm", "rssi_b_dbm"):
-            vals = [getattr(r, path) for r in rows]
+            vals = getattr(sweep, path)
             assert max(vals) - min(vals) >= 10.0
 
 

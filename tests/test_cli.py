@@ -657,6 +657,34 @@ def test_readme_csv_schemas_are_the_written_headers(tmp_path):
         assert header == columns, name
 
 
+# One record per scenario that leaves its column's domain.
+OUT_OF_DOMAIN = [
+    ("siso-sweep", "distance_m,rssi_dbm,snr_db,mcs_index,fsr_analytic,fsr_realized",
+     "1.0,inf,inf,0,1.0,1.0"),
+    ("siso-sweep", "distance_m,rssi_dbm,snr_db,mcs_index,fsr_analytic,fsr_realized",
+     "1.0,-50.0,-inf,0,0.0,0.0"),
+    ("handover-sweep", "tx_azimuth_deg,rssi_a_dbm,rssi_b_dbm,rssi_mrc_dbm",
+     "0.0,-50.0,-inf,-inf"),
+    ("blockage-timeline", "frame_index,rssi_chain_0_dbm,combined_rssi_dbm,technique,"
+     "mcs_index,success", "0,-inf,-50.0,MRC,0,True"),
+    ("mrc-fsr-point", "path,snr_db,fsr_analytic,fsr_realized", "B,-inf,0.0,0.0"),
+    ("oracle-check", "mcs_index,offset_db,analytic_snr_db,oracle_snr_db,fsr_analytic,"
+     "fsr_empirical,abs_err", "0,0.0,2.0,inf,0.5,0.5,0.0"),
+    ("mimo-area-grid", "placement,imbalance_db,mcs_index,snr_stream_a_db,snr_stream_b_db,"
+     "solvable,condition_number,fsr_analytic,fsr_realized", '"2,2",0.0,8,-inf,3.0,True,1.0,0.0,0.0'),
+    ("csi-report", "variant,rx,tx,subcarrier_hz,re,im,fsr_x", "siso,0,0,1.0,1,1,1.5"),
+]
+
+
+@pytest.mark.parametrize("scenario,header,record", OUT_OF_DOMAIN,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(OUT_OF_DOMAIN)])
+def test_csv_check_refuses_a_cell_outside_its_domain(scenario, header, record, tmp_path):
+    (tmp_path / "summary.json").write_text('{"rows": 1}')
+    (tmp_path / f"{scenario}.csv").write_bytes(f"{header}\r\n{record}\r\n".encode())
+    with pytest.raises(AssertionError):
+        check_written_csv(tmp_path)
+
+
 def test_readme_names_only_api_that_exists():
     named = set(re.findall(r"\bvlcsim\.([a-z_]+)\.([A-Za-z_]\w*)",
                            (ROOT / "README.md").read_text()))
@@ -855,17 +883,13 @@ def test_dark_handover_excursion_is_null(edits, all_dark, tmp_path):
     assert summary["aggregates"]["mrc_excursion_db"] is None
 
 
-def test_cached_cells_keep_the_sign_of_zero():
-    cache = {}
-    assert cli._joined(cache, (0.0, -50.5)) == "0.0,-50.5"
-    assert cli._joined(cache, (-0.0, -50.5)) == "-0.0,-50.5"
-    assert cli._joined(cache, (0.0, -50.5)) == "0.0,-50.5"
-    assert cli._joined(cache, (-50.5, -0.0)) == "-50.5,-0.0"
-    text = cli._joined(cache, (1.25, -math.inf))
-    assert cli._joined(cache, (1.25, -math.inf)) is text
-    # Pre-formatted cells are what csv.writer writes for the floats themselves.
+def test_line_cells_keep_the_sign_of_zero():
+    assert cli._line((0.0, -50.5)) == "0.0,-50.5\r\n"
+    assert cli._line((-0.0, -50.5)) == "-0.0,-50.5\r\n"
+    assert cli._line((-50.5, -0.0)) == "-50.5,-0.0\r\n"
+    # Each cell is what csv.writer writes for the float itself.
     values = [0.0, -0.0, np.float64(-0.0), -math.inf, 0.1 + 0.2, np.float64(1e-300)]
     direct = io.StringIO()
     csv.writer(direct).writerow(values)
-    assert direct.getvalue() == cli._joined({}, tuple(values)) + "\r\n" == \
+    assert direct.getvalue() == cli._line(values) == \
         "0.0,-0.0,-0.0,-inf,0.30000000000000004,1e-300\r\n"

@@ -1,5 +1,6 @@
 """Scripted experiments: timelines, sweeps, area grid, and CSI reporting."""
 
+import csv
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from vlcsim import presets
 from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, ValidationError, channel_matrix,
                             los_gain, subcarrier_frequencies)
+from vlcsim.cli import main
 from vlcsim.mimo import mrc_combine
 from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
 from vlcsim.scenarios import (_realize, report_csi, run_blockage_timeline,
@@ -20,20 +22,32 @@ FRAME = FrameSpec(payload_bytes=1000, count=1000)
 
 
 @pytest.fixture(scope="module")
-def traces():
+def timeline():
     return run_blockage_timeline(presets.simo_blockage_scene(), FRAME.payload_bytes, seed=7,
                                  mcs_index=0, n_frames=350)
 
 
 @pytest.fixture(scope="module")
-def handover_rows():
+def states(timeline):
+    """The `(per_chain_rssi_dbm, combined_rssi_dbm)` state of each frame."""
+    return [timeline.states[k] for k in timeline.state_of_frame]
+
+
+@pytest.fixture(scope="module")
+def handover():
     return run_handover_sweep(presets.handover_scene(), presets.handover_angles(61))
 
 
 @pytest.fixture(scope="module")
-def sweep_rows():
+def sweep():
     return run_siso_sweep(presets.siso_scene(), [0, 7],
                           presets.siso_sweep_distances(64, 0.15, 12.5), FRAME, seed=3)
+
+
+def _by_mcs(sweep, column):
+    """`column`, one value per (distance, MCS) cell, as one list per MCS index."""
+    n = len(sweep.mcs_index)
+    return {m: column[j::n] for j, m in enumerate(sweep.mcs_index)}
 
 
 @pytest.fixture(scope="module")
@@ -42,37 +56,35 @@ def grid_rows():
 
 
 class TestBlockageTimeline:
-    def test_exactly_one_trace_per_frame(self, traces):
-        assert [t.frame_index for t in traces] == list(range(350))
+    def test_exactly_one_trace_per_frame(self, timeline):
+        assert len(timeline.state_of_frame) == len(timeline.success) == 350
 
-    def test_all_frames_succeed(self, traces):
-        assert all(t.success for t in traces)
+    def test_all_frames_succeed(self, timeline):
+        assert all(timeline.success)
 
-    def test_clear_interval_shows_3db_mrc_gain(self, traces):
-        for t in traces[:100]:
-            assert t.combined_rssi_dbm - t.per_chain_rssi_dbm[0] == pytest.approx(
-                GAIN_3DB, abs=1e-6)
-            assert t.per_chain_rssi_dbm[0] == pytest.approx(t.per_chain_rssi_dbm[1],
-                                                            abs=1e-9)
+    def test_clear_interval_shows_3db_mrc_gain(self, states):
+        for per_chain, combined in states[:100]:
+            assert combined - per_chain[0] == pytest.approx(GAIN_3DB, abs=1e-6)
+            assert per_chain[0] == pytest.approx(per_chain[1], abs=1e-9)
 
-    def test_block_b_window(self, traces):
-        for t in traces[100:181]:
-            assert t.per_chain_rssi_dbm[1] == float("-inf")
-            assert t.combined_rssi_dbm == pytest.approx(t.per_chain_rssi_dbm[0], abs=0.1)
+    def test_block_b_window(self, states):
+        for per_chain, combined in states[100:181]:
+            assert per_chain[1] == float("-inf")
+            assert combined == pytest.approx(per_chain[0], abs=0.1)
 
-    def test_block_a_window(self, traces):
-        for t in traces[200:281]:
-            assert t.per_chain_rssi_dbm[0] == float("-inf")
-            assert t.combined_rssi_dbm == pytest.approx(t.per_chain_rssi_dbm[1], abs=0.1)
+    def test_block_a_window(self, states):
+        for per_chain, combined in states[200:281]:
+            assert per_chain[0] == float("-inf")
+            assert combined == pytest.approx(per_chain[1], abs=0.1)
 
-    def test_gaps_between_blocks_are_clear(self, traces):
-        for t in list(traces[181:200]) + list(traces[281:]):
-            assert all(np.isfinite(t.per_chain_rssi_dbm))
+    def test_gaps_between_blocks_are_clear(self, states):
+        for per_chain, _ in states[181:200] + states[281:]:
+            assert all(np.isfinite(per_chain))
 
-    def test_mrc_trace_invariant(self, traces):
-        for t in traces:
-            assert t.combined_rssi_dbm >= max(t.per_chain_rssi_dbm) - 1e-12
-            assert t.mcs_index == 0
+    def test_mrc_trace_invariant(self, timeline, states):
+        for per_chain, combined in states:
+            assert combined >= max(per_chain) - 1e-12
+        assert timeline.mcs_index == 0
 
     def test_deterministic(self):
         a = run_blockage_timeline(presets.simo_blockage_scene(), 1000, 7, 0, 350)
@@ -125,22 +137,22 @@ class TestRealize:
 
 
 class TestHandoverSweep:
-    def test_combined_power_stays_flat(self, handover_rows):
-        mrc = [r.rssi_mrc_dbm for r in handover_rows]
+    def test_combined_power_stays_flat(self, handover):
+        mrc = handover.rssi_mrc_dbm
         assert max(mrc) - min(mrc) <= 3.0
 
-    def test_each_path_swings_hard(self, handover_rows):
+    def test_each_path_swings_hard(self, handover):
         for path in ("rssi_a_dbm", "rssi_b_dbm"):
-            values = [getattr(r, path) for r in handover_rows]
+            values = getattr(handover, path)
             assert max(values) - min(values) >= 10.0
 
-    def test_extreme_angle_pushes_far_path_to_the_floor(self, handover_rows):
+    def test_extreme_angle_pushes_far_path_to_the_floor(self, handover):
         scene = presets.handover_scene()
-        assert handover_rows[0].rssi_b_dbm <= scene.noise_floor_dbm + 2.0
+        assert handover.rssi_b_dbm[0] <= scene.noise_floor_dbm + 2.0
 
-    def test_mid_sweep_mrc_dominates_both(self, handover_rows):
-        mid = handover_rows[len(handover_rows) // 2]
-        assert mid.rssi_mrc_dbm > max(mid.rssi_a_dbm, mid.rssi_b_dbm)
+    def test_mid_sweep_mrc_dominates_both(self, handover):
+        mid = len(handover.tx_azimuth_deg) // 2
+        assert handover.rssi_mrc_dbm[mid] > max(handover.rssi_a_dbm[mid], handover.rssi_b_dbm[mid])
 
     def test_needs_two_receivers(self):
         with pytest.raises(ValueError):
@@ -148,24 +160,30 @@ class TestHandoverSweep:
 
 
 class TestSisoSweep:
-    def test_rows_sorted_by_rssi(self, sweep_rows):
-        rssi = [r.rssi_dbm for r in sweep_rows]
+    def test_rows_sorted_by_rssi(self, tmp_path):
+        # The CLI writes the cells sorted by RSSI.
+        out = tmp_path / "out"
+        assert main(["--scenario", "siso-sweep", "--seed", "3", "--set", "mcs=0,7",
+                     "--out", str(out)]) == 0
+        with open(out / "siso-sweep.csv", newline="") as f:
+            rssi = [float(row["rssi_dbm"]) for row in csv.DictReader(f)]
         assert rssi == sorted(rssi)
 
-    def test_mcs0_reliable_above_minus_55(self, sweep_rows):
-        strong = [r for r in sweep_rows if r.mcs_index == 0 and r.rssi_dbm >= -55.0]
-        assert strong and all(r.fsr_realized >= 0.99 for r in strong)
+    def test_mcs0_reliable_above_minus_55(self, sweep):
+        realized = _by_mcs(sweep, sweep.fsr_realized)[0]
+        strong = [q for r, q in zip(sweep.rssi_dbm, realized) if r >= -55.0]
+        assert strong and all(q >= 0.99 for q in strong)
 
-    def test_mcs7_needs_about_30db_more(self, sweep_rows):
-        c0 = min(r.rssi_dbm for r in sweep_rows
-                 if r.mcs_index == 0 and r.fsr_realized >= 0.99)
-        c7 = min(r.rssi_dbm for r in sweep_rows
-                 if r.mcs_index == 7 and r.fsr_realized >= 0.99)
+    def test_mcs7_needs_about_30db_more(self, sweep):
+        realized = _by_mcs(sweep, sweep.fsr_realized)
+        c0 = min(r for r, q in zip(sweep.rssi_dbm, realized[0]) if q >= 0.99)
+        c7 = min(r for r, q in zip(sweep.rssi_dbm, realized[7]) if q >= 0.99)
         assert c7 - c0 == pytest.approx(30.0, abs=3.0)
 
-    def test_fsr_negligible_at_noise_floor(self, sweep_rows):
-        weak = [r for r in sweep_rows if r.snr_db <= 0.0]
-        assert weak and all(r.fsr_analytic <= 0.01 for r in weak)
+    def test_fsr_negligible_at_noise_floor(self, sweep):
+        weak = [p for analytic in _by_mcs(sweep, sweep.fsr_analytic).values()
+                for s, p in zip(sweep.snr_db, analytic) if s <= 0.0]
+        assert weak and all(p <= 0.01 for p in weak)
 
     def test_needs_1x1(self):
         with pytest.raises(ValueError):
