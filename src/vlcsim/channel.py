@@ -40,6 +40,13 @@ CENTER_FREQ_HZ = 2.437e9
 # Checked as `not abs(x) <= DB_LIMIT`, which NaN fails too.
 DB_LIMIT = 100.0
 
+# A scene's size is bounded, so that a scene file cannot ask for unbounded work.
+# 802.11n carries at most four spatial streams (IEEE Std 802.11-2020, clause 19);
+# 16 TX and 16 RX hold four 4x4 links (the area preset holds five receivers).
+MAX_FRONT_ENDS = 16
+# Each obstacle adds at most two interval endpoints: at most 2049 timeline states.
+MAX_OBSTACLES = 1024
+
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
@@ -160,10 +167,6 @@ class Obstacle:
             raise ValidationError(
                 f"active_frames must be 0 <= start < end < 2**63, got {self.active_frames}")
 
-    def blocks(self, tx_id: str, rx_id: str, frame_index: int) -> bool:
-        start, end = self.active_frames
-        return start <= frame_index < end and (tx_id, rx_id) in self.blocked_pairs
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -175,8 +178,11 @@ class Scene:
     noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM
 
     def __post_init__(self):
-        for name in ("transmitters", "receivers", "obstacles"):
+        for name, bound in (("transmitters", MAX_FRONT_ENDS), ("receivers", MAX_FRONT_ENDS),
+                            ("obstacles", MAX_OBSTACLES)):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+            if len(getattr(self, name)) > bound:
+                raise ValidationError(f"scene: {len(getattr(self, name))} {name} exceed the bound of {bound}")
         if not abs(self.noise_floor_dbm) <= DB_LIMIT:
             raise ValidationError(f"scene: noise_floor_dbm must be finite and in "
                                   f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm, got {self.noise_floor_dbm}")
@@ -340,14 +346,9 @@ class ChannelMatrix:
         return np.tensordot(self.entries, w, axes=([2], [0]))
 
 
-def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Path gains and delays of all TX->RX paths of a scene at one frame index.
-
-    Both arrays are (n_rx, n_tx). Paths covered by an obstacle active at
-    `frame_index` get zero gain. The receiver conversion gain is folded into
-    the path power gain, which thus maps TX electrical power to RX electrical
-    power.
-    """
+def unblocked_paths(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and delays, both (n_rx, n_tx), of all TX->RX paths of a scene, none blocked. A
+    power gain folds in its receiver's conversion gain: it maps TX to RX electrical power."""
     txs, rxs = scene.transmitters, scene.receivers
     gains = np.zeros((len(rxs), len(txs)))
     delays = np.zeros_like(gains)
@@ -355,12 +356,27 @@ def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]
     with np.errstate(over="ignore"):
         for i, (rx, conv) in enumerate(zip(rxs, convs)):
             for j, tx in enumerate(txs):
-                g, tau = los_gain(tx, rx)
-                if any(obs.blocks(tx.id, rx.id, frame_index) for obs in scene.obstacles):
-                    g = 0.0
+                g, delays[i, j] = los_gain(tx, rx)
                 gains[i, j] = g * conv
-                delays[i, j] = tau
     return gains, delays
+
+
+def zero_paths(scene: Scene, gains: np.ndarray, pairs) -> np.ndarray:
+    """A copy of the (n_rx, n_tx) `gains` of `scene` with the `(tx_id, rx_id)` `pairs` zeroed."""
+    rx_ids, tx_ids = [rx.id for rx in scene.receivers], [tx.id for tx in scene.transmitters]
+    gains = gains.copy()
+    for tx_id, rx_id in pairs:
+        gains[rx_ids.index(rx_id), tx_ids.index(tx_id)] = 0.0
+    return gains
+
+
+def scene_paths(scene: Scene, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """`unblocked_paths` with zero gain on each path that an obstacle active at
+    `frame_index` covers."""
+    gains, delays = unblocked_paths(scene)
+    pairs = [p for obs in scene.obstacles if obs.active_frames[0] <= frame_index < obs.active_frames[1]
+             for p in obs.blocked_pairs]
+    return zero_paths(scene, gains, pairs), delays
 
 
 def channel_matrix(scene: Scene, frame_index: int, subcarrier_freqs) -> ChannelMatrix:

@@ -180,10 +180,10 @@ def _run_blockage(seed, *, scene=None, payload_bytes: _payload_bytes = 1000,
               + ["combined_rssi_dbm", "technique", "mcs_index", "success"])
     success = timeline.success
     # Frames of one obstacle state share every cell but their index and success.
-    cells = [f",{','.join(map(str, per_chain))},{combined},MRC,{timeline.mcs_index},"
-             for per_chain, combined in timeline.states]
-    lines = [f"{i}{cells[k]}{ok}\r\n"
-             for i, (k, ok) in enumerate(zip(timeline.state_of_frame, success))]
+    tails = [[f",{','.join(map(str, per_chain))},{combined},MRC,{timeline.mcs_index},{ok}\r\n"
+              for ok in (False, True)] for per_chain, combined in timeline.states]
+    lines = [f"{i}{tails[k][ok]}"
+             for i, k, ok in zip(range(len(success)), timeline.state_of_frame, success)]
     return header, lines, {"frames": len(success), "success_rate": sum(success) / len(success)}
 
 

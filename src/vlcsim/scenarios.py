@@ -3,12 +3,13 @@
 Each runner is deterministic for a fixed seed: analytic frame success
 probabilities are realized as Bernoulli draws from one seeded generator. The
 three link runners return columns: the blockage timeline one entry per
-distinct obstacle state and one per frame, in index order with no gaps; the
+set of blocked paths and one per frame, in index order with no gaps; the
 SISO sweep one per distance and one per (distance, MCS) cell, in draw order;
 the handover sweep one per angle.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear,
                       dbm_to_mw, incidence, lambertian_order, los_gain, mw_to_dbm, path_gain,
-                      path_length, scene_paths, subcarrier_frequencies, wideband_rssi_dbm)
+                      path_length, scene_paths, subcarrier_frequencies, unblocked_paths,
+                      wideband_rssi_dbm, zero_paths)
 from .mimo import mrc_combine, zf_decode_links
 from .phy import FrameSpec, check_streams, fsr, mcs, snr_for_fsr
 from .presets import AREA_LINKS, mimo_area_scene
@@ -34,9 +36,10 @@ CSI_BITS_RANGE = (2, 16)
 class BlockageTimeline(NamedTuple):
     """The MRC receiver's timeline: obstacle states and the frames in them.
 
-    `states` holds one `(per_chain_rssi_dbm, combined_rssi_dbm)` per distinct
-    set of active obstacles; frame `i` is in state `state_of_frame[i]` and
-    succeeded when `success[i]`.
+    A state is one set of blocked paths. `states` holds one
+    `(per_chain_rssi_dbm, combined_rssi_dbm)` per state, numbered in order of
+    first occurrence; frame `i` is in state `state_of_frame[i]` and succeeded
+    when `success[i]`.
     """
 
     states: list
@@ -155,25 +158,30 @@ def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index
     check_streams(entry.n_streams, len(scene.transmitters), len(scene.receivers),
                   f"MCS {entry.index}")
     noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
-    # A frame's channel depends on its index only through which obstacles are
-    # active at that index, so every frame with the same active set has the
-    # same path gains, RSSI and FSR. Evaluating each distinct set once, at the
-    # first frame where it occurs, is therefore exact, and one vector draw
-    # yields the same Bernoulli stream as one scalar draw per frame.
-    frames = np.arange(n_frames)
-    intervals = np.array([obs.active_frames for obs in scene.obstacles],
-                         dtype=np.int64).reshape(-1, 2)
-    active = (frames[:, None] >= intervals[:, 0]) & (frames[:, None] < intervals[:, 1])
-    _, first_frames, state_of_frame = np.unique(
-        active, axis=0, return_index=True, return_inverse=True)
-    state_of_frame = state_of_frame.reshape(-1)
+    # A frame's channel depends on its index only through the set of paths that
+    # active obstacles block, so evaluating each blocked set once is exact. The
+    # sorted, clipped interval endpoints cut the frames into intervals of one
+    # active set each, a segment tree's leaves (de Berg et al., Computational
+    # Geometry, 3rd ed., ch. 10); a sweep counts the active obstacles per path.
+    events = {}
+    for obs in scene.obstacles:
+        for t, step in zip(obs.active_frames, (1, -1)):
+            events.setdefault(min(t, n_frames), []).append((obs.blocked_pairs, step))
+    edges = sorted({0, n_frames, *events})
+    cover, blocked_sets, state_ids = Counter(), {}, []
+    for lo in edges[:-1]:
+        for pairs, step in events.get(lo, ()):
+            cover.update(dict.fromkeys(pairs, step))
+        state_ids.append(blocked_sets.setdefault(frozenset(+cover), len(blocked_sets)))
+    unblocked, _ = unblocked_paths(scene)
     states, success_p = [], []
-    for first in first_frames:
-        gains, _ = scene_paths(scene, int(first))
-        rssi = wideband_rssi_dbm(gains, scene.tx_power_dbm)
+    for blocked in blocked_sets:
+        rssi = wideband_rssi_dbm(zero_paths(scene, unblocked, blocked), scene.tx_power_dbm)
         _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
         states.append((tuple(rssi.tolist()), float(_combined_rssi_dbm(rssi))))
         success_p.append(fsr(entry, combined_snr_db, payload_bytes))
+    state_of_frame = np.repeat(np.array(state_ids, dtype=int), np.diff(edges))
+    # One vector draw yields the same Bernoulli stream as one scalar draw per frame.
     rng = np.random.default_rng(seed)
     success = rng.random(n_frames) < np.array(success_p)[state_of_frame]
     return BlockageTimeline(states, state_of_frame.tolist(), success.tolist(), entry.index)

@@ -217,15 +217,17 @@ def _random_link_scene(rng, n_tx, n_rx, n_obstacles=0, n_frames=1):
                             conversion_gain_db=float(rng.uniform(-5.0, 5.0))))
     pairs = [(tx.id, rx.id) for tx in txs for rx in rxs]
     # Interval ends drawn from one small pool, so intervals overlap, nest, touch,
-    # start at frame 0 and end past the last frame.
-    ends = [0, n_frames, n_frames + 7] + [int(x) for x in rng.integers(1, n_frames + 1, 3)]
+    # start at frame 0, start past the last frame and end past it, at 2**63 - 1 too.
+    ends = ([0, n_frames, n_frames + 7, 2 ** 63 - 1]
+            + [int(x) for x in rng.integers(1, n_frames + 1, 3)])
     obstacles = []
     for _ in range(n_obstacles):
         start, end = sorted(rng.choice(sorted(set(ends)), size=2, replace=False))
         k = int(rng.integers(1, len(pairs) + 1))
-        blocked = [pairs[c] for c in rng.choice(len(pairs), size=k, replace=False)]
-        obstacles.append(Obstacle(blocked_pairs=frozenset(blocked),
-                                  active_frames=(int(start), int(end))))
+        blocked = frozenset(pairs[c] for c in rng.choice(len(pairs), size=k, replace=False))
+        if obstacles and rng.random() < 0.3:  # the paths of an earlier obstacle
+            blocked = obstacles[int(rng.integers(len(obstacles)))].blocked_pairs
+        obstacles.append(Obstacle(blocked_pairs=blocked, active_frames=(int(start), int(end))))
     return Scene(txs, rxs, obstacles=obstacles,
                  noise_floor_dbm=float(rng.uniform(-75.0, -40.0)))
 
@@ -250,13 +252,27 @@ def _reference_timeline(scene, payload_bytes, seed, mcs_index, n_frames):
     return rows
 
 
+def _blocked_paths(scene, frame_index):
+    """The set of `(tx_id, rx_id)` paths that obstacles active at `frame_index` block."""
+    return frozenset(pair for obs in scene.obstacles
+                     if obs.active_frames[0] <= frame_index < obs.active_frames[1]
+                     for pair in obs.blocked_pairs)
+
+
 def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
-    """Evaluating once per active-obstacle set equals the frame-by-frame timeline."""
+    """Evaluating once per set of blocked paths equals the frame-by-frame timeline.
+
+    Scenes hold up to 12 obstacles whose intervals overlap, nest and touch,
+    start past the last frame or end at 2**63 - 1, some of them blocking the
+    same paths, so that different sets of active obstacles block one set of
+    paths. Two frames share a state exactly when the same paths are blocked.
+    """
     rng = np.random.default_rng(seed)
+    seen = dict.fromkeys(("end 2**63 - 1", "start past n_frames", "same paths", "merged"), 0)
     for _ in range(n_cases):
         n_tx, n_rx = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         n_frames = int(rng.integers(1, 120))
-        scene = _random_link_scene(rng, n_tx, n_rx, int(rng.integers(0, 5)), n_frames)
+        scene = _random_link_scene(rng, n_tx, n_rx, int(rng.integers(0, 13)), n_frames)
         mcs_index = int(rng.integers(0, 8)) + (8 if min(n_tx, n_rx) == 2 and rng.random() < 0.5 else 0)
         payload = int(rng.integers(100, 3000))
         s = int(rng.integers(0, 2 ** 31))
@@ -266,6 +282,17 @@ def blockage_timeline_exactness(n_cases: int, seed: int = 110) -> None:
         frames = [(i, *timeline.states[k][0], timeline.states[k][1], timeline.mcs_index, ok)
                   for i, (k, ok) in enumerate(zip(timeline.state_of_frame, timeline.success))]
         assert frames == _reference_timeline(scene, payload, s, mcs_index, n_frames)
+        blocked = [_blocked_paths(scene, i) for i in range(n_frames)]
+        n_states = len(timeline.states)
+        assert len(set(blocked)) == n_states == len(set(zip(blocked, timeline.state_of_frame)))
+        spans = [obs.active_frames for obs in scene.obstacles]
+        active = {tuple(start <= i < end for start, end in spans) for i in range(n_frames)}
+        seen["end 2**63 - 1"] += any(end == 2 ** 63 - 1 for _, end in spans)
+        seen["start past n_frames"] += any(start > n_frames for start, _ in spans)
+        seen["same paths"] += len({obs.blocked_pairs for obs in scene.obstacles}) < len(spans)
+        seen["merged"] += len(active) > n_states
+    if n_cases >= 20:
+        assert min(seen.values()) > 0, seen
 
 
 def _zero_gain_receiver(rx, tx, kind):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vlcsim.channel import (ChannelMatrix, Obstacle, Receiver, Scene, Transmitter, ValidationError,
-                            channel_matrix, lambertian_order, los_gain,
-                            subcarrier_frequencies, wideband_rssi_dbm)
+from vlcsim.channel import (MAX_FRONT_ENDS, MAX_OBSTACLES, ChannelMatrix, Obstacle, Receiver,
+                            Scene, Transmitter, ValidationError, channel_matrix, lambertian_order,
+                            los_gain, subcarrier_frequencies, wideband_rssi_dbm)
 
 
 def make_tx(fe_id="tx_a", position=(0, 0, 0), boresight=(1, 0, 0),
@@ -216,6 +216,20 @@ class TestSceneValidation:
                 break
         with pytest.raises(ValidationError, match="unknown front-end id 'rx_0'"):
             Scene((make_tx(),), (make_rx(),), obstacles=(obs,))
+
+    @pytest.mark.parametrize("role", ["transmitters", "receivers", "obstacles"])
+    def test_size_is_bounded(self, role):
+        bound = MAX_OBSTACLES if role == "obstacles" else MAX_FRONT_ENDS
+        member = {"transmitters": lambda k: make_tx(fe_id=f"tx_{k}"),
+                  "receivers": lambda k: make_rx(fe_id=f"rx_{k}"),
+                  "obstacles": lambda k: Obstacle(blocked_pairs={("tx_0", "rx_0")},
+                                                  active_frames=(k, k + 1))}[role]
+        fields = {"transmitters": [make_tx(fe_id="tx_0")], "receivers": [make_rx(fe_id="rx_0")],
+                  role: [member(k) for k in range(bound)]}
+        Scene(**fields)
+        fields[role].append(member(bound))
+        with pytest.raises(ValidationError, match=rf"^scene: {bound + 1} {role} exceed the bound of {bound}$"):
+            Scene(**fields)
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, 1e308, -100.5])
     def test_noise_floor_finite(self, noise):

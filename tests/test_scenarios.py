@@ -2,14 +2,15 @@
 
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vlcsim import presets
-from vlcsim.channel import (ChannelMatrix, Obstacle, Scene, ValidationError, channel_matrix,
-                            los_gain, subcarrier_frequencies)
+from vlcsim import channel, presets
+from vlcsim.channel import (MAX_OBSTACLES, ChannelMatrix, Obstacle, Scene, ValidationError,
+                            channel_matrix, los_gain, subcarrier_frequencies)
 from vlcsim.cli import main
 from vlcsim.mimo import mrc_combine
 from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
@@ -90,6 +91,38 @@ class TestBlockageTimeline:
         a = run_blockage_timeline(presets.simo_blockage_scene(), 1000, 7, 0, 350)
         b = run_blockage_timeline(presets.simo_blockage_scene(), 1000, 7, 0, 350)
         assert a == b
+
+    def test_los_gain_runs_once_per_path(self, monkeypatch):
+        scene = presets.simo_blockage_scene()
+        calls = []
+
+        def counted(tx, rx):
+            calls.append((tx.id, rx.id))
+            return los_gain(tx, rx)
+
+        monkeypatch.setattr(channel, "los_gain", counted)
+        timeline = run_blockage_timeline(scene, 1000, 7, 0, 350)
+        assert len(timeline.states) == 3
+        assert sorted(calls) == [(tx.id, rx.id) for tx in scene.transmitters
+                                 for rx in scene.receivers]
+
+    def test_memory_does_not_grow_with_the_obstacle_count(self):
+        """At the obstacle and frame bounds the runner holds per-frame columns
+        and per-state gains: its tracemalloc peak read 2.9 MB with numpy 2.4,
+        while a frames x obstacles boolean array alone would be 102 MB."""
+        base = presets.simo_blockage_scene()
+        paths = [("tx_a", "rx_a"), ("tx_a", "rx_b")]
+        obstacles = [Obstacle(blocked_pairs={paths[k % 2]}, active_frames=(97 * k, 97 * k + 150))
+                     for k in range(MAX_OBSTACLES)]
+        scene = Scene(base.transmitters, base.receivers, obstacles, base.noise_floor_dbm)
+        tracemalloc.start()
+        try:
+            timeline = run_blockage_timeline(scene, 1000, 1, 0, 10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert len(timeline.success) == 10 ** 5 and len(timeline.states) == 4
 
 
 class TestMrcFsrPoint:

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _csv_check import check_written_csv
 from vlcsim import cli
+from vlcsim.channel import MAX_OBSTACLES
 from vlcsim.sceneconfig import _FRONTEND_KEYS, _OBSTACLE_KEYS, _SCENE_KEYS, parse_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -86,12 +87,13 @@ def cases(draw):
 
 
 def edited_text(name, edits):
+    """The text of scene file `name` with `edits`; an edit may add a section."""
     sections = _sections(name)
     for section, key, value in edits:
         if value is None:
             sections[section].pop(key, None)
         else:
-            sections[section][key] = value
+            sections.setdefault(section, {})[key] = value
     return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items()) + "\n"
                    for section, sec in sections.items())
 
@@ -149,6 +151,10 @@ def load_summary(path, scenario):
            ("frontend tx_a", "boresight", "1e300 0 0"))))
 # A receiver that sees nothing beside one that does: its CSI ripple is 0, not 0/0.
 @example(("handover.cfg", "csi-report", (("frontend rx_a", "boresight", "0 0 1"),)))
+# One obstacle past the bound, added to the shipped two: refused in one line.
+@example(("simo_blockage.cfg", "blockage-timeline",
+          tuple((f"obstacle extra_{k}", key, value) for k in range(MAX_OBSTACLES - 1)
+                for key, value in (("blocks", "tx_a->rx_a"), ("frames", f"{k} {k + 1}")))))
 def test_any_scene_edit_ends_in_a_documented_exit(case):
     name, scenario, edits = case
     with tempfile.TemporaryDirectory() as out:
@@ -166,6 +172,10 @@ def test_any_scene_edit_ends_in_a_documented_exit(case):
         if code == 1:
             assert err and all(line.startswith("invalid scene: ")
                                for line in err.splitlines()), (case, err)
+        n_obstacles = text.count("[obstacle ")
+        if n_obstacles > MAX_OBSTACLES:
+            assert code == 1 and err == (f"invalid scene: scene: {n_obstacles} obstacles exceed "
+                                         f"the bound of {MAX_OBSTACLES}\n"), (code, err)
         if code != 0:
             return
         check_written_csv(out)
