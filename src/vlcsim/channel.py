@@ -49,25 +49,20 @@ MAX_OBSTACLES = 1024
 
 
 def db_to_linear(db):
+    """10^(db/10): a dB gain as a power ratio, or a dBm level in mW."""
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
 def linear_to_db(x):
+    """10*log10(x): a power ratio in dB, or a level in mW in dBm; 0 gives -inf."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(x)
 
 
-def dbm_to_mw(dbm):
-    return db_to_linear(dbm)
-
-
-def mw_to_dbm(mw):
-    return linear_to_db(mw)
-
-
-def data_subcarrier_indices(bandwidth_mhz: int) -> np.ndarray:
-    """Data subcarrier indices (relative to the channel center) for 20/40 MHz."""
+def subcarrier_frequencies(bandwidth_mhz: int) -> np.ndarray:
+    """Absolute frequencies of the data subcarriers (52 at 20 MHz, 108 at 40 MHz)."""
+    # Subcarrier indices relative to the channel center: the used ones less the pilots.
     if bandwidth_mhz == 20:
         used = [k for k in range(-28, 29) if k != 0]
         pilots = {-21, -7, 7, 21}
@@ -76,12 +71,7 @@ def data_subcarrier_indices(bandwidth_mhz: int) -> np.ndarray:
         pilots = {-53, -25, -11, 11, 25, 53}
     else:
         raise ValueError(f"bandwidth must be 20 or 40 MHz, got {bandwidth_mhz}")
-    return np.array([k for k in used if k not in pilots])
-
-
-def subcarrier_frequencies(bandwidth_mhz: int = 20) -> np.ndarray:
-    """Absolute frequencies of the data subcarriers (52 at 20 MHz, 108 at 40 MHz)."""
-    return CENTER_FREQ_HZ + data_subcarrier_indices(bandwidth_mhz) * SUBCARRIER_SPACING_HZ
+    return CENTER_FREQ_HZ + np.array([k for k in used if k not in pilots]) * SUBCARRIER_SPACING_HZ
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,9 +290,10 @@ class ChannelMatrix:
     """Per-subcarrier complex channel H plus the underlying path gains/delays.
 
     `entries[k, i, j] = sqrt(path_gains[i, j]) * exp(-2j*pi*f_k*path_delays[i, j])`
-    for receive chain i, transmit element j, subcarrier frequency f_k. Path
-    gains are end-to-end electrical power gains (optical LOS gain times the
-    receiver conversion gain); blocked paths carry exactly zero gain.
+    for receive chain i, transmit element j, subcarrier frequency f_k, so
+    `entries` is (len(subcarrier_freqs), n_rx, n_tx). Path gains are end-to-end
+    electrical power gains (optical LOS gain times the receiver conversion
+    gain); blocked paths carry exactly zero gain.
     """
 
     subcarrier_freqs: np.ndarray
@@ -332,14 +323,10 @@ class ChannelMatrix:
     def n_rx(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def n_subcarriers(self) -> int:
-        return len(self.subcarrier_freqs)
-
     def column_sum(self, amplitude_weights) -> np.ndarray:
         """Effective per-chain channel when all TX radiate one common signal.
 
-        Returns shape (n_subcarriers, n_rx). Weights are per-TX field
+        Returns shape (len(subcarrier_freqs), n_rx). Weights are per-TX field
         amplitudes, e.g. sqrt of linear TX power.
         """
         w = np.asarray(amplitude_weights, dtype=float)
@@ -392,8 +379,8 @@ def wideband_rssi_dbm(path_gains, tx_power_dbm) -> np.ndarray:
     (..., n_rx, n_tx). A chain whose paths are all blocked reads
     NO_SIGNAL_DBM (-inf).
     """
-    p_mw = dbm_to_mw(np.asarray(tx_power_dbm, dtype=float))
+    p_mw = db_to_linear(np.asarray(tx_power_dbm, dtype=float))
     n_tx = np.shape(path_gains)[-1]
     if p_mw.shape != (n_tx,):
         raise ValueError(f"need one TX power per transmit element ({n_tx}), got shape {p_mw.shape}")
-    return mw_to_dbm(path_gains @ p_mw)
+    return linear_to_db(path_gains @ p_mw)

@@ -1,10 +1,10 @@
 """802.11n MCS ladder and the analytic frame-success model.
 
-The ladder covers MCS 0-15: indices 0-7 are single-stream, 8-15 the same
-modulation/coding pairs over two streams. 20 MHz data rates are the 800 ns
-guard-interval figures (MCS0 = 6.5 Mbit/s); 40 MHz rates are the 400 ns
-guard-interval figures, which is where the familiar 300 Mbit/s top rate of a
-2x2 40 MHz link comes from.
+The ladder, `MCS_TABLE`, holds MCS 0-15 in index order: indices 0-7 are
+single-stream, 8-15 the same modulation/coding pairs over two streams. 20 MHz
+data rates are the 800 ns guard-interval figures (MCS0 = 6.5 Mbit/s); 40 MHz
+rates are the 400 ns guard-interval figures, which is where the familiar
+300 Mbit/s top rate of a 2x2 40 MHz link comes from.
 
 Frame success rate is a logistic waterfall in the minimum per-stream SNR:
 
@@ -21,7 +21,6 @@ FSR = FSR_ref ** (payload_bytes / 1000).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,28 +75,23 @@ class FrameSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
-@lru_cache(maxsize=1)
-def mcs_table() -> tuple:
-    """The 16-entry MCS ladder. Entries 8-15 mirror 0-7 with two streams."""
-    entries = []
-    for streams in (1, 2):
-        for k, (mod, rate, r20, r40) in enumerate(_BASE_LADDER):
-            entries.append(McsEntry(
-                index=k + 8 * (streams - 1),
-                modulation=mod,
-                code_rate=rate,
-                n_streams=streams,
-                data_rate_20mhz_mbps=r20 * streams,
-                data_rate_40mhz_mbps=r40 * streams,
-                snr_threshold_db=_RELIABLE_SNR_ANCHORS_DB[k] - RELIABLE_DECODE_MARGIN_DB,
-            ))
-    return tuple(entries)
+MCS_TABLE = tuple(
+    McsEntry(
+        index=k + 8 * (streams - 1),
+        modulation=mod,
+        code_rate=rate,
+        n_streams=streams,
+        data_rate_20mhz_mbps=r20 * streams,
+        data_rate_40mhz_mbps=r40 * streams,
+        snr_threshold_db=_RELIABLE_SNR_ANCHORS_DB[k] - RELIABLE_DECODE_MARGIN_DB,
+    )
+    for streams in (1, 2) for k, (mod, rate, r20, r40) in enumerate(_BASE_LADDER))
 
 
 def mcs(index: int) -> McsEntry:
     if not 0 <= index <= 15:
         raise ValueError(f"MCS index must be in 0..15, got {index}")
-    return mcs_table()[index]
+    return MCS_TABLE[index]
 
 
 def check_streams(n_streams: int, n_tx: int, n_rx: int, what: str) -> None:

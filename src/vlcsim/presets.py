@@ -50,7 +50,7 @@ def _rx(fe_id, position, boresight, fov=RX_FOV_DEG):
 
 
 def siso_scene() -> Scene:
-    """One TX and one RX facing each other on the x axis, 2 m apart.
+    """One TX and one RX facing each other 2 m apart on the x axis: a flat channel.
 
     At 0 dBm TX power the RSSI is about -40.3 - 20*log10(d) dBm, so sweeping
     d from 0.15 m to 12.5 m covers roughly -24 dBm down to the noise floor.
@@ -125,8 +125,8 @@ def _area_rx(fe_id: str, area: int, z: float, tilt_deg: float = 0.0) -> Receiver
                fov=_AREA_RX_FOV_DEG)
 
 
-def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> float:
-    """Boresight tilt (degrees toward TX B) skewing an area-2 RX's path gains.
+def area2_tilt_for_imbalance(imbalance_db: float) -> float:
+    """Boresight tilt (degrees toward TX B) skewing the tilted area-2 RX's path gains.
 
     Tilting changes only the incidence-angle factors, not the path lengths,
     so the two path delays stay equal and the channel row keeps a common
@@ -143,7 +143,7 @@ def area2_tilt_for_imbalance(imbalance_db: float, z: float = _AREA_RX_Z[1]) -> f
     # Lambertian order are fixed, so a step builds no front-ends.
     m = lambertian_order(TX_SEMI_ANGLE_DEG)
     tx_boresight = _unit(_AREA_TX_BORESIGHT)
-    rx_position = np.asarray((_AREA_RX_X[2], _AREA_RAIL_Y, z), float)
+    rx_position = np.asarray((_AREA_RX_X[2], _AREA_RAIL_Y, _AREA_RX_Z[1]), float)
     paths = []
     for x in (-_AREA_TX_X, _AREA_TX_X):  # TX A, TX B
         v = rx_position - np.asarray((x, 0, 0), float)
@@ -185,12 +185,7 @@ def mimo_area_scene(imbalance_db: float) -> Scene:
     return Scene((_area_tx("a"), _area_tx("b")),
                  (_area_rx("rx_a1", 1, z_a), _area_rx("rx_a2", 2, z_a),
                   _area_rx("rx_b3", 3, z_b), _area_rx("rx_b2", 2, z_b),
-                  _area_rx("rx_b2_tilted", 2, z_b, area2_tilt_for_imbalance(imbalance_db, z_b))))
-
-
-def csi_siso_scene() -> Scene:
-    """Flat single-path channel for the quantization-ripple baseline."""
-    return siso_scene()
+                  _area_rx("rx_b2_tilted", 2, z_b, area2_tilt_for_imbalance(imbalance_db))))
 
 
 def csi_miso_scene() -> Scene:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear,
-                      dbm_to_mw, incidence, lambertian_order, los_gain, mw_to_dbm, path_gain,
+                      incidence, lambertian_order, linear_to_db, los_gain, path_gain,
                       path_length, scene_paths, subcarrier_frequencies, unblocked_paths,
                       wideband_rssi_dbm, zero_paths)
 from .mimo import mrc_combine, zf_decode_links
@@ -89,7 +89,7 @@ class AreaGridRow(NamedTuple):
 def _combined_rssi_dbm(rssi):
     """Wideband power of the MRC output: the linear sum over the chains, the
     last axis of `rssi`, in dBm."""
-    return mw_to_dbm(np.sum(dbm_to_mw(rssi), axis=-1))
+    return linear_to_db(np.sum(db_to_linear(rssi), axis=-1))
 
 
 def _realize(rng: np.random.Generator, probabilities, count: int) -> list:
@@ -157,7 +157,7 @@ def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index
     entry = mcs(mcs_index)
     check_streams(entry.n_streams, len(scene.transmitters), len(scene.receivers),
                   f"MCS {entry.index}")
-    noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
+    noise_mw = float(db_to_linear(scene.noise_floor_dbm))
     # A frame's channel depends on its index only through the set of paths that
     # active obstacles block, so evaluating each blocked set once is exact. The
     # sorted, clipped interval endpoints cut the frames into intervals of one
@@ -177,7 +177,7 @@ def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index
     states, success_p = [], []
     for blocked in blocked_sets:
         rssi = wideband_rssi_dbm(zero_paths(scene, unblocked, blocked), scene.tx_power_dbm)
-        _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
+        _, combined_snr_db = mrc_combine(db_to_linear(rssi) / noise_mw)
         states.append((tuple(rssi.tolist()), float(_combined_rssi_dbm(rssi))))
         success_p.append(fsr(entry, combined_snr_db, payload_bytes))
     state_of_frame = np.repeat(np.array(state_ids, dtype=int), np.diff(edges))
@@ -255,7 +255,7 @@ def run_mimo_area_grid(mcs_indices, frame: FrameSpec, seed: int, imbalance_db: f
     freqs = subcarrier_frequencies(20)
     cms = [ChannelMatrix.from_paths(gains[list(rows)], delays[list(rows)], freqs)
            for _, rows, _ in AREA_LINKS]
-    posts = zf_decode_links(cms, dbm_to_mw(scene.tx_power_dbm), dbm_to_mw(scene.noise_floor_dbm))
+    posts = zf_decode_links(cms, db_to_linear(scene.tx_power_dbm), db_to_linear(scene.noise_floor_dbm))
     # A link's frame is limited by its weakest stream, the row's np.min.
     weakest = np.min([post.per_stream_snr_db for post in posts], axis=1).tolist()
     cells = [(placement, imbalance_db if skewed else 0.0, entry, post,
@@ -326,5 +326,5 @@ def report_csi(cm: ChannelMatrix, amplitude_weights, bits: int) -> CsiReport:
 def run_csi_report(scene: Scene, bits: int, bandwidth_mhz: int) -> CsiReport:
     """Sound a single stream through every TX of the scene and report CSI."""
     cm = channel_matrix(scene, 0, subcarrier_frequencies(bandwidth_mhz))
-    weights = np.sqrt(dbm_to_mw(scene.tx_power_dbm))
+    weights = np.sqrt(db_to_linear(scene.tx_power_dbm))
     return report_csi(cm, weights, bits)

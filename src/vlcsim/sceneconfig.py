@@ -24,9 +24,10 @@ Format (INI-style, parsed with configparser)::
     blocks = tx_a->rx_b
     frames = 100 181
 
-Vectors and `frames` are separated by whitespace or commas; boresights are
-normalized while parsing. Every key must be one its section knows, and a
-front-end's one its role knows; each role key but `conversion_gain_db` is required.
+The file is UTF-8. Vectors and `frames` are separated by whitespace or commas;
+boresights are normalized while parsing. Each `frontend` and `obstacle` section
+needs an id, every key must be one its section knows, and a front-end's one its
+role knows; each role key but `conversion_gain_db` is required.
 `frames` is the half-open active interval [start, end); `blocks` is a
 comma-separated list of tx->rx pairs, each naming a TX and then an RX.
 """
@@ -138,6 +139,8 @@ def parse_scene(text: str) -> Scene:
                 _check_keys("scene", sec, _SCENE_KEYS)
                 if "noise_floor_dbm" in sec:
                     noise_floor = _numbers("scene", sec, "noise_floor_dbm", 1)[0]
+            elif section.startswith(("frontend ", "obstacle ")) and len(section.split()) == 1:
+                raise ValidationError(f"scene file: section '[{section}]' has no id")
             elif section.startswith("frontend "):
                 fe = _frontend_from_section(section.split(None, 1)[1], sec)
                 by_type[type(fe)].append(fe)
@@ -156,8 +159,8 @@ def parse_scene(text: str) -> Scene:
 
 
 def read_scene_file(path) -> Scene:
-    """Read a scene file once and parse it as `parse_scene` does."""
-    with open(path) as f:
+    """Read a scene file once, as UTF-8 whatever the locale, and parse it as `parse_scene` does."""
+    with open(path, encoding="utf-8") as f:
         return parse_scene(f.read())
 
 

@@ -16,12 +16,12 @@ import numpy as np
 
 from vlcsim import _numerics, cli, oracle, presets
 from vlcsim.channel import ChannelMatrix, Obstacle, Receiver, Transmitter, channel_matrix, Scene, \
-    dbm_to_mw, linear_to_db, los_gain, mw_to_dbm, subcarrier_frequencies, wideband_rssi_dbm
+    db_to_linear, linear_to_db, los_gain, subcarrier_frequencies, wideband_rssi_dbm
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_subcarrier, \
     mrc_combine, zf_decode_links
 from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
     simulate_frame
-from vlcsim.phy import MODULATION_BITS, FrameSpec, fsr, mcs, mcs_table
+from vlcsim.phy import MCS_TABLE, MODULATION_BITS, FrameSpec, fsr, mcs
 from vlcsim.scenarios import HandoverSweep, SisoSweep, run_blockage_timeline, \
     run_handover_sweep, run_siso_sweep
 from vlcsim.sceneconfig import read_scene_file, scene_to_text
@@ -59,9 +59,8 @@ def mrc_properties(n_cases: int, seed: int = 101) -> None:
 def fsr_monotonicity(n_cases: int, seed: int = 102) -> None:
     """FSR, priced at the weakest stream, never decreases when any per-stream SNR goes up."""
     rng = np.random.default_rng(seed)
-    table = mcs_table()
     for _ in range(n_cases):
-        entry = table[rng.integers(0, 16)]
+        entry = MCS_TABLE[rng.integers(0, 16)]
         snrs = rng.uniform(-20.0, 45.0, size=entry.n_streams)
         bumped = snrs.copy()
         bumped[rng.integers(0, entry.n_streams)] += rng.uniform(0.0, 10.0)
@@ -241,13 +240,13 @@ def _reference_timeline(scene, payload_bytes, seed, mcs_index, n_frames):
     entry = mcs(mcs_index)
     freqs = subcarrier_frequencies(20)
     rng = np.random.default_rng(seed)
-    noise_mw = float(dbm_to_mw(scene.noise_floor_dbm))
+    noise_mw = float(db_to_linear(scene.noise_floor_dbm))
     rows = []
     for i in range(n_frames):
         rssi = wideband_rssi_dbm(channel_matrix(scene, i, freqs).path_gains, scene.tx_power_dbm)
-        _, combined_snr_db = mrc_combine(dbm_to_mw(rssi) / noise_mw)
+        _, combined_snr_db = mrc_combine(db_to_linear(rssi) / noise_mw)
         p = fsr(entry, combined_snr_db, payload_bytes)
-        rows.append((i, *(float(r) for r in rssi), float(mw_to_dbm(np.sum(dbm_to_mw(rssi)))),
+        rows.append((i, *(float(r) for r in rssi), float(linear_to_db(np.sum(db_to_linear(rssi)))),
                      entry.index, bool(rng.random() < p)))
     return rows
 
@@ -421,7 +420,7 @@ def _reference_handover_rows(scene, azimuths):
         probe = Scene((aimed,), scene.receivers, noise_floor_dbm=scene.noise_floor_dbm)
         rssi = wideband_rssi_dbm(channel_matrix(probe, 0, freqs).path_gains, probe.tx_power_dbm)
         rows.append((float(az), float(rssi[0]), float(rssi[1]),
-                     float(mw_to_dbm(np.sum(dbm_to_mw(rssi))))))
+                     float(linear_to_db(np.sum(db_to_linear(rssi))))))
     return rows
 
 
@@ -642,7 +641,7 @@ def _reference_zf_decode(cm: ChannelMatrix, tx_power_per_stream, noise_per_chain
     if cm.n_rx < n_streams:
         raise ValueError("underdetermined")
     snr, cond, ok = _stream_snr_per_subcarrier(cm.entries, tx_power_per_stream, noise_per_chain)
-    n_subc = cm.n_subcarriers
+    n_subc = len(cm.subcarrier_freqs)
     bad = int(n_subc - np.count_nonzero(ok))
     solvable = bad * 2 <= n_subc
     finite_cond = cond[np.isfinite(cond)]
@@ -732,7 +731,7 @@ def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
             raise AssertionError("links of different shapes were decoded together")
 
 
-def _reference_area2_tilt(imbalance_db, z):
+def _reference_area2_tilt(imbalance_db):
     """`presets.area2_tilt_for_imbalance` as it was: a probe front-end per step."""
     if not imbalance_db >= 0.0:
         raise ValueError(
@@ -744,7 +743,7 @@ def _reference_area2_tilt(imbalance_db, z):
 
     def skew(tilt):
         a = math.radians(tilt)
-        probe = Receiver(id="probe", position=np.array([0.0, 2.0, z]),
+        probe = Receiver(id="probe", position=np.array([0.0, 2.0, -0.1]),
                          boresight=_unit(np.array([math.sin(a), -math.cos(a), 0.0])),
                          fov_half_angle=30.0, active_area=1e-4)
         ga, _ = los_gain(tx_a, probe)
@@ -760,20 +759,21 @@ def _reference_area2_tilt(imbalance_db, z):
 
 def area_tilt_exactness(n_points: int) -> None:
     """The tilt solve without front-ends returns the reference solve's float,
-    bit for bit, on both area-2 receiver heights, and raises its errors."""
-    for z in presets._AREA_RX_Z:
-        for imbalance in np.linspace(0.0, 0.59, n_points + 1)[1:].tolist():
-            got = presets.area2_tilt_for_imbalance(imbalance, z)
-            assert type(got) is float and got.hex() == _reference_area2_tilt(imbalance, z).hex()
-        for imbalance in (0.0, -0.0, -1e-9, -1.0, -math.inf, math.nan, 0.61, 2.0, math.inf):
-            outcomes = []
-            for solve in (presets.area2_tilt_for_imbalance, _reference_area2_tilt):
-                try:
-                    outcomes.append(solve(imbalance, z))
-                except ValueError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], (imbalance, z, outcomes)
-            assert type(outcomes[0]) is str or imbalance == 0.0
+    bit for bit, at the height of the tilted area-2 receiver, and raises its errors."""
+    receivers = {rx.id: rx for rx in presets.mimo_area_scene(0.5).receivers}
+    assert receivers["rx_b2_tilted"].position.tolist() == [0.0, 2.0, -0.1]
+    for imbalance in np.linspace(0.0, 0.59, n_points + 1)[1:].tolist():
+        got = presets.area2_tilt_for_imbalance(imbalance)
+        assert type(got) is float and got.hex() == _reference_area2_tilt(imbalance).hex()
+    for imbalance in (0.0, -0.0, -1e-9, -1.0, -math.inf, math.nan, 0.61, 2.0, math.inf):
+        outcomes = []
+        for solve in (presets.area2_tilt_for_imbalance, _reference_area2_tilt):
+            try:
+                outcomes.append(solve(imbalance))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (imbalance, outcomes)
+        assert type(outcomes[0]) is str or imbalance == 0.0
 
 
 def _payload_symbols(bits, mcs, n_subcarriers):
@@ -803,7 +803,7 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
     rng = np.random.default_rng(seed)
     n_bits = frame.payload_bytes * 8
     bits = rng.integers(0, 2, size=n_bits)
-    x = _payload_symbols(bits, mcs, cm.n_subcarriers)  # (n_streams, K, T)
+    x = _payload_symbols(bits, mcs, len(cm.subcarrier_freqs))  # (n_streams, K, T)
     n_ofdm = x.shape[2]
 
     h = _effective_channel(cm, n_streams)  # (K, n_rx, n_streams)
@@ -812,8 +812,8 @@ def _reference_frame(cm: ChannelMatrix, mcs, frame: FrameSpec,
     p_ref = float(np.mean(np.sum(np.abs(h) ** 2, axis=2)))
     n0 = p_ref * 10.0 ** (-snr_db / 10.0)
     noise = math.sqrt(n0 / 2.0) * (
-        rng.standard_normal((cm.n_rx, cm.n_subcarriers, n_ofdm))
-        + 1j * rng.standard_normal((cm.n_rx, cm.n_subcarriers, n_ofdm)))
+        rng.standard_normal((cm.n_rx, len(cm.subcarrier_freqs), n_ofdm))
+        + 1j * rng.standard_normal((cm.n_rx, len(cm.subcarrier_freqs), n_ofdm)))
     # y[i, k, t] = sum_s h[k, i, s] x[s, k, t] + noise
     y = np.einsum("kis,skt->ikt", h, x) + noise
 

@@ -17,7 +17,7 @@ from vlcsim import presets
 from vlcsim.channel import ChannelMatrix, subcarrier_frequencies
 from vlcsim.mimo import mrc_combine
 from vlcsim.oracle import empirical_fsr, oracle_snr_for, simulate_frame
-from vlcsim.phy import FSR_SLOPE_DB, FrameSpec, fsr, mcs, mcs_table, phy_rate
+from vlcsim.phy import FSR_SLOPE_DB, MCS_TABLE, FrameSpec, fsr, mcs, phy_rate
 from vlcsim.scenarios import (run_blockage_timeline, run_csi_report,
                               run_handover_sweep, run_mimo_area_grid,
                               run_mrc_fsr_point, run_siso_sweep)
@@ -100,7 +100,7 @@ def test_criterion_05_mimo_area_grid():
 def test_criterion_06_csi_shape():
     with criterion(6, 1.0, "6-bit CSI: flat channel ripple <= 3 dB, two-TX "
                            "superposition ripple >= 10 dB"):
-        flat = run_csi_report(presets.csi_siso_scene(), bits=6, bandwidth_mhz=40)
+        flat = run_csi_report(presets.siso_scene(), bits=6, bandwidth_mhz=40)
         assert float(np.max(flat.magnitude_ripple_db())) <= 3.0
         selective = run_csi_report(presets.csi_miso_scene(), bits=6, bandwidth_mhz=40)
         assert float(np.max(selective.magnitude_ripple_db())) >= 10.0

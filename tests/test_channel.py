@@ -304,7 +304,7 @@ class TestChannelMatrix:
 
     def test_shape_is_that_of_the_entries(self):
         cm = ChannelMatrix.from_paths(np.ones((3, 2)), np.zeros((3, 2)), [1e9, 2e9])
-        assert (cm.n_subcarriers, cm.n_rx, cm.n_tx) == cm.entries.shape == (2, 3, 2)
+        assert (len(cm.subcarrier_freqs), cm.n_rx, cm.n_tx) == cm.entries.shape == (2, 3, 2)
         direct = ChannelMatrix(subcarrier_freqs=np.array([1e9]), entries=np.ones((1, 4, 1)),
                                path_gains=np.ones((4, 1)), path_delays=np.zeros((4, 1)))
         assert (direct.n_rx, direct.n_tx) == (4, 1)

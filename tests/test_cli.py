@@ -188,6 +188,34 @@ def test_unknown_section_is_one_short_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["frontend", "obstacle"])
+def test_section_without_an_id_exits_1_with_one_line(kind, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text((SCENES / "siso.cfg").read_text() + f"\n[{kind} ]\nrole = tx\n")
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "vlcsim.cli", "--scenario", "siso-sweep",
+                           "--scene", str(bad), "--out", str(out)],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"invalid scene: scene file: section '[{kind} ]' has no id"]
+    assert not out.exists()
+
+
+def test_scene_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # A front-end id is hashed into config_hash, so every locale must read the same one.
+    scene = tmp_path / "scene.cfg"
+    scene.write_text((SCENES / "siso.cfg").read_text().replace("rx_a", "rx_\u00e4"), encoding="utf-8")
+    outputs = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                      ("ascii", {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "vlcsim.cli", "--scenario", "csi-report",
+                        "--scene", str(scene), "--out", str(out)],
+                       env={**SRC_ENV, **env}, check=True)
+        outputs.append([(out / f).read_bytes() for f in ("csi-report.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_scene_file_is_read_once(tmp_path, monkeypatch):
     opened = []
 

@@ -9,8 +9,8 @@ from vlcsim.channel import ChannelMatrix, subcarrier_frequencies
 from vlcsim.cli import main
 from vlcsim.mimo import zf_decode_links
 from vlcsim.oracle import simulate_frame
-from vlcsim.phy import (FSR_SLOPE_DB, FrameSpec, check_streams, collapse_subcarrier_snr_db,
-                        fsr, mcs, mcs_table, phy_rate, snr_for_fsr)
+from vlcsim.phy import (FSR_SLOPE_DB, MCS_TABLE, FrameSpec, check_streams,
+                        collapse_subcarrier_snr_db, fsr, mcs, phy_rate, snr_for_fsr)
 
 # Independent rate oracle: data subcarriers x bits/symbol x code rate x
 # streams / symbol time. 20 MHz uses the 4 us (800 ns GI) symbol, 40 MHz the
@@ -27,12 +27,11 @@ def rate_oracle(entry, bw):
 
 class TestMcsTable:
     def test_sixteen_entries_in_index_order(self):
-        table = mcs_table()
-        assert len(table) == 16
-        assert [e.index for e in table] == list(range(16))
+        assert type(MCS_TABLE) is tuple and len(MCS_TABLE) == 16
+        assert [e.index for e in MCS_TABLE] == list(range(16))
 
     def test_stream_split(self):
-        for e in mcs_table():
+        for e in MCS_TABLE:
             assert e.n_streams == (1 if e.index <= 7 else 2)
 
     def test_entry0_and_entry8_are_bpsk_half(self):
@@ -41,8 +40,7 @@ class TestMcsTable:
             assert e.modulation == "BPSK" and float(e.code_rate) == 0.5
 
     def test_thresholds_strictly_increase_within_group(self):
-        table = mcs_table()
-        for group in (table[:8], table[8:]):
+        for group in (MCS_TABLE[:8], MCS_TABLE[8:]):
             ths = [e.snr_threshold_db for e in group]
             assert all(a < b for a, b in zip(ths, ths[1:]))
 
@@ -50,7 +48,7 @@ class TestMcsTable:
         assert mcs(7).snr_threshold_db - mcs(0).snr_threshold_db == pytest.approx(30.0)
 
     def test_rates_match_standard_formula(self):
-        for e in mcs_table():
+        for e in MCS_TABLE:
             assert phy_rate(e, 20) == pytest.approx(rate_oracle(e, 20), rel=1e-12)
             assert phy_rate(e, 40) == pytest.approx(rate_oracle(e, 40), rel=1e-12)
 
@@ -60,7 +58,7 @@ class TestMcsTable:
         assert phy_rate(mcs(8), 20) == 2 * phy_rate(mcs(0), 20)
 
     def test_40mhz_always_beats_20mhz(self):
-        for e in mcs_table():
+        for e in MCS_TABLE:
             assert phy_rate(e, 40) > phy_rate(e, 20)
 
     def test_two_stream_rate_doubles(self):
@@ -79,7 +77,7 @@ class TestMcsTable:
 
 class TestFsr:
     def test_saturates_high(self):
-        for e in mcs_table():
+        for e in MCS_TABLE:
             assert fsr(e, e.snr_threshold_db + 60.0, 1000) >= 0.9999
 
     def test_half_at_threshold(self):
@@ -92,7 +90,7 @@ class TestFsr:
 
     def test_all_mcs_fail_at_noise_floor(self):
         # 0 dB SNR sits below every waterfall
-        for e in mcs_table():
+        for e in MCS_TABLE:
             assert fsr(e, 0.0, 1000) <= 0.01
 
     def test_no_signal_sentinel_gives_zero(self):

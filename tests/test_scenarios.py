@@ -297,7 +297,7 @@ class TestMimoAreaGrid:
 
 class TestCsiReport:
     def test_integers_within_6bit_range(self):
-        report = run_csi_report(presets.csi_siso_scene(), 6, 40)
+        report = run_csi_report(presets.siso_scene(), 6, 40)
         assert report.quantization_bits == 6
         for arr in (report.re, report.im):
             assert arr.min() >= -32 and arr.max() <= 31
@@ -307,7 +307,7 @@ class TestCsiReport:
         assert 30.0 <= peak <= 31.8
 
     def test_flat_channel_ripple_within_3db(self):
-        report = run_csi_report(presets.csi_siso_scene(), bits=6, bandwidth_mhz=40)
+        report = run_csi_report(presets.siso_scene(), bits=6, bandwidth_mhz=40)
         assert float(np.max(report.magnitude_ripple_db())) <= 3.0
 
     def test_two_tx_superposition_is_selective(self):
@@ -315,11 +315,11 @@ class TestCsiReport:
         assert float(np.max(report.magnitude_ripple_db())) >= 10.0
 
     def test_16_bits_make_ripple_vanish(self):
-        report = run_csi_report(presets.csi_siso_scene(), bits=16, bandwidth_mhz=40)
+        report = run_csi_report(presets.siso_scene(), bits=16, bandwidth_mhz=40)
         assert float(np.max(report.magnitude_ripple_db())) <= 0.01
 
     def test_dequantized_matches_true_channel(self):
-        scene = presets.csi_siso_scene()
+        scene = presets.siso_scene()
         freqs = subcarrier_frequencies(40)
         cm = channel_matrix(scene, 0, freqs)
         report = report_csi(cm, [1.0], bits=12)
@@ -342,7 +342,7 @@ class TestCsiReport:
             report_csi(cm, [1.0], 6)
 
     def test_fully_blocked_scene_raises(self):
-        scene = presets.csi_siso_scene()
+        scene = presets.siso_scene()
         blocked = Scene(
             scene.transmitters, scene.receivers,
             obstacles=(Obstacle(blocked_pairs=frozenset({("tx_a", "rx_a")}),
@@ -359,4 +359,4 @@ class TestCsiReport:
     @pytest.mark.parametrize("bits", [1, 2000])
     def test_bits_outside_2_to_16_rejected(self, bits):
         with pytest.raises(ValueError, match="2 to 16 bits"):
-            run_csi_report(presets.csi_siso_scene(), bits, 40)
+            run_csi_report(presets.siso_scene(), bits, 40)

@@ -15,7 +15,6 @@ PRESETS = {
     "siso": presets.siso_scene,
     "simo-blockage": presets.simo_blockage_scene,
     "handover": presets.handover_scene,
-    "csi-siso": presets.csi_siso_scene,
     "csi-miso": presets.csi_miso_scene,
 }
 
@@ -154,6 +153,12 @@ class TestParse:
         with pytest.raises(ValidationError) as exc:
             parse_scene(GOOD + "\n[mystery]\nfoo = 1\n")
         assert exc.value.args == ("scene file: unknown section '[mystery]'",)
+
+    @pytest.mark.parametrize("header", ["frontend ", "obstacle ", "obstacle \t"])
+    def test_section_without_an_id_is_named(self, header):
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(GOOD + f"\n[{header}]\nrole = tx\n")
+        assert exc.value.args == (f"scene file: section '[{header}]' has no id",)
 
     def test_unknown_scene_key_rejected(self):
         with pytest.raises(ValidationError, match=r"^scene: unknown key\(s\) \['noise_floor_db'\]$"):
