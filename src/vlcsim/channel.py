@@ -48,6 +48,13 @@ MAX_FRONT_ENDS = 16
 MAX_OBSTACLES = 1024
 
 
+def _check_counts(n_transmitters: int, n_receivers: int, n_obstacles: int) -> None:
+    for name, count, bound in (("transmitters", n_transmitters, MAX_FRONT_ENDS),
+                               ("receivers", n_receivers, MAX_FRONT_ENDS), ("obstacles", n_obstacles, MAX_OBSTACLES)):
+        if count > bound:
+            raise ValidationError(f"scene: {count} {name} exceed the bound of {bound}")
+
+
 def db_to_linear(db):
     """10^(db/10): a dB gain as a power ratio, or a dBm level in mW."""
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
@@ -168,11 +175,9 @@ class Scene:
     noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM
 
     def __post_init__(self):
-        for name, bound in (("transmitters", MAX_FRONT_ENDS), ("receivers", MAX_FRONT_ENDS),
-                            ("obstacles", MAX_OBSTACLES)):
+        for name in ("transmitters", "receivers", "obstacles"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-            if len(getattr(self, name)) > bound:
-                raise ValidationError(f"scene: {len(getattr(self, name))} {name} exceed the bound of {bound}")
+        _check_counts(len(self.transmitters), len(self.receivers), len(self.obstacles))
         if not abs(self.noise_floor_dbm) <= DB_LIMIT:
             raise ValidationError(f"scene: noise_floor_dbm must be finite and in "
                                   f"[-{DB_LIMIT:g}, {DB_LIMIT:g}] dBm, got {self.noise_floor_dbm}")

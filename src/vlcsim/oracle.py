@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import brentq, erfc, expit
+from ._numerics import brentq, expit
 from .channel import ChannelMatrix
 from .phy import FSR_SLOPE_DB, FrameSpec, McsEntry, MODULATION_BITS, check_streams
 
@@ -258,7 +258,7 @@ def empirical_fsr(cm: ChannelMatrix, mcs: McsEntry, frame: FrameSpec,
 
 def q_function(x) -> np.ndarray:
     z = np.asarray(x, dtype=float) / math.sqrt(2.0)
-    return 0.5 * np.array([erfc(v) for v in np.ravel(z).tolist()]).reshape(np.shape(z))
+    return 0.5 * np.array([math.erfc(v) for v in np.ravel(z).tolist()]).reshape(np.shape(z))
 
 
 def uncoded_bit_error_rate(modulation: str, snr_db) -> np.ndarray:

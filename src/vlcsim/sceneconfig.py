@@ -24,22 +24,26 @@ Format (INI-style, parsed with configparser)::
     blocks = tx_a->rx_b
     frames = 100 181
 
-The file is UTF-8. Vectors and `frames` are separated by whitespace or commas;
-boresights are normalized while parsing. Each `frontend` and `obstacle` section
-needs an id, every key must be one its section knows, and a front-end's one its
-role knows; each role key but `conversion_gain_db` is required.
-`frames` is the half-open active interval [start, end); `blocks` is a
+The file is UTF-8, at most `_MAX_FILE_BYTES` long. Vectors and `frames` are
+separated by whitespace or commas; boresights are normalized while parsing. The
+sections are `[scene]`, `[frontend ID]` and `[obstacle ID]`, where an ID is one
+token with no whitespace, `,` or `->`. Every key must be one its section knows,
+and a front-end's one its role knows; each role key but `conversion_gain_db` is
+required. `frames` is the half-open active interval [start, end); `blocks` is a
 comma-separated list of tx->rx pairs, each naming a TX and then an RX.
 """
 
 import configparser
 import dataclasses
 import math
+import os
 
 import numpy as np
 
-from .channel import DEFAULT_NOISE_FLOOR_DBM, Obstacle, Receiver, Scene, Transmitter, ValidationError
+from .channel import DEFAULT_NOISE_FLOOR_DBM, Obstacle, Receiver, Scene, Transmitter, ValidationError, \
+    _check_counts
 
+_MAX_FILE_BYTES = 1 << 18  # a scene at every count bound takes about 113 KB
 _SCENE_KEYS = {"noise_floor_dbm"}
 # Every front-end's keys, then each role's type and its keys in file order, with the field each sets.
 # A key of the other role is refused; one of its own is required unless its field has a default.
@@ -124,30 +128,39 @@ def parse_scene(text: str) -> Scene:
     Every section is checked, not just up to the first that fails, so a config
     review sees all of its faults at once.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header names "", so a `[DEFAULT]` section is unknown, not merged into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"scene file: not parseable as sectioned key-value: {exc}") from exc
+    # The bounds are checked before any section is built: a front-end counts by
+    # its role, and an obstacle as None, which no role is.
+    kinds = [None if s.startswith("obstacle ") else parser[s].get("role", "").lower()
+             for s in parser.sections() if s.startswith(("frontend ", "obstacle "))]
+    _check_counts(kinds.count("tx"), kinds.count("rx"), kinds.count(None))
     noise_floor = DEFAULT_NOISE_FLOOR_DBM
     by_type = {Transmitter: [], Receiver: []}
     obstacles, diagnostics = [], []
     for section in parser.sections():
         sec = parser[section]
+        words = section.split()
         try:
             if section == "scene":
                 _check_keys("scene", sec, _SCENE_KEYS)
                 if "noise_floor_dbm" in sec:
                     noise_floor = _numbers("scene", sec, "noise_floor_dbm", 1)[0]
-            elif section.startswith(("frontend ", "obstacle ")) and len(section.split()) == 1:
-                raise ValidationError(f"scene file: section '[{section}]' has no id")
-            elif section.startswith("frontend "):
-                fe = _frontend_from_section(section.split(None, 1)[1], sec)
-                by_type[type(fe)].append(fe)
-            elif section.startswith("obstacle "):
-                obstacles.append(_obstacle_from_section(section.split(None, 1)[1], sec))
-            else:
+            elif not section.startswith(("frontend ", "obstacle ")):
                 raise ValidationError(f"scene file: unknown section '[{section}]'")
+            # An id is one token with no `,` or `->`, so that `blocks` can name any front-end.
+            elif len(words) != 2 or "," in words[1] or "->" in words[1]:
+                fault = "has no id" if len(words) == 1 else "needs one id with no whitespace, ',' or '->'"
+                raise ValidationError(f"scene file: section '[{section}]' {fault}")
+            elif words[0] == "frontend":
+                fe = _frontend_from_section(words[1], sec)
+                by_type[type(fe)].append(fe)
+            else:
+                obstacles.append(_obstacle_from_section(words[1], sec))
         except ValueError as exc:
             diagnostics.append(str(exc))
     if diagnostics:
@@ -160,8 +173,13 @@ def parse_scene(text: str) -> Scene:
 
 def read_scene_file(path) -> Scene:
     """Read a scene file once, as UTF-8 whatever the locale, and parse it as `parse_scene` does."""
-    with open(path, encoding="utf-8") as f:
-        return parse_scene(f.read())
+    with open(path, "rb") as f:
+        data = f.read(_MAX_FILE_BYTES + 1)  # reading stops one byte past the bound
+        if len(data) > _MAX_FILE_BYTES:
+            size = max(os.fstat(f.fileno()).st_size, len(data))  # a pipe's size: the bytes read
+            raise ValidationError(f"scene file: {size} bytes exceed the bound of {_MAX_FILE_BYTES}")
+    # Line ends as text mode reads them: '\r\n' and '\r' end a line too.
+    return parse_scene(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _fmt_vec(v) -> str:

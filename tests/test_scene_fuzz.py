@@ -17,6 +17,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 from _csv_check import check_written_csv
 from vlcsim import cli
 from vlcsim.channel import MAX_OBSTACLES
-from vlcsim.sceneconfig import _FRONTEND_KEYS, _OBSTACLE_KEYS, _SCENE_KEYS, parse_scene
+from vlcsim.sceneconfig import _FRONTEND_KEYS, _MAX_FILE_BYTES, _OBSTACLE_KEYS, _SCENE_KEYS, \
+    parse_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 SCENE_FILES = sorted(p.name for p in SCENES.glob("*.cfg"))
@@ -155,6 +157,10 @@ def load_summary(path, scenario):
 @example(("simo_blockage.cfg", "blockage-timeline",
           tuple((f"obstacle extra_{k}", key, value) for k in range(MAX_OBSTACLES - 1)
                 for key, value in (("blocks", "tx_a->rx_a"), ("frames", f"{k} {k + 1}")))))
+# A 3 MB file of 50000 obstacles: refused in one line by its size, never parsed.
+@example(("simo_blockage.cfg", "blockage-timeline",
+          tuple((f"obstacle extra_{k}", key, value) for k in range(50000)
+                for key, value in (("blocks", "tx_a->rx_a"), ("frames", f"{k} {k + 1}")))))
 def test_any_scene_edit_ends_in_a_documented_exit(case):
     name, scenario, edits = case
     with tempfile.TemporaryDirectory() as out:
@@ -165,7 +171,15 @@ def test_any_scene_edit_ends_in_a_documented_exit(case):
         argv = ["--scenario", scenario, "--scene", scene, "--out", out]
         for item in SMALL[scenario]:
             argv += ["--set", item]
-        code, err, caught = run(argv)
+        size = len(text.encode())
+        # Memory is traced only where it is asserted: tracing doubles the run time.
+        if size > _MAX_FILE_BYTES:
+            tracemalloc.start()
+        try:
+            code, err, caught = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code in (0, 1, 2), (case, code, err)
         assert "Traceback" not in err, (case, err)
         assert "Warning" not in err and not caught, (case, err, [str(w) for w in caught])
@@ -173,7 +187,13 @@ def test_any_scene_edit_ends_in_a_documented_exit(case):
             assert err and all(line.startswith("invalid scene: ")
                                for line in err.splitlines()), (case, err)
         n_obstacles = text.count("[obstacle ")
-        if n_obstacles > MAX_OBSTACLES:
+        if size > _MAX_FILE_BYTES:
+            assert code == 1 and err == (f"invalid scene: scene file: {size} bytes exceed the "
+                                         f"bound of {_MAX_FILE_BYTES}\n"), (code, err)
+            # Reading stops at the bound; parsing the 50000 obstacles first
+            # took a tracemalloc peak of about 130 MB.
+            assert peak < 2 * _MAX_FILE_BYTES, peak
+        elif n_obstacles > MAX_OBSTACLES:
             assert code == 1 and err == (f"invalid scene: scene: {n_obstacles} obstacles exceed "
                                          f"the bound of {MAX_OBSTACLES}\n"), (code, err)
         if code != 0:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from vlcsim import presets
-from vlcsim.channel import Scene, Transmitter, ValidationError
-from vlcsim.sceneconfig import _ROLES, parse_scene, read_scene_file, scene_to_text
+from vlcsim.channel import MAX_FRONT_ENDS, MAX_OBSTACLES, Scene, Transmitter, ValidationError
+from vlcsim.sceneconfig import _MAX_FILE_BYTES, _ROLES, parse_scene, read_scene_file, scene_to_text
 
 PRESETS = {
     "siso": presets.siso_scene,
@@ -160,6 +160,43 @@ class TestParse:
             parse_scene(GOOD + f"\n[{header}]\nrole = tx\n")
         assert exc.value.args == (f"scene file: section '[{header}]' has no id",)
 
+    def test_whitespace_around_an_id_is_not_part_of_it(self):
+        scene = parse_scene(GOOD.replace("[frontend rx_b]", "[frontend  rx_b \t]"))
+        assert [rx.id for rx in scene.receivers] == ["rx_a", "rx_b"]
+        assert scene.obstacles[0].blocked_pairs == {("tx_a", "rx_b")}
+
+    # Each header would declare a valid receiver or obstacle but for its id.
+    @pytest.mark.parametrize("header", ["frontend rx,b", "frontend rx->b", "frontend rx b",
+                                        "obstacle a,b", "obstacle a->b", "obstacle a b"])
+    def test_id_is_one_token_without_comma_or_arrow(self, header):
+        body = ("blocks = tx_a->rx_a\nframes = 1 2" if header.startswith("obstacle") else
+                "role = rx\nposition_m = 2 0 0\nboresight = -1 0 0\nfov_half_angle_deg = 45\n"
+                "active_area_m2 = 1e-4")
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(GOOD + f"\n[{header}]\n{body}\n")
+        assert exc.value.args == (
+            f"scene file: section '[{header}]' needs one id with no whitespace, ',' or '->'",)
+
+    @pytest.mark.parametrize("default", ["[DEFAULT]\n", "[DEFAULT]\nconversion_gain_db = 3\n"],
+                             ids=["empty", "with-a-key"])
+    def test_default_section_is_an_unknown_section(self, default):
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(default + GOOD)
+        assert exc.value.args == ("scene file: unknown section '[DEFAULT]'",)
+
+    # Sections past a bound are refused by their count alone, though each
+    # would give its own diagnostic if it were built.
+    @pytest.mark.parametrize("kind,bound,section", [
+        ("transmitters", MAX_FRONT_ENDS, "[frontend tx_{k}]\nrole = TX\n"),
+        ("receivers", MAX_FRONT_ENDS, "[frontend rx_{k}]\nrole = rx\n"),
+        ("obstacles", MAX_OBSTACLES, "[obstacle o_{k}]\nframes = x\n")],
+        ids=["transmitters", "receivers", "obstacles"])
+    def test_section_counts_are_checked_before_any_section_is_built(self, kind, bound, section):
+        with pytest.raises(ValidationError) as exc:
+            parse_scene("\n".join([GOOD] + [section.format(k=k) for k in range(bound)]))
+        have = len(getattr(parse_scene(GOOD), kind))
+        assert exc.value.args == (f"scene: {bound + have} {kind} exceed the bound of {bound}",)
+
     def test_unknown_scene_key_rejected(self):
         with pytest.raises(ValidationError, match=r"^scene: unknown key\(s\) \['noise_floor_db'\]$"):
             parse_scene(GOOD.replace("noise_floor_dbm = -60", "noise_floor_db = -70"))
@@ -268,6 +305,24 @@ class TestRoundTrip:
             read_scene_file(path)
         assert exc.value.args[-1] == "scene file: unknown section '[mystery]'"
         assert len(exc.value.args) == 2
+
+    def test_a_file_past_the_byte_bound_is_refused_with_its_size(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        padding = "# " + "x" * (_MAX_FILE_BYTES - len(GOOD) - 3) + "\n"
+        path.write_text(GOOD + padding)
+        assert path.stat().st_size == _MAX_FILE_BYTES
+        assert scene_to_text(read_scene_file(path)) == scene_to_text(parse_scene(GOOD))
+        path.write_text(GOOD + "#" + padding)
+        with pytest.raises(ValidationError) as exc:
+            read_scene_file(path)
+        assert exc.value.args == (
+            f"scene file: {_MAX_FILE_BYTES + 1} bytes exceed the bound of {_MAX_FILE_BYTES}",)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_are_read_as_in_text_mode(self, tmp_path, newline):
+        path = tmp_path / "scene.cfg"
+        path.write_bytes(GOOD.replace("\n", newline).encode())
+        assert scene_to_text(read_scene_file(path)) == scene_to_text(parse_scene(GOOD))
 
 
 def test_shipped_example_scenes_are_valid():
