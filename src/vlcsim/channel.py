@@ -243,14 +243,10 @@ def los_gain(tx: Transmitter, rx: Receiver) -> tuple[float, float]:
     return g, d / SPEED_OF_LIGHT_M_S
 
 
-def path_length(tx: Transmitter, rx: Receiver, v: np.ndarray) -> float:
-    """Length of the TX->RX vector `v`; ValueError if it is degenerate or not finite.
-
-    A length past about 1e154 m overflows inside the norm (or in forming `v`);
-    callers that may meet one run under `np.errstate(over="ignore")`, so that
-    the error comes without a numpy warning.
-    """
-    d = float(np.linalg.norm(v))
+def path_length(tx: Transmitter, rx: Receiver, v: np.ndarray, d: float | None = None) -> float:
+    """Length of the TX->RX vector `v` (its norm, or a caller's `d` computed as the norm is); ValueError
+    if it is degenerate or not finite, as it is past about 1e154 m (callers ignore numpy's FP errors)."""
+    d = float(np.linalg.norm(v)) if d is None else d
     if not math.isfinite(d):
         raise ValueError(f"geometry is not finite: '{rx.id}' is out of range of '{tx.id}' "
                          f"(TX->RX vector {v.tolist()})")
@@ -261,27 +257,32 @@ def path_length(tx: Transmitter, rx: Receiver, v: np.ndarray) -> float:
 
 def incidence(rx_boresight, v, d: float, fov_half_angle: float) -> float | None:
     """cos(psi) of the TX->RX vector `v` of length `d` at the receiver; None outside its FOV."""
-    cos_psi = float(np.dot(rx_boresight, -v)) / d
+    return within_fov(float(np.dot(rx_boresight, -v)) / d, fov_half_angle)
+
+
+def within_fov(cos_psi: float, fov_half_angle: float) -> float | None:
+    """`cos_psi`, or None where psi exceeds the FOV half-angle."""
     psi_deg = math.degrees(math.acos(min(1.0, max(-1.0, cos_psi))))
     return None if psi_deg > fov_half_angle + 1e-12 else cos_psi
 
 
 def path_gain(m: float, tx_boresight, v, d: float, area: float, cos_psi: float | None) -> float:
-    """The gain G of the module docstring for the TX->RX vector `v` of length `d`.
+    """The `lit_gain` of the TX->RX vector `v` of length `d`, the G of the module docstring."""
+    return lit_gain(m, gain_scale(m, area, d), float(np.dot(tx_boresight, v)) / d, cos_psi)
 
-    Zero outside the receiver FOV (`cos_psi` None, see `incidence`) and behind
-    the emitter plane (cos(phi) <= 0), in that order. A gain that is not <= 1,
-    NaN included, raises ValueError: no path receives more power than the LED
-    sends, and the form holds only for d >> sqrt(A) (Kahn and Barry, Proc.
-    IEEE 85(2), 1997).
-    """
-    if cos_psi is None:
-        return 0.0
-    cos_phi = float(np.dot(tx_boresight, v)) / d
-    if cos_phi <= 0.0:
+
+def gain_scale(m: float, area: float, d):
+    """(m + 1) * A / (2 * pi * d^2), the factor of G that the length `d` (a float or an array) sets."""
+    return (m + 1.0) * area / (2.0 * math.pi * d * d)
+
+
+def lit_gain(m: float, scale: float, cos_phi: float, cos_psi: float | None) -> float:
+    """G of the module docstring from its `gain_scale`; ValueError unless G <= 1 (NaN fails): no path
+    gets more than the LED sends, and G needs d >> sqrt(A) (Kahn and Barry, Proc. IEEE 85(2), 1997)."""
+    if cos_psi is None or cos_phi <= 0.0:
         return 0.0
     try:
-        g = (m + 1.0) * area / (2.0 * math.pi * d * d) * cos_phi ** m * cos_psi
+        g = scale * cos_phi ** m * cos_psi
     except OverflowError:  # a cos_phi a hair above 1 (boresight norm) under a needle beam
         g = math.inf
     if not g <= 1.0:

@@ -2,25 +2,28 @@
 
 Each runner is deterministic for a fixed seed: analytic frame success
 probabilities are realized as Bernoulli draws from one seeded generator. The
-three link runners return columns: the blockage timeline one entry per
-set of blocked paths and one per frame, in index order with no gaps; the
-SISO sweep one per distance and one per (distance, MCS) cell, in draw order;
-the handover sweep one per angle.
+three link runners return columns, one list per quantity, which the CLI formats
+value by value: the blockage timeline one entry per set of blocked paths and
+one per frame, in index order with no gaps; the SISO sweep one per distance
+and one per (distance, MCS) cell, in draw order; the handover sweep one per
+angle. The other results are one named tuple per row. A result type's fields,
+but the timeline's, are its CSV header.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear,
-                      incidence, lambertian_order, linear_to_db, los_gain, path_gain,
-                      path_length, scene_paths, subcarrier_frequencies, unblocked_paths,
-                      wideband_rssi_dbm, zero_paths)
+from ._numerics import expit
+from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear, gain_scale,
+                      incidence, lambertian_order, linear_to_db, lit_gain, los_gain, path_length, scene_paths,
+                      subcarrier_frequencies, unblocked_paths, wideband_rssi_dbm, within_fov, zero_paths)
 from .mimo import mrc_combine, zf_decode_links
-from .phy import FrameSpec, check_streams, fsr, mcs, snr_for_fsr
+from .phy import FSR_SLOPE_DB, REFERENCE_PAYLOAD_BYTES, FrameSpec, check_streams, fsr, mcs, snr_for_fsr
 from .presets import AREA_LINKS, mimo_area_scene
 
 # 802.11n CSI feedback quantizes with 4 to 8 bits; 2 is the least a signed
@@ -28,11 +31,6 @@ from .presets import AREA_LINKS, mimo_area_scene
 CSI_BITS_RANGE = (2, 16)
 
 
-# The link runners return columns, one list per quantity, because a run holds
-# tens of thousands of frames, cells or angles and the CLI formats each value
-# once, straight from its column. The other results are one named tuple per
-# row. For the sweeps, the MRC point and the area grid, a type's fields are the
-# CSV header.
 class BlockageTimeline(NamedTuple):
     """The MRC receiver's timeline: obstacle states and the frames in them.
 
@@ -115,34 +113,37 @@ def run_siso_sweep(scene: Scene, mcs_indices, distances, frame: FrameSpec,
     if len(txs) != 1 or len(rxs) != 1:
         raise ValueError("the sweep needs exactly one TX and one RX")
     tx, rx = txs[0], rxs[0]
-    rng = np.random.default_rng(seed)
     entries = [mcs(i) for i in mcs_indices]
     for entry in entries:
         check_streams(entry.n_streams, len(txs), len(rxs), f"MCS {entry.index}")
-    # Only the receiver position moves.
-    m = lambertian_order(tx.half_power_semi_angle)
-    conv = float(db_to_linear(rx.conversion_gain_db))
+    # Only the receiver moves: every TX->RX vector at once, by the scalar kernel's elementwise
+    # operations and dots in its argument order. The loop alone holds the columns, and frees them.
+    m, conv = lambertian_order(tx.half_power_semi_angle), float(db_to_linear(rx.conversion_gain_db))
     distances = [float(d) for d in distances]
     gains = []
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         los_gain(tx, rx)  # a scene link whose gain passes 1 is a bad scene, not a bad d_min
         direction = rx.position - tx.position
         direction = direction / path_length(tx, rx, direction)
-        for dist in distances:
-            v = (tx.position + dist * direction) - tx.position
-            d = path_length(tx, rx, v)
+        v = (tx.position + np.array(distances)[:, None] * direction) - tx.position
+        d = np.sqrt(np.vecdot(v, v))
+        for dist, row, length, scale, cos_phi, cos_psi in zip(
+                distances, v, d.tolist(), gain_scale(m, rx.active_area, d).tolist(),
+                (np.vecdot(tx.boresight, v) / d).tolist(), (np.vecdot(rx.boresight, -v) / d).tolist()):
+            path_length(tx, rx, row, length)
             try:
-                g = path_gain(m, tx.boresight, v, d, rx.active_area,
-                              incidence(rx.boresight, v, d, rx.fov_half_angle))
+                g = lit_gain(m, scale, cos_phi, within_fov(cos_psi, rx.fov_half_angle))
             except ValueError as exc:
                 raise ValueError(f"receiver at {dist:g} m: {exc}; raise d_min") from None
             gains.append(g * conv)
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 1, 1)), scene.tx_power_dbm)[:, 0].tolist()
     snrs = [r - scene.noise_floor_dbm for r in rssi]
-    analytic = [fsr(entry, snr_db, frame.payload_bytes) for snr_db in snrs for entry in entries]
-    # One draw for every cell, in (distance, MCS) order, the order of `analytic`.
+    # `phy.fsr` of each (distance, MCS) cell, its thresholds and exponent read once (an SNR of -inf
+    # prices to 0.0 here too); one draw for every cell, in that order.
+    exponent, thresholds = frame.payload_bytes / REFERENCE_PAYLOAD_BYTES, [e.snr_threshold_db for e in entries]
+    analytic = [expit((snr_db - t) / FSR_SLOPE_DB) ** exponent for snr_db in snrs for t in thresholds]
     return SisoSweep(distances, rssi, snrs, [entry.index for entry in entries], analytic,
-                     _realize(rng, analytic, frame.count))
+                     _realize(np.random.default_rng(seed), analytic, frame.count))
 
 
 def run_blockage_timeline(scene: Scene, payload_bytes: int, seed: int, mcs_index: int,
@@ -209,27 +210,25 @@ def run_handover_sweep(scene: Scene, tx_azimuths_deg) -> HandoverSweep:
     if len(txs) != 1 or len(rxs) != 2:
         raise ValueError("the handover sweep needs one TX and two RX")
     tx = txs[0]
-    # The receivers stay put: each path's vector, length and incidence are
-    # fixed, and only the TX boresight moves.
+    # Fixed receivers: per path, one length, incidence and gain scale; the boresights are the stack.
     m = lambertian_order(tx.half_power_semi_angle)
-    paths = []
-    with np.errstate(over="ignore"):
+    azimuths = [float(az) for az in tx_azimuths_deg]
+    boresights = np.reshape([(math.cos(a), math.sin(a), 0.0) for a in map(math.radians, azimuths)], (-1, 1, 3))
+    paths, vectors, lengths = [], [], []
+    with np.errstate(all="ignore"):
         for rx in rxs:
             v = rx.position - tx.position
             d = path_length(tx, rx, v)
-            paths.append((rx, v, d, incidence(rx.boresight, v, d, rx.fov_half_angle),
+            paths.append((rx, gain_scale(m, rx.active_area, d), incidence(rx.boresight, v, d, rx.fov_half_angle),
                           float(db_to_linear(rx.conversion_gain_db))))
-    azimuths = [float(az) for az in tx_azimuths_deg]
-    # The boresight of each azimuth, one row each, from math.cos and math.sin.
-    boresights = np.array([(math.cos(a), math.sin(a), 0.0) for a in map(math.radians, azimuths)])
-    gains = []
-    for boresight in boresights:
-        for rx, v, d, cos_psi, conv in paths:
-            try:
-                g = path_gain(m, boresight, v, d, rx.active_area, cos_psi)
-            except ValueError as exc:
-                raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
-            gains.append(g * conv)
+            vectors.append(v)
+            lengths.append(d)
+        gains = (np.vecdot(boresights, vectors) / lengths).ravel().tolist()  # cos(phi) per (angle, RX) cell
+    try:  # each cell's gain in its place
+        for i, (cos_phi, (rx, scale, cos_psi, conv)) in enumerate(zip(gains, cycle(paths))):
+            gains[i] = lit_gain(m, scale, cos_phi, cos_psi) * conv
+    except ValueError as exc:
+        raise ValidationError(f"path {tx.id}->{rx.id}: {exc}") from None
     rssi = wideband_rssi_dbm(np.reshape(gains, (-1, 2, 1)), scene.tx_power_dbm)
     return HandoverSweep(azimuths, rssi[:, 0].tolist(), rssi[:, 1].tolist(),
                          _combined_rssi_dbm(rssi).tolist())

@@ -354,12 +354,32 @@ def _reference_siso_rows(scene, distances, mcs_indices, frame, seed):
     return rows
 
 
+def _fov_edge_receiver(rx, tx):
+    """`rx` with its FOV half-angle set to the incidence angle of its link from
+    `tx`, less 1e-12 degrees: the last bit of a row's cos(psi) decides whether
+    it is in the FOV."""
+    v = rx.position - tx.position
+    psi = math.degrees(math.acos(float(np.dot(rx.boresight, -v)) / float(np.linalg.norm(v))))
+    return dataclasses.replace(rx, fov_half_angle=psi - 1e-12)
+
+
+def _grazing_transmitter(tx, rx):
+    """`tx` with its boresight perpendicular to its link to `rx`, off every axis:
+    the last bit of a row's cos(phi) decides whether it is in front of the LED."""
+    u = _unit(rx.position - tx.position)
+    w = _unit(np.cross(u, [0.3, -0.5, 0.8]))
+    return dataclasses.replace(tx, boresight=_unit(w - np.dot(w, u) * u))
+
+
 def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
     """The RSSI-only SISO sweep equals one built on channel matrices.
 
     After the random links, a second set of cases adds zero-gain links (behind
-    or on the emitter plane, outside the FOV), links near 0 dBm, 1 and 1e5
-    frames per cell, and repeated distances.
+    or on the emitter plane, outside the FOV), links near 0 dBm, links at both
+    edges at once (the FOV edge and a TX boresight perpendicular to the link),
+    swept through the TX so that the receiver is also behind it, 1 and 1e5
+    frames per cell, and repeated distances. A last case sweeps the 1e4
+    distances of `n_distances`'s bound.
     """
     def check(scene, distances, mcs_indices, frame, s):
         rows = _reference_siso_rows(scene, distances, mcs_indices, frame, s)
@@ -380,30 +400,42 @@ def siso_sweep_exactness(n_cases: int, seed: int = 111) -> None:
         check(scene, distances, mcs_indices, frame, s)
 
     rng = np.random.default_rng([seed, 1])
-    zero_rows = 0
+    kinds = ("live", "loud", "behind", "grazing", "outside", "edges")
+    zero_rows = mixed_edge_sweeps = 0
     for case in range(n_cases):
         scene = _random_link_scene(rng, 1, 1)
-        kind = ("live", "loud", "behind", "grazing", "outside")[case % 5]
+        kind = kinds[case % len(kinds)]
         tx, rx = scene.transmitters[0], scene.receivers[0]
         span = (0.1, 15.0)
         if kind == "loud":
             rx = _loud_receiver(rx, tx, rng)
             span = tuple(float(np.linalg.norm(rx.position - tx.position)) * f for f in (0.9, 1.1))
+        elif kind == "edges":
+            rx, tx = _fov_edge_receiver(rx, tx), _grazing_transmitter(tx, rx)
         elif kind != "live":
             if kind == "grazing":
                 tx = dataclasses.replace(tx, boresight=np.array([0.0, 0.0, 1.0]))
             rx = _zero_gain_receiver(rx, tx, kind)
         scene = Scene((tx,), (rx,), noise_floor_dbm=scene.noise_floor_dbm)
         distances = _repeats(rng, rng.uniform(*span, size=int(rng.integers(1, 10))))
+        if kind == "edges":
+            distances = np.concatenate([distances, rng.uniform(*span, size=40)])
+            distances *= rng.choice([-1.0, 1.0, 1.0, 1.0], size=distances.size)
         mcs_indices = [int(m) for m in rng.choice(8, size=int(rng.integers(1, 4)), replace=False)]
         frame = FrameSpec(payload_bytes=int(rng.integers(100, 3000)),
-                          count=(1, 100_000)[case // 5 % 2])
+                          count=(1, 100_000)[case // len(kinds) % 2])
         rows = check(scene, distances, mcs_indices, frame, int(rng.integers(0, 2 ** 31)))
         zero = [(p, q) for _, rssi, _, _, p, q in rows if rssi == -math.inf]
         assert all(p == 0.0 == q for p, q in zero)
-        assert kind in ("live", "loud") or len(zero) == len(rows)
+        assert kind in ("live", "loud", "edges") or len(zero) == len(rows)
         zero_rows += len(zero)
+        if kind == "edges":  # lit and dark rows in front of the TX, in one sweep
+            mixed_edge_sweeps += len({rssi > -math.inf for d, rssi, *_ in rows if d > 0.0}) == 2
     assert zero_rows > 0 or n_cases < 3
+    assert mixed_edge_sweeps > 0 or n_cases < 6 * len(kinds)
+
+    scene = _random_link_scene(rng, 1, 1)
+    check(scene, rng.uniform(0.1, 15.0, size=10 ** 4), [0, 7], FrameSpec(1000, 1000), 0)
 
 
 def _reference_handover_rows(scene, azimuths):
@@ -428,9 +460,12 @@ def _reference_handover_rows(scene, azimuths):
 def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
     """The RSSI-only handover sweep equals one built on channel matrices.
 
-    After the random links, a second set of cases adds receivers with zero
-    gain (behind the emitter plane or outside the FOV, one or both) or near
-    0 dBm, and repeated azimuths that include exactly +-90 degrees.
+    Azimuths cover the full circle, so most sweeps hold lit rows and rows
+    behind the LED. After the random links, a second set of cases adds
+    receivers with zero gain (behind the emitter plane or outside the FOV, one
+    or both), near 0 dBm, or at the FOV edge with azimuths perpendicular to
+    both paths (where the last bit of cos(phi) decides a row), and repeated
+    azimuths that include exactly +-90 and 180 degrees.
     """
     def check(scene, azimuths):
         rows = _reference_handover_rows(scene, azimuths)
@@ -440,35 +475,43 @@ def handover_sweep_exactness(n_cases: int, seed: int = 112) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         scene = _random_link_scene(rng, 1, 2)
-        azimuths = rng.uniform(-90.0, 90.0, size=int(rng.integers(1, 30)))
+        azimuths = rng.uniform(-180.0, 180.0, size=int(rng.integers(1, 30)))
         check(scene, azimuths)
 
     rng = np.random.default_rng([seed, 1])
+    kinds = ("behind", "outside", "both outside", "live", "loud", "edges")
     seen = set()
     for case in range(n_cases):
         scene = _random_link_scene(rng, 1, 2)
         tx, (rx_a, rx_b) = scene.transmitters[0], scene.receivers
-        kind = ("behind", "outside", "both outside", "live", "loud")[case % 5]
-        azimuths = rng.uniform(-90.0, 90.0, size=int(rng.integers(1, 15)))
+        kind = kinds[case % len(kinds)]
+        azimuths = rng.uniform(-180.0, 180.0, size=int(rng.integers(1, 15)))
+        aims = [math.atan2(*(rx.position - tx.position)[1::-1]) for rx in (rx_a, rx_b)]
         if kind == "loud":
             # Each receiver within 1 dB of 0 dBm when the boresight points at
             # it, and azimuths within 3 degrees of those two.
-            aims = [math.atan2(*(rx.position - tx.position)[1::-1]) for rx in (rx_a, rx_b)]
             rx_a, rx_b = (_loud_receiver(rx, dataclasses.replace(
                 tx, boresight=np.array([math.cos(a), math.sin(a), 0.0])), rng)
                 for rx, a in zip((rx_a, rx_b), aims))
             azimuths = np.degrees(rng.choice(aims, size=azimuths.size)) \
                 + rng.uniform(-3.0, 3.0, size=azimuths.size)
+        elif kind == "edges":
+            rx_a, rx_b = (_fov_edge_receiver(rx, tx) for rx in (rx_a, rx_b))
+            azimuths = np.concatenate([azimuths, np.degrees([a + s * math.pi / 2 for a in aims
+                                                             for s in (-1, 1)])])
         elif kind != "live":
             rx_a = _zero_gain_receiver(rx_a, tx, kind.split()[-1])
         if kind == "both outside":
             rx_b = _zero_gain_receiver(rx_b, tx, "outside")
         scene = Scene((tx,), (rx_a, rx_b), noise_floor_dbm=scene.noise_floor_dbm)
-        azimuths = _repeats(rng, np.concatenate([[90.0, -90.0], azimuths]))
+        azimuths = _repeats(rng, np.concatenate([[90.0, -90.0, 180.0], azimuths]))
         for row in check(scene, azimuths):
             seen.update(name for name, value in zip(("a", "b", "mrc"), row[1:])
                         if value == -math.inf)
     assert seen == {"a", "b", "mrc"} or n_cases < 3
+
+    scene = _random_link_scene(rng, 1, 2)
+    check(scene, rng.uniform(-180.0, 180.0, size=3000))
 
 
 def _csv_bytes(header, rows) -> bytes:

@@ -1,6 +1,7 @@
 """Scripted experiments: timelines, sweeps, area grid, and CSI reporting."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -10,7 +11,8 @@ import pytest
 
 from vlcsim import channel, presets
 from vlcsim.channel import (MAX_OBSTACLES, ChannelMatrix, Obstacle, Scene, ValidationError,
-                            channel_matrix, los_gain, subcarrier_frequencies)
+                            channel_matrix, incidence, lambertian_order, los_gain, path_gain,
+                            path_length, subcarrier_frequencies)
 from vlcsim.cli import main
 from vlcsim.mimo import mrc_combine
 from vlcsim.phy import FrameSpec, fsr, mcs, snr_for_fsr
@@ -191,6 +193,9 @@ class TestHandoverSweep:
         with pytest.raises(ValueError):
             run_handover_sweep(presets.siso_scene(), [0.0])
 
+    def test_no_azimuths_give_empty_columns(self):
+        assert run_handover_sweep(presets.handover_scene(), []) == ([], [], [], [])
+
 
 class TestSisoSweep:
     def test_rows_sorted_by_rssi(self, tmp_path):
@@ -221,6 +226,96 @@ class TestSisoSweep:
     def test_needs_1x1(self):
         with pytest.raises(ValueError):
             run_siso_sweep(presets.simo_blockage_scene(), [0], [1.0], FRAME, seed=0)
+
+    def test_no_distances_give_empty_columns(self):
+        assert run_siso_sweep(presets.siso_scene(), [0, 7], [], FRAME, seed=0) == ([], [], [], [0, 7], [], [])
+
+
+def _scalar_siso_error(scene, distances):
+    """The error of a SISO sweep as one scalar kernel call per distance gives it, or None."""
+    tx, rx = scene.transmitters[0], scene.receivers[0]
+    m = lambertian_order(tx.half_power_semi_angle)
+    direction = rx.position - tx.position
+    direction = direction / path_length(tx, rx, direction)
+    for dist in distances:
+        v = (tx.position + dist * direction) - tx.position
+        try:
+            with np.errstate(over="ignore"):  # a norm past the float range is the error here
+                d = path_length(tx, rx, v)
+        except ValueError as exc:
+            return str(exc)
+        try:
+            path_gain(m, tx.boresight, v, d, rx.active_area,
+                      incidence(rx.boresight, v, d, rx.fov_half_angle))
+        except ValueError as exc:
+            return f"receiver at {dist:g} m: {exc}; raise d_min"
+    return None
+
+
+def _scalar_handover_error(scene, azimuths):
+    """The error of a handover sweep as one scalar kernel call per (angle, RX) gives it, or None."""
+    tx = scene.transmitters[0]
+    m = lambertian_order(tx.half_power_semi_angle)
+    for az in azimuths:
+        a = math.radians(az)
+        boresight = np.array([math.cos(a), math.sin(a), 0.0])
+        for rx in scene.receivers:
+            v = rx.position - tx.position
+            d = path_length(tx, rx, v)
+            try:
+                path_gain(m, boresight, v, d, rx.active_area,
+                          incidence(rx.boresight, v, d, rx.fov_half_angle))
+            except ValueError as exc:
+                return f"path {tx.id}->{rx.id}: {exc}"
+    return None
+
+
+class TestSweepFaults:
+    """A sweep raises for its first failing distance, or (angle, RX) pair, in
+    sweep order, with the text the scalar kernel gives, and warns nothing."""
+
+    # A link off the axes, so that the batched dots are not exact by accident.
+    _DIAGONAL = Scene((presets._tx("tx_a", (0.1, -0.2, 0.3), (0.6, 0.8, 0.0), power_dbm=0.0),),
+                      (presets._rx("rx_a", (1.3, 1.4, 0.3), (-0.6, -0.8, 0.0)),))
+
+    @pytest.mark.parametrize("distances,reason", [
+        ([2.0, 1e-6, 1e-13], "optical gain"),
+        ([2.0, 1e-13, 1e-6], "degenerate geometry"),
+        ([1e-7, 1e-6, 1e200], "optical gain"),
+        ([2.0, 1e200, 1e-6], "geometry is not finite"),
+        ([1.0, 1.7e308], "geometry is not finite"),
+    ], ids=["gain-then-coincident", "coincident-then-gain", "two-gains-then-overflow",
+            "overflow-then-gain", "overflow-on-axis"])
+    @pytest.mark.parametrize("preset", ["axis", "diagonal"])
+    def test_siso_first_failing_distance(self, distances, reason, preset):
+        scene = presets.siso_scene() if preset == "axis" else self._DIAGONAL
+        want = _scalar_siso_error(scene, distances)
+        assert reason in want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                run_siso_sweep(scene, [0, 7], distances, FRAME, seed=0)
+        assert type(exc.value) is ValueError and str(exc.value) == want
+
+    @pytest.mark.parametrize("azimuths,rx_id", [
+        ([180.0, 90.0, -90.0, 0.0], "rx_a"),
+        ([180.0, -90.0, 90.0, 0.0], "rx_b"),
+        ([180.0, 0.0, -90.0], "rx_a"),
+    ], ids=["a-first", "b-first", "both-at-one-angle"])
+    def test_handover_first_failing_pair(self, azimuths, rx_id):
+        # Both receivers take more power than the LED sends when lit: at 90
+        # degrees only RX A is in front of the LED, at -90 only RX B, at 0
+        # both, and at 180 neither.
+        base = presets.handover_scene()
+        scene = Scene(base.transmitters,
+                      [dataclasses.replace(rx, active_area=1e300) for rx in base.receivers])
+        want = _scalar_handover_error(scene, azimuths)
+        assert want.startswith(f"path tx_a->{rx_id}: optical gain ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                run_handover_sweep(scene, azimuths)
+        assert str(exc.value) == want
 
 
 class TestMimoAreaGrid:
