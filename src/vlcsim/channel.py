@@ -312,14 +312,10 @@ class ChannelMatrix:
         gains = np.asarray(path_gains, dtype=float)
         delays = np.asarray(path_delays, dtype=float)
         freqs = np.asarray(subcarrier_freqs, dtype=float)
-        if gains.ndim != 2 or gains.shape != delays.shape:
+        if gains.ndim != 2:
             raise ValueError("path_gains and path_delays must be matching 2-D arrays")
-        if np.any(gains < 0.0):
-            raise ValueError("path gains must be non-negative")
-        amp = np.sqrt(gains)
-        phase = np.exp(-2j * np.pi * freqs[:, None, None] * delays[None, :, :])
-        entries = amp[None, :, :] * phase
-        return cls(subcarrier_freqs=freqs, entries=entries, path_gains=gains, path_delays=delays)
+        return cls(subcarrier_freqs=freqs, entries=path_entries(gains, delays, freqs), path_gains=gains,
+                   path_delays=delays)
 
     @property
     def n_tx(self) -> int:
@@ -337,6 +333,16 @@ class ChannelMatrix:
         """
         w = np.asarray(amplitude_weights, dtype=float)
         return np.tensordot(self.entries, w, axes=([2], [0]))
+
+
+def path_entries(gains: np.ndarray, delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Stacked `ChannelMatrix.entries`: float gains and delays (..., n_rx, n_tx) give (..., K, n_rx, n_tx)."""
+    if gains.ndim < 2 or gains.shape != delays.shape:
+        raise ValueError("path_gains and path_delays must be matching arrays of shape (..., n_rx, n_tx)")
+    if np.any(gains < 0.0):
+        raise ValueError("path gains must be non-negative")
+    phase = np.exp(-2j * np.pi * freqs[:, None, None] * delays[..., None, :, :])
+    return np.sqrt(gains)[..., None, :, :] * phase
 
 
 def unblocked_paths(scene: Scene) -> tuple[np.ndarray, np.ndarray]:

@@ -121,6 +121,10 @@ _mcs_index = _number(int, 0, 15)  # the 802.11n MCS table
 _parse_offsets_db = _parse_list(_number(float, -100.0, 100.0))
 
 
+def _quoted(text: str) -> str:  # a cell's text as `_line` writes it
+    return f'"{text}"' if "," in text else text
+
+
 def _line(cells) -> str:
     """One CSV record: `str` of each cell, comma-separated, ending in CRLF.
 
@@ -130,7 +134,7 @@ def _line(cells) -> str:
     texts = list(map(str, cells))
     line = ",".join(texts)
     if line.count(",") >= len(texts):  # a cell holds a comma
-        line = ",".join([f'"{t}"' if "," in t else t for t in texts])
+        line = ",".join(map(_quoted, texts))
     return line + "\r\n"
 
 
@@ -213,10 +217,15 @@ def _run_handover(seed, *, scene=None, n_angles: _n_rows = 61):
 def _run_area_grid(seed, *, payload_bytes: _payload_bytes = 1000, count: _count = 1000,
                    imbalance_db: _finite_float = 0.5, mcs: _parse_mcs_list = (8, 9, 10, 11, 12)):
     rows = scenarios.run_mimo_area_grid(mcs, FrameSpec(payload_bytes, count), seed, imbalance_db)
-    summary = {f"{r.placement}@{r.imbalance_db}/mcs{r.mcs_index}": r.fsr_realized
-               for r in rows}
-    return (scenarios.AreaGridRow._fields, [_line(r) for r in rows],
-            {"fsr_realized": summary})
+    # Rows come link by link, one per MCS; a link's cells but the MCS and FSR ones are formatted once.
+    lines, summary = [], {}
+    for link in (rows[i:i + len(mcs)] for i in range(0, len(rows), len(mcs))):
+        placement, imbalance, _, snr_a, snr_b, solvable, cond, _, _ = link[0]
+        head, key = f"{_quoted(placement)},{imbalance},", f"{placement}@{imbalance}/mcs"
+        mid = f",{snr_a},{snr_b},{solvable},{cond},"
+        lines += [f"{head}{r.mcs_index}{mid}{r.fsr_analytic},{r.fsr_realized}\r\n" for r in link]
+        summary.update((f"{key}{r.mcs_index}", r.fsr_realized) for r in link)
+    return scenarios.AreaGridRow._fields, lines, {"fsr_realized": summary}
 
 
 # Without a scene it reports the flat SISO preset and the notched MISO one.
@@ -228,9 +237,9 @@ def _run_csi(seed, *, scene=None, bits: _csi_bits = 6, bandwidth_mhz: _bandwidth
     for name, sc in variants:
         report = scenarios.run_csi_report(sc, bits, bandwidth_mhz)
         freqs, re, im = (a.tolist() for a in (report.subcarrier_freqs, report.re, report.im))
-        scale = str(report.scale)  # every row of a variant repeats it
-        lines += [_line([name, i, j, freqs[k], re[i][j][k], im[i][j][k], scale])
-                  for i, j, k in product(*map(range, report.re.shape))]
+        tail = f",{report.scale}\r\n"  # every row of a variant ends in its scale; no cell holds a comma
+        lines += [f"{name},{i},{j},{f},{r},{m}{tail}" for i, j in product(*map(range, report.re.shape[:2]))
+                  for f, r, m in zip(freqs, re[i][j], im[i][j])]
         ripple[name] = float(np.max(report.magnitude_ripple_db()))
     return header, lines, {"magnitude_ripple_db": ripple}
 

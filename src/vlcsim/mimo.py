@@ -96,7 +96,7 @@ def _median_of_smallest(ascending: list, n: int) -> float:
     return ascending[half] if n % 2 else (ascending[half - 1] + ascending[half]) / 2
 
 
-def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
+def zf_decode_links(entries, tx_power_per_stream, noise_per_chain) -> list:
     """Zero-forcing spatial demultiplexing of direct-mapped streams, one `PostSnr` per link.
 
     Per subcarrier the receiver applies W = (H^H H)^-1 H^H; the post-SNR of
@@ -105,23 +105,18 @@ def zf_decode_links(cms, tx_power_per_stream, noise_per_chain) -> list:
     matrix exceeds the singularity cutoff are excluded; if they are the
     majority the whole link is reported unsolvable.
 
-    The links, all of one shape, go through one stacked Gram, condition number
-    and inverse (LAPACK works matrix by matrix, so a taller stack gives the
-    same bits); each link then gets its own `PostSnr` from its slice of the
-    stack.
+    `entries` is the links' `ChannelMatrix.entries` stacked, (n_links, subcarriers,
+    n_rx, n_tx). All go through one stacked Gram, condition number and inverse
+    (LAPACK works matrix by matrix, so a taller stack gives the same bits); each
+    link then gets its own `PostSnr` from its slice of the stack.
     """
-    cms = tuple(cms)
-    if not cms:
-        return []
-    shapes = {cm.entries.shape for cm in cms}
-    if len(shapes) != 1:
-        raise ValueError(f"links decoded together need one (subcarriers, n_rx, n_tx) shape, "
-                         f"got {sorted(shapes)}")
-    n_subc, n_rx, n_streams = shapes.pop()
+    entries = np.asarray(entries)
+    if entries.ndim != 4:
+        raise ValueError(f"zero-forcing needs one (n_links, subcarriers, n_rx, n_tx) array, got {entries.shape}")
+    n_links, n_subc, n_rx, n_streams = entries.shape
     check_streams(n_streams, n_streams, n_rx, "zero-forcing")
-    stack = np.concatenate([cm.entries for cm in cms])
+    stack = entries.reshape(-1, n_rx, n_streams)
     snr, cond, ok = _stream_snr_per_subcarrier(stack, tx_power_per_stream, noise_per_chain)
-    n_links = len(cms)
     counts = np.count_nonzero(ok.reshape(n_links, n_subc), axis=1).tolist()
     per_stream = _stream_snr_db(snr, ok, counts)
     # Each link's finite condition numbers sort first, so one sort gives every

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numerics import brentq
 from .channel import (CENTER_FREQ_HZ, SPEED_OF_LIGHT_M_S, Obstacle, Receiver, Scene,
-                      Transmitter, incidence, lambertian_order, path_gain)
+                      Transmitter, gain_scale, lambertian_order, lit_gain, within_fov)
 
 TX_SEMI_ANGLE_DEG = 30.0       # Lambertian order ~4.82
 RX_FOV_DEG = 45.0
@@ -139,21 +139,20 @@ def area2_tilt_for_imbalance(imbalance_db: float) -> float:
             "range is about [0, 0.59] dB")
     if imbalance_db == 0.0:
         return 0.0
-    # The probe only turns in place: each path's vector and length and the TX
-    # Lambertian order are fixed, so a step builds no front-ends.
+    # The probe only turns in place: each path's -v, length, gain scale and cos(phi) are
+    # `path_gain`'s and `incidence`'s terms that no step changes, so a step computes cos(psi) alone.
     m = lambertian_order(TX_SEMI_ANGLE_DEG)
     tx_boresight = _unit(_AREA_TX_BORESIGHT)
     rx_position = np.asarray((_AREA_RX_X[2], _AREA_RAIL_Y, _AREA_RX_Z[1]), float)
-    paths = []
-    for x in (-_AREA_TX_X, _AREA_TX_X):  # TX A, TX B
-        v = rx_position - np.asarray((x, 0, 0), float)
-        paths.append((v, float(np.linalg.norm(v))))
+    vectors = [rx_position - np.asarray((x, 0, 0), float) for x in (-_AREA_TX_X, _AREA_TX_X)]  # TX A, TX B
+    paths = [(-v, d, gain_scale(m, RX_AREA_M2, d), float(np.dot(tx_boresight, v)) / d)
+             for v, d in zip(vectors, (float(np.linalg.norm(v)) for v in vectors))]
 
     def skew(tilt):
         a = math.radians(tilt)
         boresight = _unit((math.sin(a), -math.cos(a), 0.0))
-        ga, gb = (path_gain(m, tx_boresight, v, d, RX_AREA_M2,
-                            incidence(boresight, v, d, _AREA_RX_FOV_DEG)) for v, d in paths)
+        ga, gb = (lit_gain(m, scale, cos_phi, within_fov(float(np.dot(boresight, neg_v)) / d, _AREA_RX_FOV_DEG))
+                  for neg_v, d, scale, cos_phi in paths)
         return 10.0 * math.log10(ga / gb) + imbalance_db
 
     # Beyond ~15.5 degrees the TX A path leaves the receiver FOV entirely.

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numerics import expit
-from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear, gain_scale,
-                      incidence, lambertian_order, linear_to_db, lit_gain, los_gain, path_length, scene_paths,
+from .channel import (ChannelMatrix, Scene, ValidationError, channel_matrix, db_to_linear, gain_scale, incidence,
+                      lambertian_order, linear_to_db, lit_gain, los_gain, path_entries, path_length, scene_paths,
                       subcarrier_frequencies, unblocked_paths, wideband_rssi_dbm, within_fov, zero_paths)
 from .mimo import mrc_combine, zf_decode_links
 from .phy import FSR_SLOPE_DB, REFERENCE_PAYLOAD_BYTES, FrameSpec, check_streams, fsr, mcs, snr_for_fsr
@@ -251,10 +251,9 @@ def run_mimo_area_grid(mcs_indices, frame: FrameSpec, seed: int, imbalance_db: f
                          "is already the contrast row")
     scene = mimo_area_scene(imbalance_db)
     gains, delays = scene_paths(scene, 0)
-    freqs = subcarrier_frequencies(20)
-    cms = [ChannelMatrix.from_paths(gains[list(rows)], delays[list(rows)], freqs)
-           for _, rows, _ in AREA_LINKS]
-    posts = zf_decode_links(cms, db_to_linear(scene.tx_power_dbm), db_to_linear(scene.noise_floor_dbm))
+    rows = [link_rows for _, link_rows, _ in AREA_LINKS]  # (link, RX) -> receiver row of the scene
+    channels = path_entries(gains[rows], delays[rows], subcarrier_frequencies(20))
+    posts = zf_decode_links(channels, db_to_linear(scene.tx_power_dbm), db_to_linear(scene.noise_floor_dbm))
     # A link's frame is limited by its weakest stream, the row's np.min.
     weakest = np.min([post.per_stream_snr_db for post in posts], axis=1).tolist()
     cells = [(placement, imbalance_db if skewed else 0.0, entry, post,

@@ -174,10 +174,12 @@ def parse_scene(text: str) -> Scene:
 def read_scene_file(path) -> Scene:
     """Read a scene file once, as UTF-8 whatever the locale, and parse it as `parse_scene` does."""
     with open(path, "rb") as f:
-        data = f.read(_MAX_FILE_BYTES + 1)  # reading stops one byte past the bound
-        if len(data) > _MAX_FILE_BYTES:
-            size = max(os.fstat(f.fileno()).st_size, len(data))  # a pipe's size: the bytes read
-            raise ValidationError(f"scene file: {size} bytes exceed the bound of {_MAX_FILE_BYTES}")
+        size = os.fstat(f.fileno()).st_size
+        data = f.read(min(size, _MAX_FILE_BYTES) + 1)  # a read allocates all it asks for
+        if len(data) > size:  # a pipe (its size reads 0) or a file that grew: on to one byte past the bound
+            data += f.read(_MAX_FILE_BYTES + 1 - len(data))
+        if len(data) > _MAX_FILE_BYTES:  # a pipe's size: the bytes read
+            raise ValidationError(f"scene file: {max(size, len(data))} bytes exceed the bound of {_MAX_FILE_BYTES}")
     # Line ends as text mode reads them: '\r\n' and '\r' end a line too.
     return parse_scene(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 

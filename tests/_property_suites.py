@@ -17,7 +17,7 @@ import numpy as np
 
 from vlcsim import _numerics, cli, oracle, presets
 from vlcsim.channel import ChannelMatrix, Obstacle, Receiver, Transmitter, channel_matrix, Scene, \
-    db_to_linear, linear_to_db, los_gain, subcarrier_frequencies, wideband_rssi_dbm
+    db_to_linear, linear_to_db, los_gain, path_entries, scene_paths, subcarrier_frequencies, wideband_rssi_dbm
 from vlcsim.mimo import SINGULARITY_CONDITION_CUTOFF, PostSnr, _stream_snr_per_subcarrier, \
     mrc_combine, zf_decode_links
 from vlcsim.oracle import _effective_channel, demodulate, empirical_fsr, modulate, \
@@ -131,12 +131,8 @@ def zf_orthogonal_exactness(n_cases: int, seed: int = 106) -> None:
         c2 = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
         c2 -= c1 * np.vdot(c1, c2) / np.vdot(c1, c1)
         h = np.stack([c1, c2], axis=1)
-        # entries built directly: this check is about the ZF algebra alone
-        cm = ChannelMatrix(subcarrier_freqs=np.array([2.4e9]),
-                           entries=h[None, :, :],
-                           path_gains=np.abs(h) ** 2,
-                           path_delays=np.zeros_like(h, dtype=float))
-        post = zf_decode_links([cm], 1.0, 1.0)[0]
+        # entries built directly, one link of one subcarrier: this check is about the ZF algebra alone
+        post = zf_decode_links(h[None, None, :, :], 1.0, 1.0)[0]
         for k, col in enumerate((c1, c2)):
             matched_db = 10.0 * math.log10(np.vdot(col, col).real)
             assert abs(post.per_stream_snr_db[k] - matched_db) <= 1e-8
@@ -735,7 +731,8 @@ def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
 
     Stacks hold 1-6 links of one shape, K = 52 or 108, each link regular,
     mixed, all singular, with a dead TX column (infinite condition numbers)
-    or dark, and sometimes a zero-gain path. Links of different shapes raise.
+    or dark, and sometimes a zero-gain path. Input that is not one 4-D
+    (n_links, K, n_rx, n_tx) array is refused.
     """
     rng = np.random.default_rng(seed)
     kinds = ("regular", "mixed", "singular", "dead-column", "dark")
@@ -748,7 +745,8 @@ def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
                for _ in range(int(rng.integers(1, 7)))]
         power = rng.uniform(0.1, 10.0, size=n_tx) if rng.random() < 0.5 else 1.0
         noise = rng.uniform(1e-9, 1e-3, size=n_rx) if rng.random() < 0.5 else 1e-6
-        got = zf_decode_links(cms, power, noise)
+        stack = np.stack([cm.entries for cm in cms])
+        got = zf_decode_links(stack, power, noise)
         assert len(got) == len(cms)
         for g, cm in zip(got, cms):
             want = _reference_zf_decode(cm, power, noise)
@@ -759,20 +757,79 @@ def zf_links_exactness(n_cases: int, seed: int = 117) -> None:
             seen["solvable" if want.solvable else "unsolvable"] += 1
             seen["infinite-cond"] += want.condition_number == math.inf
         seen["stack"] += len(cms) > 1
-        assert zf_decode_links(cms[:1], power, noise) == got[:1]
+        assert zf_decode_links(stack[:1], power, noise) == got[:1]
     if n_cases >= 20:
         assert min(seen.values()) > 0, seen
-    assert zf_decode_links([], 1.0, 1.0) == []
+    assert zf_decode_links(np.zeros((0, 52, 2, 2), complex), 1.0, 1.0) == []
     a = _random_zf_link(rng, "regular", 52, 2, 2)
-    for other in (_random_zf_link(rng, "regular", 108, 2, 2),
-                  _random_zf_link(rng, "regular", 52, 3, 2),
-                  _random_zf_link(rng, "regular", 52, 2, 1)):
+    # One link's (K, n_rx, n_tx) entries, a stack with a leading axis too many, and links
+    # passed as a list of `ChannelMatrix` objects, as the decoder once took them.
+    for bad in (a.entries, a.entries[None, None], [a, a]):
         try:
-            zf_decode_links([a, other], 1.0, 1.0)
+            zf_decode_links(bad, 1.0, 1.0)
         except ValueError as exc:
-            assert "one (subcarriers, n_rx, n_tx) shape" in str(exc)
+            assert "needs one (n_links, subcarriers, n_rx, n_tx) array" in str(exc)
         else:
-            raise AssertionError("links of different shapes were decoded together")
+            raise AssertionError("input that is not 4-D was decoded")
+
+
+def _reference_entries(gains, delays, freqs):
+    """`ChannelMatrix.from_paths`' entries of one 2-D link as it formed them before the stacked kernel."""
+    amp = np.sqrt(gains)
+    phase = np.exp(-2j * np.pi * freqs[:, None, None] * delays[None, :, :])
+    return amp[None, :, :] * phase
+
+
+def path_entries_exactness(n_cases: int, seed: int = 118) -> None:
+    """`channel.path_entries` of a stack of links equals `ChannelMatrix.from_paths`
+    of each link alone, and the formula `from_paths` used before the kernel, bit
+    for bit (signed zeros included).
+
+    Stacks hold 1-6 links of 1-4 x 1-4 paths, K = 52 or 108, with gains over 12
+    decades and some exactly zero (blocked paths) and delays of 0-100 ns; some
+    stacks have a second leading axis or a transposed memory layout. The area
+    grid's own stacks are checked too, and bad input is refused.
+    """
+    rng = np.random.default_rng(seed)
+    seen = dict.fromkeys(("zero-gain", "nested", "strided", "K=52", "K=108"), 0)
+    cases = []
+    for _ in range(n_cases):
+        shape = tuple(int(x) for x in rng.integers(1, (7, 5, 5)))
+        gains = 10.0 ** rng.uniform(-12.0, 0.0, shape)
+        gains[rng.random(shape) < 0.2] = 0.0
+        delays = rng.uniform(0.0, 1e-7, shape)
+        if shape[0] % 2 == 0 and rng.random() < 0.3:
+            gains, delays = (x.reshape(2, -1, *shape[1:]) for x in (gains, delays))
+            seen["nested"] += 1
+        if rng.random() < 0.3:
+            gains, delays = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (gains, delays))
+            seen["strided"] += 1
+        bandwidth = int(rng.choice([20, 40]))
+        seen[f"K={52 if bandwidth == 20 else 108}"] += 1
+        seen["zero-gain"] += bool(np.any(gains == 0.0))
+        cases.append((gains, delays, subcarrier_frequencies(bandwidth)))
+    rows = [link_rows for _, link_rows, _ in presets.AREA_LINKS]
+    for imbalance in (0.05, 0.25, 0.5, 0.55):
+        gains, delays = scene_paths(presets.mimo_area_scene(imbalance), 0)
+        cases.append((gains[rows], delays[rows], subcarrier_frequencies(20)))
+    for gains, delays, freqs in cases:
+        got = path_entries(gains, delays, freqs)
+        assert got.shape == (*gains.shape[:-2], len(freqs), *gains.shape[-2:])
+        for idx in np.ndindex(gains.shape[:-2]):
+            want = ChannelMatrix.from_paths(gains[idx], delays[idx], freqs).entries
+            assert got[idx].dtype == want.dtype and got[idx].tobytes() == want.tobytes()
+            assert _reference_entries(gains[idx], delays[idx], freqs).tobytes() == want.tobytes()
+    if n_cases >= 50:
+        assert min(seen.values()) > 0, seen
+    freqs = subcarrier_frequencies(20)
+    for gains, delays in ((np.ones(2), np.zeros(2)), (np.ones((2, 2, 2)), np.zeros((2, 2))),
+                          (-np.ones((3, 2, 2)), np.zeros((3, 2, 2)))):
+        try:
+            path_entries(gains, delays, freqs)
+        except ValueError as exc:
+            assert "matching arrays" in str(exc) or "non-negative" in str(exc)
+        else:
+            raise AssertionError("bad paths were formed into entries")
 
 
 def _reference_area2_tilt(imbalance_db):

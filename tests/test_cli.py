@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from _csv_check import check_written_csv
-from vlcsim import cli, sceneconfig
+from vlcsim import cli, presets, scenarios, sceneconfig
 from vlcsim.cli import main
+from vlcsim.phy import FrameSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
@@ -921,3 +922,33 @@ def test_line_cells_keep_the_sign_of_zero():
     csv.writer(direct).writerow(values)
     assert direct.getvalue() == cli._line(values) == \
         "0.0,-0.0,-0.0,-inf,0.30000000000000004,1e-300\r\n"
+
+
+@pytest.mark.parametrize("mcs", [(8, 9, 10, 11, 12), (12, 8)], ids=["default-mcs", "two-mcs"])
+@pytest.mark.parametrize("imbalance", [0.05, 0.15, 0.25, 0.35, 0.45, 0.5, 0.55])
+def test_area_grid_records_are_the_line_of_their_row(imbalance, mcs):
+    # The runner formats each link's shared cells once; every record must still be `_line` of
+    # its row, the placement quoted by its rule, and the summary keyed by the row as before.
+    rows = scenarios.run_mimo_area_grid(mcs, FrameSpec(1000, 1000), 5, imbalance)
+    header, lines, aggregates = cli.REGISTRY["mimo-area-grid"](5, imbalance_db=imbalance, mcs=mcs)
+    assert lines == [cli._line(r) for r in rows]
+    assert aggregates["fsr_realized"] == {f"{r.placement}@{r.imbalance_db}/mcs{r.mcs_index}": r.fsr_realized
+                                          for r in rows}
+
+
+@pytest.mark.parametrize("bandwidth_mhz", [20, 40])
+@pytest.mark.parametrize("bits", [4, 6, 10])
+@pytest.mark.parametrize("scene_file", [None, "csi_miso.cfg", "simo_blockage.cfg"])
+def test_csi_records_are_the_line_of_their_row(scene_file, bits, bandwidth_mhz):
+    # With a scene the one variant is `custom`; the blockage scene has two receive chains.
+    variants = ([("siso", presets.siso_scene()), ("miso", presets.csi_miso_scene())] if scene_file is None
+                else [("custom", sceneconfig.read_scene_file(SCENES / scene_file))])
+    given = {} if scene_file is None else {"scene": variants[0][1]}
+    _, lines, _ = cli.REGISTRY["csi-report"](1, bits=bits, bandwidth_mhz=bandwidth_mhz, **given)
+    want = []
+    for name, scene in variants:
+        report = scenarios.run_csi_report(scene, bits, bandwidth_mhz)
+        freqs, re, im = (a.tolist() for a in (report.subcarrier_freqs, report.re, report.im))
+        want += [cli._line([name, i, j, f, re[i][j][k], im[i][j][k], report.scale])
+                 for i in range(len(re)) for j in range(len(re[i])) for k, f in enumerate(freqs)]
+    assert lines == want

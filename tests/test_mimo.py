@@ -12,9 +12,10 @@ from vlcsim.phy import fsr, mcs, snr_for_fsr
 GAIN_3DB = 10.0 * math.log10(2.0)
 
 
-def flat_cm(path_gains, freqs=(2.4e9,)):
+def flat_link(path_gains, freqs=(2.4e9,)):
+    """The entries of one zero-delay link as a stack of one, the input `zf_decode_links` takes."""
     gains = np.asarray(path_gains, dtype=float)
-    return ChannelMatrix.from_paths(gains, np.zeros_like(gains), np.asarray(freqs))
+    return ChannelMatrix.from_paths(gains, np.zeros_like(gains), np.asarray(freqs)).entries[None]
 
 
 class TestMrcCombine:
@@ -52,14 +53,14 @@ class TestMrcCombine:
 class TestZfDecode:
     def test_diagonal_channel_decouples(self):
         g = 1e-5
-        post = zf_decode_links([flat_cm([[g, 0.0], [0.0, g]])], 1.0, 1e-6)[0]
+        post = zf_decode_links(flat_link([[g, 0.0], [0.0, g]]), 1.0, 1e-6)[0]
         siso_db = 10.0 * math.log10(g * 1.0 / 1e-6)
         assert post.solvable
         for s in post.per_stream_snr_db:
             assert s == pytest.approx(siso_db, abs=1e-9)
 
     def test_proportional_rows_unsolvable(self):
-        post = zf_decode_links([flat_cm([[1e-5, 1e-5], [2e-5, 2e-5]])], 1.0, 1e-6)[0]
+        post = zf_decode_links(flat_link([[1e-5, 1e-5], [2e-5, 2e-5]]), 1.0, 1e-6)[0]
         assert not post.solvable
         assert post.per_stream_snr_db == (float("-inf"),) * 2
         # a two-stream MCS sees zero frame success
@@ -67,14 +68,14 @@ class TestZfDecode:
 
     def test_mixed_rows_solvable(self):
         # one row hears both TX, the other only one: full rank, near-SISO SNRs
-        post = zf_decode_links([flat_cm([[1e-5, 1.1e-5], [0.0, 1e-5]])], 1.0, 1e-9)[0]
+        post = zf_decode_links(flat_link([[1e-5, 1.1e-5], [0.0, 1e-5]]), 1.0, 1e-9)[0]
         assert post.solvable
         for m in range(8, 13):
             assert fsr(mcs(m), min(post.per_stream_snr_db), 1000) >= 0.99
 
     def test_underdetermined(self):
         with pytest.raises(ValueError, match=r"exceeds min\(n_tx, n_rx\)"):
-            zf_decode_links([flat_cm([[1e-5, 1e-5]])], 1.0, 1e-6)
+            zf_decode_links(flat_link([[1e-5, 1e-5]]), 1.0, 1e-6)
 
     def test_hand_computed_2x2(self):
         # independent oracle: explicit adjugate inverse of the Gram matrix
@@ -82,7 +83,7 @@ class TestZfDecode:
         det2 = (a * d - b * c) ** 2
         expect_1 = det2 / (b * b + d * d)  # p = n = 1
         expect_2 = det2 / (a * a + c * c)
-        post = zf_decode_links([flat_cm([[a * a, b * b], [c * c, d * d]])], 1.0, 1.0)[0]
+        post = zf_decode_links(flat_link([[a * a, b * b], [c * c, d * d]]), 1.0, 1.0)[0]
         assert post.per_stream_snr_db[0] == pytest.approx(10 * math.log10(expect_1), abs=1e-9)
         assert post.per_stream_snr_db[1] == pytest.approx(10 * math.log10(expect_2), abs=1e-9)
 
@@ -95,7 +96,7 @@ class TestZfDecode:
         gram = h.T @ h
         w = np.linalg.inv(gram) @ h.T
         expected = 1.0 / ((np.abs(w) ** 2) @ noise)
-        post = zf_decode_links([flat_cm(amp ** 2)], 1.0, noise)[0]
+        post = zf_decode_links(flat_link(amp ** 2), 1.0, noise)[0]
         for got, exp in zip(post.per_stream_snr_db, expected):
             assert got == pytest.approx(10 * math.log10(exp), abs=1e-9)
 
@@ -105,11 +106,11 @@ class TestZfDecode:
         gains = np.ones((2, 2))
         delays = np.array([[0.0, 0.0], [0.0, 1.0]])
         minority = ChannelMatrix.from_paths(gains, delays, [1.0, 1.4, 1.6])
-        assert zf_decode_links([minority], 1.0, 1e-3)[0].solvable
+        assert zf_decode_links(minority.entries[None], 1.0, 1e-3)[0].solvable
         majority = ChannelMatrix.from_paths(gains, delays, [1.0, 1.5, 2.0])
-        assert not zf_decode_links([majority], 1.0, 1e-3)[0].solvable
+        assert not zf_decode_links(majority.entries[None], 1.0, 1e-3)[0].solvable
 
     def test_condition_number_reported(self):
-        post = zf_decode_links([flat_cm([[1e-5, 0.0], [0.0, 1e-5]])], 1.0, 1e-6)[0]
+        post = zf_decode_links(flat_link([[1e-5, 0.0], [0.0, 1e-5]]), 1.0, 1e-6)[0]
         assert post.condition_number == pytest.approx(1.0, rel=1e-9)
 

@@ -174,7 +174,7 @@ def test_check_streams_refuses_exactly_past_min_of_tx_and_rx(tmp_path, capsys):
     one_rx = ChannelMatrix.from_paths([[1.0, 1.0]], [[0.0, 0.0]], freqs)
     one_tx = ChannelMatrix.from_paths([[1.0], [1.0]], [[0.0], [0.0]], freqs)
     with pytest.raises(ValueError) as exc:
-        zf_decode_links([one_rx], 1.0, 1e-6)
+        zf_decode_links(one_rx.entries[None], 1.0, 1e-6)
     assert str(exc.value) == refusal(2, 2, 1, "zero-forcing")
     for cm in (one_rx, one_tx):
         with pytest.raises(ValueError) as exc:

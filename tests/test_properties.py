@@ -101,6 +101,10 @@ def test_stacked_zf_links_equal_one_decode_per_link():
     suites.zf_links_exactness(150)
 
 
+def test_stacked_entries_kernel_equals_from_paths_per_link():
+    suites.path_entries_exactness(200)
+
+
 def test_tilt_solve_without_front_ends_is_exact():
     suites.area_tilt_exactness(120)
 

@@ -1,13 +1,16 @@
 """Scene text format: parsing, validation diagnostics, and round-tripping."""
 
 import dataclasses
+import os
 import pathlib
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vlcsim import presets
+from vlcsim import presets, sceneconfig
 from vlcsim.channel import MAX_FRONT_ENDS, MAX_OBSTACLES, Scene, Transmitter, ValidationError
 from vlcsim.sceneconfig import _MAX_FILE_BYTES, _ROLES, parse_scene, read_scene_file, scene_to_text
 
@@ -317,6 +320,54 @@ class TestRoundTrip:
             read_scene_file(path)
         assert exc.value.args == (
             f"scene file: {_MAX_FILE_BYTES + 1} bytes exceed the bound of {_MAX_FILE_BYTES}",)
+
+    def test_a_small_file_is_read_without_allocating_the_bound(self):
+        path = pathlib.Path(__file__).resolve().parent.parent / "scenes" / "simo_blockage.cfg"
+        read_scene_file(path)  # imports and caches outside the traced call
+        tracemalloc.start()
+        try:
+            read_scene_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak  # a read of the bound allocated 256 KiB
+
+    @pytest.mark.parametrize("extra", [0, 1, 1000], ids=["at-bound", "one-past", "far-past"])
+    def test_a_pipe_is_read_to_one_byte_past_the_bound(self, tmp_path, extra):
+        # A pipe's size reads 0, so its bytes are counted as they are read.
+        path = tmp_path / "scene.fifo"
+        os.mkfifo(path)
+        padding = "# " + "x" * (_MAX_FILE_BYTES - len(GOOD) - 3) + "\n"
+        data = (GOOD + "#" * extra + padding).encode()
+
+        def write():
+            with open(path, "wb") as f:
+                try:
+                    f.write(data)
+                except BrokenPipeError:  # the reader stopped one byte past the bound
+                    pass
+
+        writer = threading.Thread(target=write, daemon=True)  # a reader that never opens must not hang the run
+        writer.start()
+        try:
+            if extra:
+                with pytest.raises(ValidationError) as exc:
+                    read_scene_file(path)
+                assert exc.value.args == (
+                    f"scene file: {_MAX_FILE_BYTES + 1} bytes exceed the bound of {_MAX_FILE_BYTES}",)
+            else:
+                assert scene_to_text(read_scene_file(path)) == scene_to_text(parse_scene(GOOD))
+        finally:
+            writer.join(10)
+        assert not writer.is_alive()
+
+    def test_a_file_that_grew_after_its_size_was_read_is_read_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "scene.cfg"
+        path.write_text(GOOD)
+        fstat = os.fstat
+        monkeypatch.setattr(sceneconfig.os, "fstat", lambda fd: os.stat_result(
+            (*fstat(fd)[:6], 10, *fstat(fd)[7:])))  # st_size 10: the size before it grew
+        assert scene_to_text(read_scene_file(path)) == scene_to_text(parse_scene(GOOD))
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_ends_are_read_as_in_text_mode(self, tmp_path, newline):
